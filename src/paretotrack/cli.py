@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import os
 import sys
 import tempfile
@@ -47,6 +48,10 @@ def _atomic_write(path: str, content: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(content)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -121,21 +126,19 @@ def _read_lines(path: str) -> list[str]:
 
 _TRACK_KEYS = {
     "dets": str, "out": str, "t-birth": int, "t-death": int,
-    "w-iou": float, "w-app": float, "w-det": float, "terminal-score": float,
-    "feature-dim": int,
+    "w-iou": float, "w-det": float, "terminal-score": float,
 }
 
 
 def _cmd_track(args: argparse.Namespace) -> int:
     _merge_config(args, _TRACK_KEYS)
-    _defaults(args, t_birth=3, t_death=5, w_iou=1.0, w_app=1.0, w_det=1.0,
-              terminal_score=-0.2, feature_dim=32)
+    _defaults(args, t_birth=3, t_death=5, w_iou=1.0, w_det=1.0,
+              terminal_score=-0.2)
     if not args.dets or not args.out:
         raise CliError("track requires --dets and --out")
     seq = parse_sequence(_read_lines(args.dets))
     scorer = BaselineScorer(ScorerConfig(
-        w_iou=args.w_iou, w_app=args.w_app, w_det=args.w_det,
-        terminal_score=args.terminal_score, feature_dim=args.feature_dim,
+        w_iou=args.w_iou, w_det=args.w_det, terminal_score=args.terminal_score,
     ))
     cfg = TrackerConfig(t_birth=args.t_birth, t_death=args.t_death)
     tracks = run_sequence(seq, scorer, cfg)
@@ -301,7 +304,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         stage1_budget=nas.Stage1Budget(**b1),
         stage2_budget=nas.Stage2Budget(**b2),
         seed=args.seed,
-        jobs=args.jobs,
     )
     _atomic_write(args.out, "".join(format_pareto_line(p) + "\n" for p in front))
     if args.plot_data:
@@ -318,21 +320,44 @@ _ASSOC_KEYS = {"scores": str, "random": str}
 
 
 def _read_scoreset(path: str) -> ScoreSet:
-    lines = [l.strip() for l in _read_lines(path)]
-    lines = [l for l in lines if l and not l.startswith("#")]
-    if not lines or lines[0] != "scoreset v1":
+    """Parse a 'scoreset v1' file; a format error names the file and line."""
+    raw = _read_lines(path)
+    lines = [(lineno, text.strip()) for lineno, text in enumerate(raw, start=1)]
+    lines = [(lineno, text) for lineno, text in lines
+             if text and not text.startswith("#")]
+    if not lines or lines[0][1] != "scoreset v1":
         raise CliError(f"{path}: expected 'scoreset v1' header")
-    kv = dict(tok.split("=", 1) for tok in lines[1].split())
-    n, m = int(kv["n_prev"]), int(kv["n_curr"])
-    def row(text): return [float(x) for x in text.split()] if text else []
-    try:
-        s_in = row(lines[2].partition(":")[2])
-        s_out = row(lines[3].partition(":")[2])
-        s_det_prev = row(lines[4].partition(":")[2])
-        s_det_curr = row(lines[5].partition(":")[2])
-        link_rows = [row(l) for l in lines[6:6 + n]]
-    except (IndexError, ValueError) as exc:
-        raise CliError(f"{path}: malformed score set ({exc})") from None
+
+    def take(i: int, what: str) -> tuple[int, str]:
+        if i >= len(lines):
+            raise CliError(f"{path}:{len(raw) + 1}: expected {what}, got end of file")
+        return lines[i]
+
+    lineno, text = take(1, "'n_prev=N n_curr=M'")
+    kv = dict(tok.partition("=")[::2] for tok in text.split())
+    sizes = kv.get("n_prev", ""), kv.get("n_curr", "")
+    if not all(size.isdecimal() for size in sizes):
+        raise CliError(f"{path}:{lineno}: expected 'n_prev=N n_curr=M', got {text!r}")
+    n, m = (int(size) for size in sizes)
+
+    def row(i: int, name: str, size: int) -> list[float]:
+        what = f"{size} finite {name} values"
+        lineno, text = take(i, what)
+        try:  # vector rows carry a 'name:' label, link rows do not
+            parsed = [float(x) for x in text.rpartition(":")[2].split()]
+            ok = len(parsed) == size and all(map(math.isfinite, parsed))
+        except ValueError:
+            ok = False
+        if not ok:
+            raise CliError(f"{path}:{lineno}: expected {what}, got {text!r}")
+        return parsed
+
+    s_in = row(2, "s_in", m)
+    s_out = row(3, "s_out", n)
+    s_det_prev = row(4, "s_det_prev", n)
+    s_det_curr = row(5, "s_det_curr", m)
+    # with n_curr=0 the link rows are empty lines, which are skipped above
+    link_rows = [row(6 + i, "s_link", m) for i in range(n if m else 0)]
     link = np.array(link_rows, dtype=np.float64).reshape(n, m)
     return ScoreSet(s_in, s_out, s_det_prev, s_det_curr, link)
 
@@ -419,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value config file (flags override)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker count; output is identical for any value")
+                       help="accepted for compatibility; has no effect")
 
     p = sub.add_parser("track", help="run the tracker over a detection file")
     common(p)
@@ -428,10 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-birth", type=int)
     p.add_argument("--t-death", type=int)
     p.add_argument("--w-iou", type=float)
-    p.add_argument("--w-app", type=float)
     p.add_argument("--w-det", type=float)
     p.add_argument("--terminal-score", type=float)
-    p.add_argument("--feature-dim", type=int)
     p.set_defaults(func=_cmd_track)
 
     p = sub.add_parser("evaluate", help="CLEAR-MOT evaluation of results vs ground truth")

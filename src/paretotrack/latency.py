@@ -219,6 +219,12 @@ def softmax_weights(logits) -> np.ndarray:
     return e / e.sum()
 
 
+def op_latencies(table: LatencyTable, template: OpTemplate,
+                 ops: Sequence[str] = CANDIDATE_OPS) -> np.ndarray:
+    """Table latency of every op on one edge template, in `ops` order."""
+    return np.array([table.mean_ms(template.with_op(op)) for op in ops])
+
+
 def expected_latency(
     edge_logits: Sequence[np.ndarray],
     table: LatencyTable,
@@ -239,7 +245,7 @@ def expected_latency(
             raise ValueError(
                 f"expected {len(ops)} logits per edge, got {weights.shape[0]}"
             )
-        lats = [table.mean_ms(template.with_op(op)) for op in ops]
+        lats = op_latencies(table, template, ops)
         per_edge.append(math.fsum(w * l for w, l in zip(weights, lats)))
     return math.fsum(per_edge)
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -94,34 +93,19 @@ def pareto_sweep(
     stage1_budget: Stage1Budget = Stage1Budget(),
     stage2_budget: Stage2Budget = Stage2Budget(),
     seed: int = 0,
-    jobs: int = 1,
 ) -> list[ParetoPoint]:
     """Run the two-stage search once per lambda and keep the non-dominated results.
 
     A failing lambda is skipped with a logged warning rather than aborting the
-    sweep.  Results are collected by lambda index, so the output is identical
-    for any job count.
+    sweep.
     """
     if not lambdas:
         raise ValueError("need at least one lambda")
-
-    def run(lam: float) -> ParetoPoint:
-        return sweep_point(space, evaluator, table, lam,
-                           stage1_budget, stage2_budget, seed)
-
-    results: list[ParetoPoint | None] = [None] * len(lambdas)
-    if jobs <= 1:
-        for idx, lam in enumerate(lambdas):
-            try:
-                results[idx] = run(lam)
-            except Exception:
-                log.warning("lambda=%s failed, skipping", lam, exc_info=True)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run, lam) for lam in lambdas]
-            for idx, fut in enumerate(futures):
-                try:
-                    results[idx] = fut.result()
-                except Exception:
-                    log.warning("lambda=%s failed, skipping", lambdas[idx], exc_info=True)
-    return pareto_front([p for p in results if p is not None])
+    points = []
+    for lam in lambdas:
+        try:
+            points.append(sweep_point(space, evaluator, table, lam,
+                                      stage1_budget, stage2_budget, seed))
+        except Exception:
+            log.warning("lambda=%s failed, skipping", lam, exc_info=True)
+    return pareto_front(points)

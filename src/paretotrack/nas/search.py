@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..latency import LatencyTable, softmax_weights
-from .space import ArchLogits, DiscreteArch, SearchSpace, one_hot_weights
+from .space import (ArchLogits, DiscreteArch, SearchSpace, edge_latencies,
+                    one_hot_weights, weighted_latency)
 from .surrogate import SurrogateEvaluator
 
 
@@ -71,35 +72,18 @@ class Stage2Result:
     best_history: list[float] = field(default_factory=list)
 
 
-def _edge_latencies(space: SearchSpace, table: LatencyTable) -> dict[str, np.ndarray]:
-    """Per kind: instance-weighted latency of each candidate op on one edge."""
-    out = {}
-    for kind in space.kinds():
-        template = space.op_template(kind)
-        lats = np.array([table.mean_ms(template.with_op(op)) for op in space.ops])
-        out[kind] = lats * space.instance_count(kind)
-    return out
-
-
 def max_latency_ms(space: SearchSpace, table: LatencyTable) -> float:
     """Latency of the architecture putting all weight on the slowest op per edge."""
-    lats = _edge_latencies(space, table)
-    return math.fsum(
-        space.n_positions * float(lats[kind].max()) for kind in space.kinds()
-    )
+    lats = edge_latencies(space, table)
+    one_hot = {kind: np.eye(len(v))[[np.argmax(v)] * space.n_positions]
+               for kind, v in lats.items()}
+    return weighted_latency(one_hot, lats)
 
 
 def relaxed_latency_ms(space: SearchSpace, arch: ArchLogits,
                        table: LatencyTable) -> float:
     """Softmax-weighted expected latency of relaxed logits over all edge instances."""
-    lats = _edge_latencies(space, table)
-    terms = []
-    for kind in space.kinds():
-        logits = arch.by_kind[kind]
-        for pos in range(space.n_positions):
-            w = softmax_weights(logits[pos])
-            terms.append(float(w @ lats[kind]))
-    return math.fsum(terms)
+    return weighted_latency(arch_weights(space, arch), edge_latencies(space, table))
 
 
 def arch_weights(space: SearchSpace, arch: ArchLogits) -> dict[str, np.ndarray]:
@@ -179,7 +163,7 @@ def stage1_search(
     rng = np.random.default_rng(seed)
     arch = ArchLogits.random(space, rng)
     theta = rng.normal(0.0, 0.5, size=evaluator.theta_dim)
-    lat_vectors = _edge_latencies(space, table)
+    lat_vectors = edge_latencies(space, table)
     norm = max_latency_ms(space, table)
 
     best_val = math.inf
@@ -192,10 +176,14 @@ def stage1_search(
             arch.by_kind[kind] -= budget.alpha_lr * grads[kind]
         if not arch.is_finite():
             raise SearchDivergedError(epoch, "non-finite logits")
+        weights = arch_weights(space, arch)
         for _ in range(budget.theta_iters):
-            _, g_theta = evaluator.grad(arch_weights(space, arch), theta, "train")
+            _, g_theta = evaluator.grad(weights, theta, "train")
             theta = theta - budget.theta_lr * g_theta
-        val = total_loss(space, arch, theta, evaluator, table, lam, "val")
+        # total_loss on "val", reusing the latency vectors and norm built above
+        val = evaluator.loss(weights, theta, "val")
+        if lam > 0.0:
+            val += lam * (weighted_latency(weights, lat_vectors) / norm)
         if not math.isfinite(val):
             raise SearchDivergedError(epoch)
         history.append(val)

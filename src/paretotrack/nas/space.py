@@ -9,11 +9,12 @@ space carries one logits matrix per kind, of shape (edge positions, ops).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..latency import CANDIDATE_OPS, LatencyTable, OpTemplate
+from ..latency import CANDIDATE_OPS, LatencyTable, OpTemplate, op_latencies
 
 KINDS = ("normal", "reduction")
 
@@ -76,9 +77,6 @@ class SearchSpace:
         if kind == "normal":
             return OpTemplate(in_channels=c, out_channels=c, resolution=r, stride=1)
         return OpTemplate(in_channels=c, out_channels=2 * c, resolution=r, stride=2)
-
-    def templates(self) -> dict[str, OpTemplate]:
-        return {k: self.op_template(k) for k in self.kinds()}
 
 
 def init_search_space(cfg: SpaceConfig) -> SearchSpace:
@@ -184,17 +182,34 @@ def one_hot_weights(arch: DiscreteArch, space: SearchSpace) -> dict[str, np.ndar
     return out
 
 
+def edge_latencies(space: SearchSpace, table: LatencyTable) -> dict[str, np.ndarray]:
+    """Per kind: instance-weighted latency of each candidate op on one edge."""
+    return {
+        kind: op_latencies(table, space.op_template(kind), space.ops)
+        * space.instance_count(kind)
+        for kind in space.kinds()
+    }
+
+
+def weighted_latency(weights: dict[str, np.ndarray],
+                     lats: dict[str, np.ndarray]) -> float:
+    """fsum of weights[kind] * lats[kind] over every kind, edge position and op.
+
+    This is the one latency model of the search: softmax weights give the
+    relaxed latency, one-hot weights the latency of a discrete architecture.
+    """
+    return math.fsum(
+        x for kind in weights for x in (weights[kind] * lats[kind]).ravel().tolist()
+    )
+
+
 def discrete_latency(arch: DiscreteArch, space: SearchSpace,
                      table: LatencyTable) -> float:
     """Latency of a pruned architecture: retained ops over all edge instances."""
-    import math
-
-    templates = space.templates()
-    terms = []
-    for kind, _edge, op in arch.edges:
-        lat = table.mean_ms(templates[kind].with_op(op))
-        terms.append(space.instance_count(kind) * lat)
-    return math.fsum(terms)
+    weights = one_hot_weights(arch, space)
+    for w in weights.values():
+        w[:, space.ops.index("none")] = 0.0  # a dropped edge costs nothing
+    return weighted_latency(weights, edge_latencies(space, table))
 
 
 def format_discrete_arch(arch: DiscreteArch) -> str:

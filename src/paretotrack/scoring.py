@@ -19,8 +19,6 @@ from .kitti_io import Detection
 if TYPE_CHECKING:  # pragma: no cover
     from .tracker import Tracklet
 
-DEFAULT_FEATURE_DIM = 32
-
 
 @dataclass(frozen=True)
 class ScorerConfig:
@@ -28,14 +26,11 @@ class ScorerConfig:
     w_app: float = 1.0
     w_det: float = 1.0
     terminal_score: float = -0.2
-    feature_dim: int = DEFAULT_FEATURE_DIM
 
     def __post_init__(self):
         for name in ("w_iou", "w_app", "w_det", "terminal_score"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.feature_dim < 1:
-            raise ValueError("feature_dim must be >= 1")
 
 
 class ScoreSet:

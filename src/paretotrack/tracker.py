@@ -11,11 +11,10 @@ tracklet's miss counter.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .assoc import AssociationProblem, AssociationSolution, solve_exact
 from .kitti_io import Detection, SequenceDetections
@@ -47,7 +46,6 @@ class Tracklet:
     state: TrackState = TrackState.TENTATIVE
     consecutive_hits: int = 1
     consecutive_misses: int = 0
-    last_feature: np.ndarray | None = None
 
     @property
     def last_frame(self) -> int:
@@ -115,7 +113,7 @@ def step(
     for j, det in enumerate(detections):
         if j in matched_dets:
             continue
-        if solution.f_in[j] or solution.f_det_curr[j]:
+        if solution.f_in[j]:
             state.active.append(
                 Tracklet(id=None, detections=[(frame, det)], consecutive_hits=1)
             )
@@ -159,15 +157,21 @@ def run_sequence(
 
     Frames are walked contiguously from the smallest to the largest key;
     absent keys count as frames with zero detections, so gaps age tracklets.
+    While no tracklet is active, stepping an absent frame changes nothing, so
+    the walk jumps ahead to the next frame with detections.
     """
     state = TrackerState(config=cfg)
     if not seq.frames:
         return []
-    first, last = min(seq.frames), max(seq.frames)
-    for frame in range(first, last + 1):
+    frames = sorted(seq.frames)
+    frame = frames[0]
+    while frame <= frames[-1]:
+        if not state.active and frame not in seq.frames:
+            frame = frames[bisect_left(frames, frame)]
         detections = seq.frames.get(frame, [])
         scores = scorer(state.active, detections)
         step(state, frame, detections, scores)
+        frame += 1
     confirmed = state.retired + [
         t for t in state.active if t.state is TrackState.CONFIRMED
     ]

@@ -1,5 +1,6 @@
 import io
 import os
+import stat
 import subprocess
 import sys
 
@@ -81,6 +82,17 @@ def test_failed_run_leaves_no_partial_output(tmp_path, capsys):
     code = execute(["track", "--dets", str(bad), "--out", str(out)])
     assert code == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_outputs_get_the_umask_mode(tmp_path, capsys, umask):
+    out = tmp_path / "table.txt"
+    old = os.umask(umask)
+    try:
+        assert execute(["profile-latency", "--out", str(out), "--reps", "1"]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
 
 def test_config_file_supplies_flags(tmp_path, capsys):
@@ -217,6 +229,29 @@ def test_assoc_debug_scores_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "objective=4.0" in out
     assert "f_link: 1" in out
+
+
+@pytest.mark.parametrize("sizes", ["n_prev 1 n_curr 1", "n_curr=1", "n_prev=-1 n_curr=1"])
+def test_assoc_debug_bad_scoreset_sizes_name_the_line(tmp_path, capsys, sizes):
+    scores = tmp_path / "scores.txt"
+    scores.write_text(f"scoreset v1\n{sizes}\ns_in: -1.0\n")
+    assert execute(["assoc-debug", "--scores", str(scores)]) == 1
+    err = capsys.readouterr().err
+    assert f"{scores}:2: expected 'n_prev=N n_curr=M'" in err
+
+
+@pytest.mark.parametrize("body, lineno", [
+    ("", 3),                                      # file ends after the sizes
+    ("s_in: -1.0 2.0\n", 3),                      # one value too many
+    ("s_in: nan\n", 3),                           # not finite
+    ("s_in: -1.0\n# note\ns_out: x\n", 5),        # not a number, after a comment
+    ("s_in: -1\ns_out: -1\ns_det_prev: 1\ns_det_curr: 1\n", 7),  # no link row
+])
+def test_assoc_debug_bad_scoreset_rows_name_the_line(tmp_path, capsys, body, lineno):
+    scores = tmp_path / "scores.txt"
+    scores.write_text("scoreset v1\nn_prev=1 n_curr=1\n" + body)
+    assert execute(["assoc-debug", "--scores", str(scores)]) == 1
+    assert f"error: {scores}:{lineno}: expected " in capsys.readouterr().err
 
 
 def test_bev_subcommand(tmp_path, capsys):

@@ -3,12 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import nominal_table
 from paretotrack import nas
-from paretotrack.latency import CANDIDATE_OPS
+from paretotrack.latency import CANDIDATE_OPS, LatencyEntry, LatencyTable
 from paretotrack.nas.search import arch_weights, max_latency_ms, relaxed_latency_ms
-from paretotrack.nas.space import DiscreteArch, one_hot_weights
+from paretotrack.nas.space import (
+    DiscreteArch,
+    edge_latencies,
+    one_hot_weights,
+    weighted_latency,
+)
 
 
 def small_space(**overrides):
@@ -170,6 +177,51 @@ def test_total_loss_minimal_at_cheapest_arch():
     assert best_combo == ("none", "none")
 
 
+@st.composite
+def _discrete_problems(draw):
+    """A two-kind space, a random table with a free `none` and a random arch."""
+    space = small_space(normal_cells=draw(st.integers(1, 3)),
+                        reduction_cells=draw(st.integers(1, 3)),
+                        nodes=draw(st.integers(2, 4)))
+    ms = st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)
+    table = LatencyTable()
+    for kind in space.kinds():
+        template = space.op_template(kind)
+        for op in space.ops:
+            cost = 0.0 if op == "none" else draw(ms)
+            table.add(template.with_op(op), LatencyEntry(cost, 0.0, 1))
+    edges = tuple(
+        (kind, edge, op)
+        for kind in space.kinds() for edge in space.positions
+        for op in [draw(st.sampled_from(space.ops))] if op != "none"
+    )
+    return space, table, DiscreteArch(edges=edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_discrete_problems())
+def test_latency_model_agrees_with_table_sums(problem):
+    space, table, arch = problem
+    lat = nas.discrete_latency(arch, space, table)
+    lats = edge_latencies(space, table)
+    assert lat == weighted_latency(one_hot_weights(arch, space), lats)
+    assert lat == math.fsum(
+        space.instance_count(kind) * table.get(space.op_template(kind).with_op(op)).mean_ms
+        for kind, _edge, op in arch.edges
+    )
+    # a dropped edge costs nothing, even when the table prices `none`
+    priced = LatencyTable(dict(table.items()))
+    for kind in space.kinds():
+        priced.add(space.op_template(kind).with_op("none"), LatencyEntry(7.0, 0.0, 1))
+    assert nas.discrete_latency(arch, space, priced) == lat
+
+    slowest = DiscreteArch(edges=tuple(
+        (kind, edge, space.ops[int(np.argmax(lats[kind]))])
+        for kind in space.kinds() for edge in space.positions
+    ))
+    assert max_latency_ms(space, table) == nas.discrete_latency(slowest, space, table)
+
+
 # ------------------------------------------------------------- stage 1
 
 def test_stage1_quadratic_reaches_known_minimizer():
@@ -207,13 +259,13 @@ def test_stage1_single_step_budget():
     res = nas.stage1_search(space, ev, table, lam=0.5, budget=budget, seed=7)
 
     # recompute the single expected gradient step by hand
-    from paretotrack.nas.search import _alpha_gradient, _edge_latencies
+    from paretotrack.nas.search import _alpha_gradient
 
     rng = np.random.default_rng(7)
     arch0 = nas.ArchLogits.random(space, rng)
     theta0 = rng.normal(0.0, 0.5, size=ev.theta_dim)
     grads = _alpha_gradient(space, arch0, theta0, ev,
-                            _edge_latencies(space, table),
+                            edge_latencies(space, table),
                             max_latency_ms(space, table), 0.5)
     for kind in space.kinds():
         expected = arch0.by_kind[kind] - 0.05 * grads[kind]
@@ -359,20 +411,6 @@ def test_pareto_sweep_skips_failing_lambda(caplog):
                                seed=0)
     assert len(pts) == 1
     assert "skipping" in caplog.text
-
-
-def test_pareto_sweep_jobs_do_not_change_result():
-    space = small_space(reduction_cells=0)
-    table = nominal_table(space)
-    ev = nas.OpCostSurrogate(space, seed=0)
-    b1 = nas.Stage1Budget(epochs=40, theta_iters=2, alpha_lr=0.5, theta_lr=0.2)
-    b2 = nas.Stage2Budget(iters=60, eval_interval=10, theta_lr=0.2)
-    lambdas = [0.01, 0.3, 3.0]
-    seq = nas.pareto_sweep(space, ev, table, lambdas, b1, b2, seed=0, jobs=1)
-    par = nas.pareto_sweep(space, ev, table, lambdas, b1, b2, seed=0, jobs=3)
-    assert [(p.latency_ms, p.track_loss, p.lambda_used) for p in seq] == [
-        (p.latency_ms, p.track_loss, p.lambda_used) for p in par
-    ]
 
 
 # ------------------------------------------------------------- surrogates

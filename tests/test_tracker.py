@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -203,3 +205,46 @@ def test_dead_tracklets_never_revive():
     step(state, 2, [_det(2, 0)], _matched_scores(0, 1, []))
     assert state.active[0] is not dead
     assert state.active[0].id == 1
+
+
+def _walk_every_frame(seq, scorer, cfg):
+    """Reference loop: step through every frame index, empty gaps included."""
+    state = TrackerState(config=cfg)
+    for frame in range(min(seq.frames), max(seq.frames) + 1):
+        dets = seq.frames.get(frame, [])
+        step(state, frame, dets, scorer(state.active, dets))
+    confirmed = state.retired + [
+        t for t in state.active if t.state is TrackState.CONFIRMED
+    ]
+    return sorted(confirmed, key=lambda t: t.id)
+
+
+def _summary(tracks):
+    return [(t.id, t.state, [(f, d.source.track_id) for f, d in t.detections])
+            for t in tracks]
+
+
+@pytest.mark.parametrize("t_death", [1, 5, 3000])
+def test_run_sequence_gap_skip_matches_frame_walk(t_death):
+    # two bursts 4000 frames apart with one lone detection in between; with
+    # t_death=3000 the first tracklets are still alive at the lone detection
+    seq = SequenceDetections()
+    for f in [*range(0, 6), *range(4000, 4006)]:
+        seq.frames[f] = [_det(f, 0), _det(f, 1)]
+    seq.frames[2000] = [_det(2000, 2)]
+    cfg = TrackerConfig(t_birth=2, t_death=t_death)
+    expected = _summary(_walk_every_frame(seq, IdentityScorer(), cfg))
+    assert _summary(run_sequence(seq, IdentityScorer(), cfg)) == expected
+    assert expected
+
+
+def test_run_sequence_huge_frame_gap_finishes_quickly():
+    seq = SequenceDetections()
+    for f in (0, 1, 2, 10**9, 10**9 + 1):
+        seq.frames[f] = [_det(f, 0)]
+    t0 = time.perf_counter()
+    tracks = run_sequence(seq, IdentityScorer(), TrackerConfig(t_birth=2, t_death=5))
+    assert time.perf_counter() - t0 < 1.0
+    assert [[f for f, _ in t.detections] for t in tracks] == [
+        [0, 1, 2], [10**9, 10**9 + 1]
+    ]
