@@ -16,8 +16,10 @@ from .geometry import (
     Box3D,
     PointCloud,
     bev_to_pgm,
+    box_array,
     crop_points,
     iou_2d,
+    iou_matrix,
     rasterize_bev,
 )
 from .kitti_io import (
@@ -37,6 +39,7 @@ from .latency import (
     LatencyTable,
     OpConfig,
     OpTemplate,
+    TableFormatError,
     expected_latency,
     profile_op,
     softmax_weights,

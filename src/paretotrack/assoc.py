@@ -109,13 +109,10 @@ def objective_value(problem: AssociationProblem, sol: AssociationSolution) -> fl
     ):
         raise ValueError("solution shape does not match the score set")
     terms = []
-    terms.extend(s.s_in[j] for j in range(m) if sol.f_in[j])
-    terms.extend(
-        s.s_link[i, j] for i in range(n) for j in range(m) if sol.f_link[i, j]
-    )
-    terms.extend(s.s_det_prev[i] for i in range(n) if sol.f_det_prev[i])
-    terms.extend(s.s_det_curr[j] for j in range(m) if sol.f_det_curr[j])
-    terms.extend(s.s_out[i] for i in range(n) if sol.f_out[i])
+    for scores, flags in ((s.s_in, sol.f_in), (s.s_link, sol.f_link),
+                          (s.s_det_prev, sol.f_det_prev),
+                          (s.s_det_curr, sol.f_det_curr), (s.s_out, sol.f_out)):
+        terms += scores[flags != 0].tolist()
     return math.fsum(terms)
 
 

@@ -28,6 +28,7 @@ from .latency import (
     LatencyEntry,
     LatencyTable,
     ScriptedClock,
+    TableFormatError,
     nominal_cost_ms,
     profile_op,
 )
@@ -248,13 +249,14 @@ def _synthetic_table(space) -> LatencyTable:
 
 
 def emit_plot_data(points: Sequence[nas.ParetoPoint], sink: IO[str]) -> None:
-    """Two columns, reciprocal latency then loss, sorted by the first column."""
+    """Two columns, reciprocal latency then loss, sorted by the first column.
+
+    A zero-latency point (the empty architecture) gets the reciprocal inf,
+    which sorts last.
+    """
     sink.write("# 1/latency_ms track_loss\n")
-    rows = []
-    for p in points:
-        if p.latency_ms == 0.0:
-            raise ValueError("cannot take the reciprocal of a zero latency")
-        rows.append((1.0 / p.latency_ms, p.track_loss))
+    rows = [(math.inf if p.latency_ms == 0.0 else 1.0 / p.latency_ms, p.track_loss)
+            for p in points]
     for x, y in sorted(rows):
         sink.write(f"{x!r} {y!r}\n")
 
@@ -280,7 +282,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
         resolution=args.resolution,
     ))
     if args.table:
-        table = LatencyTable.read(_read_lines(args.table))
+        try:
+            table = LatencyTable.read(_read_lines(args.table))
+        except TableFormatError as exc:
+            raise CliError(f"{args.table}:{exc.lineno}: {exc.reason}") from None
     else:
         table = _synthetic_table(space)
     if args.surrogate == "op-cost":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -116,6 +117,34 @@ def iou_2d(a: Box2D, b: Box2D) -> float:
     if union <= 0:
         return 0.0
     return inter / union
+
+
+def box_array(boxes: Iterable[Box2D]) -> np.ndarray:
+    """Boxes as an (N, 4) float array of (left, top, right, bottom) rows."""
+    return np.array([(b.left, b.top, b.right, b.bottom) for b in boxes],
+                    dtype=np.float64).reshape(-1, 4)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise IoU of two box arrays, shape (N, 4) by (M, 4) -> (N, M).
+
+    Rows are (left, top, right, bottom).  Entry (i, j) equals iou_2d of box
+    a[i] and box b[j] bit for bit: both take min - max for the overlap
+    extents, zero the intersection unless both extents are positive, form
+    the union as (area_a + area_b) - inter and return 0.0 where it is not
+    positive.
+    """
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    if len(a) == 0 or len(b) == 0:
+        return np.zeros((len(a), len(b)))
+    al, at, ar, ab = a.T[:, :, None]
+    bl, bt, br, bb = b.T
+    iw = np.minimum(ar, br) - np.maximum(al, bl)
+    ih = np.minimum(ab, bb) - np.maximum(at, bt)
+    inter = np.where((iw <= 0) | (ih <= 0), 0.0, iw * ih)
+    union = ((ar - al) * (ab - at) + (br - bl) * (bb - bt)) - inter
+    return np.divide(inter, union, out=np.zeros_like(union), where=~(union <= 0))
 
 
 def crop_points(cloud: PointCloud, box: Box3D) -> PointCloud:

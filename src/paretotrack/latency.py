@@ -53,6 +53,15 @@ class ClockError(RuntimeError):
     """The injected clock went backwards."""
 
 
+class TableFormatError(ValueError):
+    """A latency-table line that does not parse or holds an invalid entry."""
+
+    def __init__(self, lineno: int, reason: str):
+        super().__init__(f"line {lineno}: {reason}")
+        self.lineno = lineno
+        self.reason = reason
+
+
 class LatencyLookupError(LookupError):
     """A requested operation configuration is missing from the table."""
 
@@ -98,6 +107,8 @@ class LatencyEntry:
     reps: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.mean_ms) and math.isfinite(self.std_ms)):
+            raise ValueError("latency statistics must be finite")
         if self.mean_ms < 0 or self.std_ms < 0:
             raise ValueError("latency statistics must be non-negative")
         if self.reps < 1:
@@ -147,7 +158,7 @@ class LatencyTable:
         lines = iter(source)
         header = next(lines, "").strip()
         if header != TABLE_HEADER:
-            raise ValueError(f"expected header {TABLE_HEADER!r}, got {header!r}")
+            raise TableFormatError(1, f"expected header {TABLE_HEADER!r}, got {header!r}")
         table = cls()
         for lineno, raw in enumerate(lines, start=2):
             line = raw.strip()
@@ -157,7 +168,7 @@ class LatencyTable:
             for token in line.split():
                 key, _, value = token.partition("=")
                 if not _:
-                    raise ValueError(f"line {lineno}: malformed token {token!r}")
+                    raise TableFormatError(lineno, f"malformed token {token!r}")
                 kv[key] = value
             try:
                 cfg = OpConfig(kv["op"], int(kv["cin"]), int(kv["cout"]),
@@ -165,7 +176,9 @@ class LatencyTable:
                 entry = LatencyEntry(float(kv["mean_ms"]), float(kv["std_ms"]),
                                      int(kv["reps"]))
             except KeyError as exc:
-                raise ValueError(f"line {lineno}: missing field {exc}") from None
+                raise TableFormatError(lineno, f"missing field {exc}") from None
+            except ValueError as exc:
+                raise TableFormatError(lineno, str(exc)) from None
             table.add(cfg, entry)
         return table
 

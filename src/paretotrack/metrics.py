@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Box2D, iou_2d
+from .geometry import Box2D, box_array, iou_2d, iou_matrix
 from .matching import positive_matching
 
 FrameObjects = Sequence[tuple[int, Box2D]]
@@ -55,12 +55,9 @@ def match_frame(
     rest_gt = [g for g, _ in gt if g not in matches]
     rest_hyp = [h for h, _ in hyp if h not in matches.values()]
     if rest_gt and rest_hyp:
-        gain = np.zeros((len(rest_gt), len(rest_hyp)))
-        for a, g in enumerate(rest_gt):
-            for b, h in enumerate(rest_hyp):
-                iou = iou_2d(gt_map[g], hyp_map[h])
-                if iou >= thresh:
-                    gain[a, b] = iou
+        iou = iou_matrix(box_array(gt_map[g] for g in rest_gt),
+                         box_array(hyp_map[h] for h in rest_hyp))
+        gain = np.where(iou >= thresh, iou, 0.0)
         for a, b in positive_matching(gain):
             matches[rest_gt[a]] = rest_hyp[b]
     return matches

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geometry import iou_2d
+from .geometry import box_array, iou_matrix
 from .kitti_io import Detection
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -118,6 +118,10 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / math.sqrt(aa * bb))
 
 
+def _confidences(detections: Sequence[Detection]) -> np.ndarray:
+    return np.array([d.confidence for d in detections], dtype=np.float64)
+
+
 def baseline_scores(
     tracklets: Sequence["Tracklet"],
     detections: Sequence[Detection],
@@ -137,17 +141,16 @@ def baseline_scores(
         prev_feats, curr_feats = features
         if len(prev_feats) != n or len(curr_feats) != m:
             raise ValueError("feature lists must pair up with tracklets/detections")
-    s_link = np.zeros((n, m))
-    s_det_prev = np.zeros(n)
-    for i, track in enumerate(tracklets):
-        last_det = track.detections[-1][1]
-        s_det_prev[i] = cfg.w_det * (2.0 * last_det.confidence - 1.0)
-        for j, det in enumerate(detections):
-            affinity = cfg.w_iou * (2.0 * iou_2d(last_det.box, det.box) - 1.0)
-            if features is not None:
-                affinity += cfg.w_app * cosine_similarity(prev_feats[i], curr_feats[j])
-            s_link[i, j] = affinity
-    s_det_curr = np.array([cfg.w_det * (2.0 * d.confidence - 1.0) for d in detections])
+    prev_dets = [track.detections[-1][1] for track in tracklets]
+    iou = iou_matrix(box_array(d.box for d in prev_dets),
+                     box_array(d.box for d in detections))
+    s_link = cfg.w_iou * (2.0 * iou - 1.0)
+    if features is not None:
+        for i in range(n):
+            for j in range(m):
+                s_link[i, j] += cfg.w_app * cosine_similarity(prev_feats[i], curr_feats[j])
+    s_det_prev = cfg.w_det * (2.0 * _confidences(prev_dets) - 1.0)
+    s_det_curr = cfg.w_det * (2.0 * _confidences(detections) - 1.0)
     s_in = np.full(m, cfg.terminal_score)
     s_out = np.full(n, cfg.terminal_score)
     return ScoreSet(s_in, s_out, s_det_prev, s_det_curr, s_link)

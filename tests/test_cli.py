@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -203,8 +204,52 @@ def test_emit_plot_data_contract():
     sink = io.StringIO()
     emit_plot_data([], sink)
     assert sink.getvalue() == "# 1/latency_ms track_loss\n"
-    with pytest.raises(ValueError):
-        emit_plot_data([ParetoPoint(0.0, 0.9, arch, 1.0)], io.StringIO())
+    sink = io.StringIO()
+    emit_plot_data([ParetoPoint(0.0, 0.9, arch, 1.0),
+                    ParetoPoint(10.0, 0.5, arch, 1.0)], sink)
+    assert sink.getvalue().splitlines()[1:] == ["0.1 0.5", "inf 0.9"]
+
+
+def test_search_plot_data_with_an_empty_architecture(tmp_path, capsys):
+    # At lambda = 10^2.5 the search drops every edge, so one front point
+    # has zero latency; its plot row carries inf and sorts last.
+    out = tmp_path / "front.txt"
+    plot = tmp_path / "plot.txt"
+    assert execute(["search", "--out", str(out), "--plot-data", str(plot),
+                    "--lambdas", f"0.01,{10 ** 2.5!r}",
+                    "--normal-cells", "1", "--reduction-cells", "0",
+                    "--epochs", "40", "--theta-iters", "2",
+                    "--alpha-lr", "0.5", "--theta-lr", "0.2",
+                    "--stage2-iters", "60"]) == 0
+    assert "latency_ms=0.0 " in out.read_text()
+    rows = plot.read_text().splitlines()
+    assert len(rows) == 3 and rows[-1].startswith("inf ")
+
+
+def _table_with(tmp_path, field, value):
+    """A profiled table whose fourth line has ``field`` set to ``value``."""
+    table = tmp_path / "table.txt"
+    assert execute(["profile-latency", "--out", str(table), "--reps", "1"]) == 0
+    lines = table.read_text().splitlines(keepends=True)
+    lines[3] = re.sub(rf"\b{field}=\S+", f"{field}={value}", lines[3])
+    table.write_text("".join(lines))
+    return table
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("reps", "1.5", "invalid literal for int()"),
+    ("mean_ms", "x", "could not convert string to float"),
+    ("mean_ms", "nan", "latency statistics must be finite"),
+])
+def test_search_bad_table_entry_names_the_file_and_line(tmp_path, capsys, field, value,
+                                                        reason):
+    table = _table_with(tmp_path, field, value)
+    out = tmp_path / "front.txt"
+    assert execute(["search", "--table", str(table), "--out", str(out),
+                    "--lambdas", "0.1", "--epochs", "5", "--stage2-iters", "5"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {table}:4: {reason}" in err
+    assert not out.exists()
 
 
 def test_assoc_debug_random(capsys):

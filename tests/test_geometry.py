@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paretotrack.geometry import (
     BevImage,
@@ -9,8 +11,10 @@ from paretotrack.geometry import (
     Box3D,
     PointCloud,
     bev_to_pgm,
+    box_array,
     crop_points,
     iou_2d,
+    iou_matrix,
     rasterize_bev,
 )
 
@@ -34,6 +38,34 @@ def test_iou_identical_boxes():
 
 def test_iou_disjoint_boxes():
     assert iou_2d(Box2D(0, 0, 1, 1), Box2D(5, 5, 6, 6)) == 0.0
+
+
+# Coordinates from a small integer grid make touching edges, zero-width or
+# zero-height boxes and identical boxes common; the float range covers the rest.
+_coord = st.one_of(st.integers(-3, 3).map(float),
+                   st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True))
+
+
+@st.composite
+def _boxes(draw):
+    x1, x2, y1, y2 = (draw(_coord) for _ in range(4))
+    return Box2D(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+
+
+_SQUARE = Box2D(0.0, 0.0, 2.0, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_boxes(), max_size=6), st.lists(_boxes(), max_size=6))
+@example([], [_SQUARE])
+@example([_SQUARE], [])
+@example([_SQUARE], [_SQUARE, Box2D(2.0, 0.0, 4.0, 2.0), Box2D(1.0, 1.0, 1.0, 3.0),
+                     Box2D(0.0, 1.0, 2.0, 1.0)])
+def test_iou_matrix_bitwise_equals_iou_2d(a, b):
+    got = iou_matrix(box_array(a), box_array(b))
+    want = np.array([[iou_2d(x, y) for y in b] for x in a], dtype=np.float64)
+    assert got.shape == (len(a), len(b))
+    assert got.tobytes() == want.reshape(len(a), len(b)).tobytes()
 
 
 def test_iou_third_overlap():

@@ -201,6 +201,12 @@ def test_table_read_rejects_bad_header():
         LatencyTable.read(io.StringIO("latency-table v2\n"))
 
 
+@pytest.mark.parametrize("mean, std", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan)])
+def test_entry_rejects_non_finite_statistics(mean, std):
+    with pytest.raises(ValueError, match="finite"):
+        LatencyEntry(mean, std, 1)
+
+
 def test_nominal_cost_scales():
     small = nominal_cost_ms(OpConfig("sep_conv_3", 16, 16, 32, 1))
     big = nominal_cost_ms(OpConfig("sep_conv_3", 16, 32, 32, 1))
