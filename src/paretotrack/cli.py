@@ -1,8 +1,9 @@
 """Command line entry point.
 
 Subcommands: track, evaluate, profile-latency, search, assoc-debug, bev.
-Every flag can also come from a plain key=value config file (--config or the
-PARETOTRACK_CONFIG environment variable); keys mirror the long flag names and
+Every flag but --config can also come from a plain key=value config file
+(--config or the PARETOTRACK_CONFIG environment variable); keys mirror the
+long flag names, values pass the flag's own type and choice checks, and
 explicit flags win.  Output files are written atomically (temp file + rename)
 and identical inputs plus seed produce byte-identical outputs.
 """
@@ -60,8 +61,9 @@ def _atomic_write(path: str, content: str) -> None:
         raise
 
 
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _load_config(path: str) -> list[tuple[int, str, str]]:
+    """The (line number, key, value) entries of a key=value config file."""
+    entries = []
     try:
         with open(path) as handle:
             for lineno, raw in enumerate(handle, start=1):
@@ -71,45 +73,49 @@ def _load_config(path: str) -> dict[str, str]:
                 key, sep, value = line.partition("=")
                 if not sep:
                     raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                values[key.strip()] = value.strip()
+                entries.append((lineno, key.strip(), value.strip()))
     except OSError as exc:
         raise CliError(f"cannot read config {path}: {exc}") from None
+    return entries
+
+
+def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict[str, object]:
+    """Config values by destination, converted and checked by the subcommand's flags."""
+    options = {
+        opt[2:]: action
+        for action in parser._actions
+        if action.dest not in ("help", "config")
+        for opt in action.option_strings if opt.startswith("--")
+    }
+    values = {}
+    for lineno, key, text in _load_config(path):
+        where = f"{path}:{lineno}: {key}"
+        action = options.get(key)
+        if action is None:
+            raise CliError(f"{path}:{lineno}: unknown config keys: {key} "
+                           f"(known: {', '.join(sorted(options))})")
+        try:
+            value = action.type(text) if action.type else text
+        except ValueError:
+            raise CliError(f"{where}: cannot parse {text!r} as "
+                           f"{action.type.__name__}") from None
+        if action.choices is not None and value not in action.choices:
+            raise CliError(f"{where}: {text!r} is not one of "
+                           f"{', '.join(map(str, action.choices))}")
+        values[action.dest] = value
     return values
 
 
-def _merge_config(args: argparse.Namespace, parser_keys: dict[str, type]) -> None:
-    """Fill flags the user did not pass from the config file, if any."""
-    path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if not path:
-        return
-    values = _load_config(path)
-    unknown = set(values) - set(parser_keys)
-    if unknown:
-        raise CliError(
-            f"unknown config keys: {', '.join(sorted(unknown))} "
-            f"(known: {', '.join(sorted(parser_keys))})"
-        )
-    for key, text in values.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            conv = parser_keys[key]
-            try:
-                setattr(args, attr, conv(text))
-            except ValueError:
-                raise CliError(f"config key {key}: cannot parse {text!r}") from None
-
-
-def _defaults(args: argparse.Namespace, **defaults) -> None:
-    for attr, value in defaults.items():
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
-
-
 def _parse_lambdas(text: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise CliError(f"cannot parse lambda list {text!r}") from None
+    values = []
+    for tok in filter(None, (tok.strip() for tok in text.split(","))):
+        try:
+            lam = float(tok)
+        except ValueError:
+            raise CliError(f"cannot parse lambda {tok!r} in {text!r}") from None
+        if not 0.0 <= lam < math.inf:
+            raise CliError(f"lambda {tok!r} must be finite and >= 0")
+        values.append(lam)
     if not values:
         raise CliError("lambda list is empty")
     return values
@@ -125,16 +131,7 @@ def _read_lines(path: str) -> list[str]:
 
 # ---------------------------------------------------------------- track
 
-_TRACK_KEYS = {
-    "dets": str, "out": str, "t-birth": int, "t-death": int,
-    "w-iou": float, "w-det": float, "terminal-score": float,
-}
-
-
 def _cmd_track(args: argparse.Namespace) -> int:
-    _merge_config(args, _TRACK_KEYS)
-    _defaults(args, t_birth=3, t_death=5, w_iou=1.0, w_det=1.0,
-              terminal_score=-0.2)
     if not args.dets or not args.out:
         raise CliError("track requires --dets and --out")
     seq = parse_sequence(_read_lines(args.dets))
@@ -152,9 +149,6 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- evaluate
 
-_EVAL_KEYS = {"gt": str, "hyp": str, "iou": float}
-
-
 def _frames_of(path: str):
     seq = parse_sequence(_read_lines(path))
     frames = {}
@@ -164,8 +158,6 @@ def _frames_of(path: str):
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    _merge_config(args, _EVAL_KEYS)
-    _defaults(args, iou=0.5)
     if not args.gt or not args.hyp:
         raise CliError("evaluate requires --gt and --hyp")
     report = clear_mot(_frames_of(args.gt), _frames_of(args.hyp), thresh=args.iou)
@@ -175,12 +167,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------- profile-latency
-
-_PROFILE_KEYS = {
-    "out": str, "clock": str, "warmup": int, "reps": int,
-    "channels": int, "resolution": int,
-}
-
 
 def _busy_workload(cost_ms: float):
     # calibration-free stand-in: loop length proportional to the nominal cost
@@ -196,13 +182,8 @@ def _busy_workload(cost_ms: float):
 
 
 def _cmd_profile_latency(args: argparse.Namespace) -> int:
-    _merge_config(args, _PROFILE_KEYS)
-    _defaults(args, clock="synthetic", warmup=10, reps=100, channels=16,
-              resolution=32)
     if not args.out:
         raise CliError("profile-latency requires --out")
-    if args.clock not in ("synthetic", "real"):
-        raise CliError("--clock must be 'synthetic' or 'real'")
     space = nas.init_search_space(nas.SpaceConfig(channels=args.channels,
                                                   resolution=args.resolution))
     table = LatencyTable()
@@ -227,16 +208,6 @@ def _cmd_profile_latency(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------- search
-
-_SEARCH_KEYS = {
-    "lambdas": str, "out": str, "table": str, "plot-data": str,
-    "normal-cells": int, "reduction-cells": int, "nodes": int,
-    "branches": int, "channels": int, "resolution": int,
-    "epochs": int, "theta-iters": int, "alpha-lr": float, "theta-lr": float,
-    "stage2-iters": int, "eval-interval": int,
-    "surrogate": str, "theta-dim": int,
-}
-
 
 def _synthetic_table(space) -> LatencyTable:
     table = LatencyTable()
@@ -269,10 +240,6 @@ def format_pareto_line(point: nas.ParetoPoint) -> str:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    _merge_config(args, _SEARCH_KEYS)
-    _defaults(args, lambdas="0.01,0.1,1,10", normal_cells=1, reduction_cells=1,
-              nodes=3, branches=2, channels=16, resolution=32,
-              surrogate="op-cost", theta_dim=4)
     if not args.out:
         raise CliError("search requires --out")
     lambdas = _parse_lambdas(args.lambdas)
@@ -288,26 +255,18 @@ def _cmd_search(args: argparse.Namespace) -> int:
             raise CliError(f"{args.table}:{exc.lineno}: {exc.reason}") from None
     else:
         table = _synthetic_table(space)
-    if args.surrogate == "op-cost":
-        evaluator = nas.OpCostSurrogate(space, theta_dim=args.theta_dim,
-                                        seed=args.seed)
-    elif args.surrogate == "quadratic":
-        evaluator = nas.QuadraticSurrogate(space, theta_dim=args.theta_dim,
-                                           seed=args.seed)
-    else:
-        raise CliError("--surrogate must be 'op-cost' or 'quadratic'")
-    # Budget flags fall back to the library defaults when not given.
-    b1 = {k: v for k, v in (("epochs", args.epochs),
-                            ("theta_iters", args.theta_iters),
-                            ("alpha_lr", args.alpha_lr),
-                            ("theta_lr", args.theta_lr)) if v is not None}
-    b2 = {k: v for k, v in (("iters", args.stage2_iters),
-                            ("eval_interval", args.eval_interval),
-                            ("theta_lr", args.theta_lr)) if v is not None}
+    surrogate = (nas.OpCostSurrogate if args.surrogate == "op-cost"
+                 else nas.QuadraticSurrogate)
     front = nas.pareto_sweep(
-        space, evaluator, table, lambdas,
-        stage1_budget=nas.Stage1Budget(**b1),
-        stage2_budget=nas.Stage2Budget(**b2),
+        space, surrogate(space, theta_dim=args.theta_dim, seed=args.seed),
+        table, lambdas,
+        stage1_budget=nas.Stage1Budget(epochs=args.epochs,
+                                       theta_iters=args.theta_iters,
+                                       alpha_lr=args.alpha_lr,
+                                       theta_lr=args.theta_lr),
+        stage2_budget=nas.Stage2Budget(iters=args.stage2_iters,
+                                       eval_interval=args.eval_interval,
+                                       theta_lr=args.theta_lr),
         seed=args.seed,
     )
     _atomic_write(args.out, "".join(format_pareto_line(p) + "\n" for p in front))
@@ -320,9 +279,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------- assoc-debug
-
-_ASSOC_KEYS = {"scores": str, "random": str}
-
 
 def _read_scoreset(path: str) -> ScoreSet:
     """Parse a 'scoreset v1' file; a format error names the file and line."""
@@ -368,7 +324,6 @@ def _read_scoreset(path: str) -> ScoreSet:
 
 
 def _cmd_assoc_debug(args: argparse.Namespace) -> int:
-    _merge_config(args, _ASSOC_KEYS)
     if bool(args.scores) == bool(args.random):
         raise CliError("assoc-debug requires exactly one of --scores or --random N,M")
     if args.random:
@@ -405,12 +360,7 @@ def _cmd_assoc_debug(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- bev
 
-_BEV_KEYS = {"points": str, "box": str, "rows": int, "cols": int, "out": str}
-
-
 def _cmd_bev(args: argparse.Namespace) -> int:
-    _merge_config(args, _BEV_KEYS)
-    _defaults(args, rows=256, cols=256)
     if not args.points or not args.box or not args.out:
         raise CliError("bev requires --points, --box and --out")
     try:
@@ -447,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="key=value config file (flags override)")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=int, default=1,
                        help="accepted for compatibility; has no effect")
 
@@ -455,54 +404,58 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--dets")
     p.add_argument("--out")
-    p.add_argument("--t-birth", type=int)
-    p.add_argument("--t-death", type=int)
-    p.add_argument("--w-iou", type=float)
-    p.add_argument("--w-det", type=float)
-    p.add_argument("--terminal-score", type=float)
+    p.add_argument("--t-birth", type=int, default=3)
+    p.add_argument("--t-death", type=int, default=5)
+    p.add_argument("--w-iou", type=float, default=1.0)
+    p.add_argument("--w-det", type=float, default=1.0)
+    p.add_argument("--terminal-score", type=float, default=-0.2)
     p.set_defaults(func=_cmd_track)
 
     p = sub.add_parser("evaluate", help="CLEAR-MOT evaluation of results vs ground truth")
     common(p)
     p.add_argument("--gt")
     p.add_argument("--hyp")
-    p.add_argument("--iou", type=float)
+    p.add_argument("--iou", type=float, default=0.5)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("profile-latency", help="measure per-op latencies into a table")
     common(p)
     p.add_argument("--out")
-    p.add_argument("--clock", choices=("synthetic", "real"))
-    p.add_argument("--warmup", type=int)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--channels", type=int)
-    p.add_argument("--resolution", type=int)
+    p.add_argument("--clock", choices=("synthetic", "real"), default="synthetic")
+    p.add_argument("--warmup", type=int, default=10)
+    p.add_argument("--reps", type=int, default=100)
+    p.add_argument("--channels", type=int, default=16)
+    p.add_argument("--resolution", type=int, default=32)
     p.set_defaults(func=_cmd_profile_latency)
 
     p = sub.add_parser("search", help="two-stage Pareto sweep over lambda values")
     common(p)
-    p.add_argument("--lambdas")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lambdas", default="0.01,0.1,1,10",
+                   help="comma-separated, each finite and >= 0")
     p.add_argument("--out")
     p.add_argument("--table", help="latency table file; synthetic when omitted")
     p.add_argument("--plot-data", help="also write reciprocal-latency plot rows")
-    p.add_argument("--normal-cells", type=int)
-    p.add_argument("--reduction-cells", type=int)
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--branches", type=int)
-    p.add_argument("--channels", type=int)
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--theta-iters", type=int)
-    p.add_argument("--alpha-lr", type=float)
-    p.add_argument("--theta-lr", type=float)
-    p.add_argument("--stage2-iters", type=int)
-    p.add_argument("--eval-interval", type=int)
-    p.add_argument("--surrogate", choices=("op-cost", "quadratic"))
-    p.add_argument("--theta-dim", type=int)
+    p.add_argument("--normal-cells", type=int, default=1)
+    p.add_argument("--reduction-cells", type=int, default=1)
+    p.add_argument("--nodes", type=int, default=3)
+    p.add_argument("--branches", type=int, default=2)
+    p.add_argument("--channels", type=int, default=16)
+    p.add_argument("--resolution", type=int, default=32)
+    p.add_argument("--epochs", type=int, default=nas.Stage1Budget.epochs)
+    p.add_argument("--theta-iters", type=int, default=nas.Stage1Budget.theta_iters)
+    p.add_argument("--alpha-lr", type=float, default=nas.Stage1Budget.alpha_lr)
+    p.add_argument("--theta-lr", type=float, default=nas.Stage1Budget.theta_lr,
+                   help="for both stages")
+    p.add_argument("--stage2-iters", type=int, default=nas.Stage2Budget.iters)
+    p.add_argument("--eval-interval", type=int, default=nas.Stage2Budget.eval_interval)
+    p.add_argument("--surrogate", choices=("op-cost", "quadratic"), default="op-cost")
+    p.add_argument("--theta-dim", type=int, default=4)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("assoc-debug", help="dump one association problem and its solution")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scores", help="score-set file ('scoreset v1' format)")
     p.add_argument("--random", help="generate a random N,M instance")
     p.set_defaults(func=_cmd_assoc_debug)
@@ -511,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--points")
     p.add_argument("--box")
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
+    p.add_argument("--rows", type=int, default=256)
+    p.add_argument("--cols", type=int, default=256)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bev)
 
@@ -521,13 +474,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def execute(argv: Sequence[str]) -> int:
     parser = build_parser()
-    args = parser.parse_args(list(argv))
+    args = parser.parse_args(argv)
     try:
+        path = args.config or os.environ.get(CONFIG_ENV_VAR)
+        if path:
+            # config values become the subcommand's defaults, so flags win
+            (commands,) = (action.choices for action in parser._actions
+                           if isinstance(action, argparse._SubParsersAction))
+            command = commands[args.command]
+            command.set_defaults(**_config_defaults(command, path))
+            args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, LookupError, OSError) as exc:
+    except (CliError, ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -111,8 +111,8 @@ def total_loss(
     architecture's value, so it lies in (0, 1] and lambda values stay
     comparable across tables.
     """
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
     track = evaluator.loss(arch_weights(space, arch), np.asarray(theta), split)
     if lam == 0.0:
         return track
@@ -158,8 +158,8 @@ def stage1_search(
     on the parameters (both on the train split), then a validation
     evaluation; the logits with the best validation total loss are returned.
     """
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
     rng = np.random.default_rng(seed)
     arch = ArchLogits.random(space, rng)
     theta = rng.normal(0.0, 0.5, size=evaluator.theta_dim)

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import re
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 from conftest import make_label, slot_box
+from paretotrack import cli
 from paretotrack.cli import build_parser, emit_plot_data, execute
 from paretotrack.kitti_io import format_label_line
 from paretotrack.nas.pareto import ParetoPoint
@@ -134,6 +136,114 @@ def test_config_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PARETOTRACK_CONFIG", str(cfg))
     assert execute(["track"]) == 0
     assert out.exists()
+
+
+def test_bad_typed_config_value_names_the_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# tracker\nt-death=2\nt-birth=x\n")
+    assert execute(["track", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {cfg}:3: t-birth: cannot parse 'x'" in err
+
+
+@pytest.mark.parametrize("command, key", [("profile-latency", "clock"),
+                                          ("search", "surrogate")])
+def test_config_value_outside_the_choices_names_the_file_and_line(tmp_path, capsys,
+                                                                  command, key):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "out.txt"
+    cfg.write_text(f"out={out}\n{key}=bogus\n")
+    assert execute([command, "--config", str(cfg)]) == 1
+    assert f"error: {cfg}:2: {key}: 'bogus' is not one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_explicit_flag_at_its_default_beats_the_config(tmp_path, capsys):
+    # two-frame objects are confirmed with t_birth=1 but not with the default 3
+    dets = tmp_path / "seq.txt"
+    _write_detections(dets, n_frames=2)
+    cfg = tmp_path / "run.cfg"
+    from_config = tmp_path / "from_config.txt"
+    cfg.write_text(f"dets={dets}\nout={from_config}\nt-birth=1\n")
+    assert execute(["track", "--config", str(cfg)]) == 0
+    overridden = tmp_path / "overridden.txt"
+    assert execute(["track", "--config", str(cfg), "--out", str(overridden),
+                    "--t-birth", "3"]) == 0
+    plain = tmp_path / "plain.txt"
+    assert execute(["track", "--dets", str(dets), "--out", str(plain),
+                    "--t-birth", "3"]) == 0
+    assert from_config.read_text()
+    assert overridden.read_bytes() == plain.read_bytes() == b""
+
+
+def test_seed_from_config_equals_seed_flag(tmp_path, capsys):
+    budget = ["--lambdas", "0.05,0.5", "--epochs", "20", "--theta-iters", "2",
+              "--alpha-lr", "0.5", "--theta-lr", "0.2", "--stage2-iters", "30"]
+    by_flag, by_config, by_default = (tmp_path / name for name in ("a", "b", "c"))
+    assert execute(["search", "--out", str(by_flag), "--seed", "5"] + budget) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=5\n")
+    assert execute(["search", "--config", str(cfg), "--out", str(by_config)]
+                   + budget) == 0
+    assert execute(["search", "--out", str(by_default)] + budget) == 0
+    assert by_config.read_bytes() == by_flag.read_bytes()
+    assert by_config.read_bytes() != by_default.read_bytes()
+
+
+def _long_flags():
+    """(subcommand, flag, value) for every long flag each subcommand's help lists."""
+    cases = []
+    for command in ("track", "evaluate", "profile-latency", "search",
+                    "assoc-debug", "bev"):
+        help_text = io.StringIO()
+        with contextlib.redirect_stdout(help_text), pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        flags = dict(re.findall(r"(?<![\w-])--([a-z][\w-]*)(?: \{([\w,-]+)\})?",
+                                help_text.getvalue()))
+        for flag, choices in sorted(flags.items()):
+            if flag not in ("help", "config"):
+                value = choices.split(",")[-1] if choices else "7"
+                cases.append(pytest.param(command, flag, value, id=f"{command}-{flag}"))
+    return cases
+
+
+@pytest.mark.parametrize("command, flag, value", _long_flags())
+def test_every_long_flag_is_a_config_key(tmp_path, monkeypatch, command, flag, value):
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_" + command.replace("-", "_"),
+                        lambda args: seen.append(vars(args)) or 0)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag}={value}\n")
+    assert execute([command, f"--{flag}", value]) == 0
+    assert execute([command, "--config", str(cfg)]) == 0
+    by_flag, by_config = seen
+    assert by_config.pop("config") == str(cfg)
+    assert by_flag.pop("config") is None
+    assert by_config == by_flag
+
+
+@pytest.mark.parametrize("command", ["track", "evaluate", "profile-latency", "bev"])
+def test_seed_only_where_it_is_read(command):
+    with pytest.raises(SystemExit) as info:
+        execute([command, "--seed", "1"])
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_search_rejects_negative_or_non_finite_lambda(tmp_path, capsys, lam, via):
+    out = tmp_path / "front.txt"
+    lambdas = f"0.1,{lam}"
+    argv = ["search", "--out", str(out), "--epochs", "5", "--stage2-iters", "5"]
+    if via == "flag":
+        argv += ["--lambdas", lambdas]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"lambdas={lambdas}\n")
+        argv += ["--config", str(cfg)]
+    assert execute(argv) == 1
+    assert f"error: lambda '{lam}' must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_profile_latency_synthetic_deterministic(tmp_path, capsys):

@@ -142,6 +142,18 @@ def test_total_loss_latency_term_linear_in_lambda():
     assert abs((two - base) - 2 * (one - base)) < 1e-12
 
 
+@pytest.mark.parametrize("lam", [-1.0, -math.inf, math.inf, math.nan])
+def test_search_rejects_negative_or_non_finite_lambda(lam):
+    space = small_space(reduction_cells=0)
+    table = nominal_table(space)
+    ev = nas.QuadraticSurrogate(space, seed=0)
+    arch = nas.ArchLogits.random(space, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+        nas.total_loss(space, arch, np.zeros(ev.theta_dim), ev, table, lam)
+    with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+        nas.stage1_search(space, ev, table, lam, nas.Stage1Budget(epochs=1))
+
+
 def test_total_loss_normalized_latency_in_unit_interval(rng):
     space = small_space()
     table = nominal_table(space)

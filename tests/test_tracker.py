@@ -2,10 +2,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import IdentityScorer, make_label, random_gt_sequence, slot_box
 from paretotrack.kitti_io import SequenceDetections
-from paretotrack.scoring import ScoreSet
+from paretotrack.scoring import BaselineScorer, ScorerConfig, ScoreSet
 from paretotrack.tracker import (
     TrackerConfig,
     TrackerState,
@@ -248,3 +250,37 @@ def test_run_sequence_huge_frame_gap_finishes_quickly():
     assert [[f for f, _ in t.detections] for t in tracks] == [
         [0, 1, 2], [10**9, 10**9 + 1]
     ]
+
+
+# frame -> {slot: confidence}; a slot's box drifts one pixel per frame, so the
+# same slot in nearby frames overlaps and different slots never do
+_frames = st.dictionaries(
+    st.integers(0, 24),
+    st.dictionaries(st.integers(0, 4), st.sampled_from([0.1, 0.5, 0.9]),
+                    min_size=1, max_size=4),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames=_frames, t_birth=st.integers(1, 4), t_death=st.integers(1, 4),
+       scorer=st.sampled_from([IdentityScorer(), BaselineScorer(ScorerConfig())]))
+def test_run_sequence_invariants(frames, t_birth, t_death, scorer):
+    seq = SequenceDetections()
+    for f, slots in frames.items():
+        seq.frames[f] = [make_label(f, slot, slot_box(slot, f), score=conf).to_detection()
+                         for slot, conf in sorted(slots.items())]
+    tracks = run_sequence(seq, scorer, TrackerConfig(t_birth=t_birth, t_death=t_death))
+
+    used = [id(det) for t in tracks for _, det in t.detections]
+    assert len(used) == len(set(used))  # each detection in at most one tracklet
+    confirmed_at = []
+    for t in tracks:
+        frames_of = [f for f, _ in t.detections]
+        assert all(a < b for a, b in zip(frames_of, frames_of[1:]))
+        assert all(any(det is d for d in seq.frames[f]) for f, det in t.detections)
+        # confirmed only after t_birth hits in consecutive frames
+        assert frames_of[:t_birth] == list(range(frames_of[0], frames_of[0] + t_birth))
+        confirmed_at.append(frames_of[t_birth - 1])
+    assert [t.id for t in tracks] == list(range(len(tracks)))
+    assert confirmed_at == sorted(confirmed_at)  # IDs follow confirmation order
