@@ -185,8 +185,16 @@ def solve_exact(problem: AssociationProblem) -> AssociationSolution:
     u, v, adjusted = _node_gains(s)
     pairs = positive_matching(adjusted)
     if n * m + n + m <= BRUTEFORCE_FLAG_LIMIT and pairs:
-        target = math.fsum(sorted(adjusted[i, j] for i, j in pairs))
-        pairs = _lex_refine(adjusted, target)
+        gains = [float(adjusted[i, j]) for i, j in pairs]
+        target = math.fsum(gains)
+        # _lex_refine would force every pair when the matching holds every
+        # positive cell and dropping any one pair changes the fsum total;
+        # only then is the matching already the lexicographic optimum.
+        if len(pairs) < np.count_nonzero(adjusted > 0.0) or any(
+            math.fsum(gains[:k] + gains[k + 1:]) == target
+            for k in range(len(gains))
+        ):
+            pairs = _lex_refine(adjusted, target)
 
     f_link = np.zeros((n, m), dtype=np.int64)
     for i, j in pairs:

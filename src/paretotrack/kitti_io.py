@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING, Iterable
 
-from .geometry import Box2D, Box3D
+from .geometry import Box2D
 
 if TYPE_CHECKING:  # pragma: no cover
     from .tracker import Tracklet
@@ -58,19 +58,12 @@ class LabeledObject:
         if self.frame < 0:
             raise ValueError(f"frame must be non-negative, got {self.frame}")
 
-    def box3d(self) -> Box3D | None:
-        """3D box when the dimensions are usable, else None (e.g. -1 -1 -1 placeholders)."""
-        if any(s <= 0 for s in self.dimensions):
-            return None
-        return Box3D(center=self.location, size=self.dimensions, yaw=self.rotation_y)
-
     def to_detection(self) -> "Detection":
         """View this record as a tracker-facing detection; absent score counts as 1.0."""
         return Detection(
             frame=self.frame,
             box=self.bbox,
             confidence=1.0 if self.score is None else self.score,
-            box3d=self.box3d(),
             source=self,
         )
 
@@ -82,7 +75,6 @@ class Detection:
     frame: int
     box: Box2D
     confidence: float
-    box3d: Box3D | None = None
     source: LabeledObject | None = None
 
 
@@ -114,30 +106,30 @@ def parse_label_line(line: str, lineno: int | None = None) -> LabeledObject:
             f"expected {N_LABEL_FIELDS} or {N_DETECTION_FIELDS} fields, got {len(fields)}",
             lineno,
         )
-    frame = _num(fields, 0, int, lineno)
-    track_id = _num(fields, 1, int, lineno)
-    truncated = _num(fields, 3, float, lineno)
-    occluded = _num(fields, 4, int, lineno)
-    alpha = _num(fields, 5, float, lineno)
-    box_vals = [_num(fields, i, float, lineno) for i in range(6, 10)]
-    dims = tuple(_num(fields, i, float, lineno) for i in range(10, 13))
-    loc = tuple(_num(fields, i, float, lineno) for i in range(13, 16))
-    rotation_y = _num(fields, 16, float, lineno)
-    score = _num(fields, 17, float, lineno) if len(fields) == N_DETECTION_FIELDS else None
     try:
-        bbox = Box2D(*box_vals)
+        frame, track_id = int(fields[0]), int(fields[1])
+        truncated, occluded = float(fields[3]), int(fields[4])
+        # alpha, bbox (4), dimensions (3), location (3), rotation_y [, score]
+        nums = list(map(float, fields[5:]))
+    except ValueError:
+        # walk the fields one by one so the error names the first bad one
+        for idx in range(len(fields)):
+            if idx != 2:  # type is free text
+                _num(fields, idx, int if idx in (0, 1, 4) else float, lineno)
+        raise
+    try:
         return LabeledObject(
             frame=frame,
             track_id=track_id,
             class_name=fields[2],
             truncated=truncated,
             occluded=occluded,
-            alpha=alpha,
-            bbox=bbox,
-            dimensions=dims,
-            location=loc,
-            rotation_y=rotation_y,
-            score=score,
+            alpha=nums[0],
+            bbox=Box2D(*nums[1:5]),
+            dimensions=tuple(nums[5:8]),
+            location=tuple(nums[8:11]),
+            rotation_y=nums[11],
+            score=nums[12] if len(fields) == N_DETECTION_FIELDS else None,
         )
     except ValueError as exc:
         raise KittiFormatError(str(exc), lineno) from None

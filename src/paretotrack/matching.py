@@ -13,6 +13,15 @@ leaving a node unmatched is free and only strictly positive gains are worth
 taking: the rectangular gain matrix is padded to a square with zero "skip"
 cells, so any partial matching extends to a perfect assignment of equal
 total gain.
+
+Before padding, positive_matching() checks whether the strictly positive
+cells form a partial permutation: no two of them share a row or a column.
+Then those cells, in row order, are the one optimal matching and are
+returned without a search.  They fit together, so taking all of them is
+feasible; any other matching leaves out at least one of them and can gain
+nothing in its place (every other cell of that row and column is <= 0), so
+it scores strictly less.  This is the common case in tracking, where gating
+leaves each tracklet at most one detection worth linking.
 """
 
 from __future__ import annotations
@@ -89,8 +98,13 @@ def positive_matching(gain: np.ndarray) -> list[tuple[int, int]]:
     if gain.ndim != 2:
         raise ValueError(f"gain matrix must be 2D, got shape {gain.shape}")
     n, m = gain.shape
-    if n == 0 or m == 0 or not (gain > 0).any():
+    rows, cols = np.nonzero(gain > 0)  # row-major order
+    if rows.size == 0:
         return []
+    if rows.size <= min(n, m):
+        rows, cols = rows.tolist(), cols.tolist()
+        if len(set(rows)) == len(rows) == len(set(cols)):
+            return list(zip(rows, cols))  # the unique optimum, no search needed
     k = max(n, m)
     padded = np.zeros((k, k))
     padded[:n, :m] = np.maximum(gain, 0.0)

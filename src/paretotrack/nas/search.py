@@ -29,6 +29,11 @@ class SearchDivergedError(RuntimeError):
         self.epoch = epoch
 
 
+def _check_learning_rate(name: str, rate: float) -> None:
+    if not 0.0 <= rate < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {rate!r}")
+
+
 @dataclass(frozen=True)
 class Stage1Budget:
     epochs: int = 50
@@ -41,6 +46,8 @@ class Stage1Budget:
             raise ValueError("need at least one epoch")
         if self.theta_iters < 0:
             raise ValueError("theta_iters must be >= 0")
+        _check_learning_rate("alpha_lr", self.alpha_lr)
+        _check_learning_rate("theta_lr", self.theta_lr)
 
 
 @dataclass(frozen=True)
@@ -54,6 +61,7 @@ class Stage2Budget:
             raise ValueError("iters must be >= 0")
         if self.eval_interval < 1:
             raise ValueError("eval_interval must be >= 1")
+        _check_learning_rate("theta_lr", self.theta_lr)
 
 
 @dataclass

@@ -1,10 +1,14 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_scoreset
+from paretotrack import assoc
 from paretotrack.assoc import (
     AssociationProblem,
     check_feasible,
@@ -233,3 +237,50 @@ def test_exact_solution_always_feasible(rng):
         n, m = int(rng.integers(0, 6)), int(rng.integers(0, 6))
         p = AssociationProblem(random_scoreset(rng, n, m))
         assert check_feasible(p, solve_exact(p))
+
+
+@st.composite
+def _forced_matching_problems(draw):
+    """Score sets whose adjusted gains put every positive cell in distinct rows
+    and columns, at least 0.01 apart from zero, so no pair can be dropped.
+
+    Node scores lie on a 0.01 grid: a node prize is then 0 or at least about
+    0.01, which the oracle's plain float sums cannot lose next to the others.
+    """
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    score = st.integers(-200, 200).map(lambda k: k / 100)
+    s_in = np.array([draw(score) for _ in range(m)])
+    s_out = np.array([draw(score) for _ in range(n)])
+    s_det_prev = np.array([draw(score) for _ in range(n)])
+    s_det_curr = np.array([draw(score) for _ in range(m)])
+    adjusted = np.array([[draw(st.floats(-2.0, -0.01)) for _ in range(m)]
+                         for _ in range(n)])
+    pairs = list(zip(draw(st.permutations(range(n))), draw(st.permutations(range(m)))))
+    for i, j in pairs[:draw(st.integers(0, min(n, m)))]:
+        adjusted[i, j] = draw(st.floats(0.01, 10.0))
+    u = np.maximum(0.0, s_det_prev + s_out)
+    v = np.maximum(0.0, s_det_curr + s_in)
+    s_link = adjusted + u[:, None] + v[None, :] - s_det_prev[:, None] - s_det_curr[None, :]
+    return AssociationProblem(ScoreSet(s_in, s_out, s_det_prev, s_det_curr, s_link))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_forced_matching_problems())
+def test_exact_skips_refine_and_equals_oracle_when_every_pair_is_forced(problem):
+    with mock.patch.object(assoc, "_lex_refine", side_effect=AssertionError):
+        e = solve_exact(problem)
+    b = solve_bruteforce(problem)
+    assert e.objective == b.objective
+    assert e.flag_vector() == b.flag_vector()
+
+
+def test_refine_runs_when_a_pair_is_invisible_to_fsum():
+    # 1.0 + 1e-20 == 1.0, so both matchings score the same and the tie-break
+    # must keep the lexicographically smaller one, without the (1, 1) link
+    p = _problem([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                 [[1.0, -1.0], [-1.0, 1e-20]])
+    with mock.patch.object(assoc, "_lex_refine", wraps=assoc._lex_refine) as refine:
+        e = solve_exact(p)
+    assert refine.called
+    assert e.link_pairs() == [(0, 0)]
+    assert e.flag_vector() == solve_bruteforce(p).flag_vector()

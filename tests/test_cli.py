@@ -246,6 +246,25 @@ def test_search_rejects_negative_or_non_finite_lambda(tmp_path, capsys, lam, via
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("flag", ["alpha-lr", "theta-lr"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_search_rejects_negative_or_non_finite_learning_rate(tmp_path, capsys,
+                                                             rate, flag, via):
+    out = tmp_path / "front.txt"
+    argv = ["search", "--out", str(out), "--lambdas", "1", "--epochs", "2",
+            "--stage2-iters", "2"]
+    if via == "flag":
+        argv += [f"--{flag}", rate]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag}={rate}\n")
+        argv += ["--config", str(cfg)]
+    assert execute(argv) == 1
+    assert f"error: --{flag} {float(rate)!r} must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_profile_latency_synthetic_deterministic(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

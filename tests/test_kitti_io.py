@@ -1,11 +1,17 @@
 import io
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_label, slot_box
 from paretotrack.geometry import Box2D
 from paretotrack.kitti_io import (
+    N_DETECTION_FIELDS,
+    N_LABEL_FIELDS,
     KittiFormatError,
+    LabeledObject,
     format_label_line,
     parse_label_line,
     parse_objects,
@@ -150,3 +156,75 @@ def test_write_objects_roundtrip_through_file(tmp_path):
         write_objects(objs, sink)
     with open(path) as source:
         assert parse_objects(source) == objs
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _labeled_objects(draw):
+    left, right = sorted((draw(_finite), draw(_finite)))
+    top, bottom = sorted((draw(_finite), draw(_finite)))
+    return LabeledObject(
+        frame=draw(st.integers(0, 2 ** 40)),
+        track_id=draw(st.integers(-1, 2 ** 40)),
+        class_name=draw(st.text(string.ascii_letters + "_-", min_size=1, max_size=12)),
+        truncated=draw(_finite),
+        occluded=draw(st.integers(-1, 3)),
+        alpha=draw(_finite),
+        bbox=Box2D(left, top, right, bottom),
+        dimensions=(draw(_finite), draw(_finite), draw(_finite)),
+        location=(draw(_finite), draw(_finite), draw(_finite)),
+        rotation_y=draw(_finite),
+        score=draw(st.none() | _finite),  # None: 17 fields, else 18
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_labeled_objects())
+def test_parse_inverts_format(obj):
+    line = format_label_line(obj)
+    assert len(line.split()) == (N_LABEL_FIELDS if obj.score is None else N_DETECTION_FIELDS)
+    assert parse_label_line(line) == obj
+
+
+_FIELD_NAMES = ("frame", "track_id", "type", "truncated", "occluded", "alpha",
+                "bbox_left", "bbox_top", "bbox_right", "bbox_bottom",
+                "height", "width", "length", "x", "y", "z", "rotation_y", "score")
+
+
+@pytest.mark.parametrize("n_fields,idx,name", [
+    (n_fields, idx, name)
+    for n_fields in (N_LABEL_FIELDS, N_DETECTION_FIELDS)
+    for idx, name in enumerate(_FIELD_NAMES[:n_fields]) if name != "type"
+])
+def test_bad_number_names_the_first_bad_field(n_fields, idx, name):
+    fields = (DEVKIT_LINE + " 0.97").split()[:n_fields]
+    fields[idx] = "oops"
+    if idx < n_fields - 1:
+        fields[-1] = "later"  # a second bad field; the first one is named
+    with pytest.raises(KittiFormatError) as info:
+        parse_label_line(" ".join(fields), lineno=7)
+    assert str(info.value) == f"line 7: field '{name}' is not numeric: 'oops'"
+    assert info.value.lineno == 7
+
+
+def test_integer_field_rejects_a_float():
+    fields = DEVKIT_LINE.split()
+    fields[4] = "1.5"
+    with pytest.raises(KittiFormatError,
+                       match=r"^line 3: field 'occluded' is not numeric: '1.5'$"):
+        parse_label_line(" ".join(fields), lineno=3)
+
+
+@pytest.mark.parametrize("edit,reason", [
+    ((6, "300.0"), "invalid box extents"),  # left > right
+    ((7, "260.0"), "invalid box extents"),  # top > bottom
+    ((0, "-1"), "frame must be non-negative"),
+])
+def test_bad_record_names_its_line(edit, reason):
+    fields = DEVKIT_LINE.split()
+    fields[edit[0]] = edit[1]
+    with pytest.raises(KittiFormatError, match=f"^line 4: {reason}") as info:
+        parse_objects(io.StringIO((DEVKIT_LINE + "\n") * 3 + " ".join(fields) + "\n"))
+    assert info.value.lineno == 4

@@ -5,8 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from paretotrack.matching import min_cost_assignment
+from paretotrack.matching import min_cost_assignment, positive_matching
 
 
 def _assignment_cost(cost, col_of_row):
@@ -58,3 +60,50 @@ def test_min_cost_assignment_tie_break_is_pinned():
         digest.update((" ".join(str(int(c)) for c in cols) + "\n").encode())
     assert digest.hexdigest() == _TIE_DIGEST
 
+
+
+def _padded_matching(gain):
+    """positive_matching's search path: the full padded assignment."""
+    n, m = gain.shape
+    k = max(n, m)
+    padded = np.zeros((k, k))
+    padded[:n, :m] = np.maximum(gain, 0.0)
+    col_of_row = min_cost_assignment(-padded)
+    return [(i, int(col_of_row[i])) for i in range(n)
+            if col_of_row[i] < m and gain[i, col_of_row[i]] > 0.0]
+
+
+@st.composite
+def _partial_permutation_gains(draw):
+    """Rectangular gains whose strictly positive cells share no row or column."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 12))
+    others = st.one_of(st.just(0.0), st.floats(-1e3, -1e-6))
+    gain = np.array([[draw(others) for _ in range(m)] for _ in range(n)])
+    rows = draw(st.permutations(range(n)))
+    cols = draw(st.permutations(range(m)))
+    # zip pairs up to min(n, m) rows; drawing fewer leaves all-zero-gain rows
+    # between the matched ones
+    k = draw(st.integers(0, min(n, m)))
+    for i, j in list(zip(rows, cols))[:k]:
+        gain[i, j] = draw(st.floats(1e-6, 1e3))
+    return gain
+
+
+@settings(max_examples=300, deadline=None)
+@given(_partial_permutation_gains())
+def test_positive_matching_shortcut_equals_padded_assignment(gain):
+    pairs = positive_matching(gain)
+    assert pairs == sorted(zip(*np.nonzero(gain > 0)))
+    assert pairs == _padded_matching(gain)
+
+
+def test_positive_matching_searches_when_positive_cells_collide():
+    # two positive cells in row 0
+    gain = np.array([[1.0, 2.0], [-1.0, -1.0]])
+    assert positive_matching(gain) == [(0, 1)] == _padded_matching(gain)
+    gain = np.array([[1.0, 2.0], [0.0, 5.0]])
+    assert positive_matching(gain) == [(0, 0), (1, 1)] == _padded_matching(gain)
+    # two positive cells in column 0
+    gain = np.array([[1.0, -1.0], [2.0, -1.0]])
+    assert positive_matching(gain) == [(1, 0)] == _padded_matching(gain)

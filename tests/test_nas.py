@@ -154,6 +154,17 @@ def test_search_rejects_negative_or_non_finite_lambda(lam):
         nas.stage1_search(space, ev, table, lam, nas.Stage1Budget(epochs=1))
 
 
+@pytest.mark.parametrize("rate", [-1.0, -math.inf, math.inf, math.nan])
+@pytest.mark.parametrize("budget,field", [
+    (nas.Stage1Budget, "alpha_lr"),
+    (nas.Stage1Budget, "theta_lr"),
+    (nas.Stage2Budget, "theta_lr"),
+])
+def test_budgets_reject_negative_or_non_finite_learning_rate(budget, field, rate):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0, got"):
+        budget(**{field: rate})
+
+
 def test_total_loss_normalized_latency_in_unit_interval(rng):
     space = small_space()
     table = nominal_table(space)
