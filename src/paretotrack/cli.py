@@ -23,7 +23,7 @@ import numpy as np
 from . import nas
 from .assoc import AssociationProblem, solve_exact
 from .geometry import Box3D, PointCloud, bev_to_pgm, crop_points, rasterize_bev
-from .kitti_io import parse_sequence, write_tracking_results
+from .kitti_io import KittiFormatError, parse_sequence, write_tracking_results
 from .latency import (
     CANDIDATE_OPS,
     LatencyEntry,
@@ -129,12 +129,20 @@ def _read_lines(path: str) -> list[str]:
         raise CliError(f"cannot read {path}: {exc}") from None
 
 
+def _read_sequence(path: str):
+    """Parse a KITTI tracking file; a format error names the file and line."""
+    try:
+        return parse_sequence(_read_lines(path))
+    except KittiFormatError as exc:
+        raise CliError(f"{path}:{exc.lineno}: {exc.reason}") from None
+
+
 # ---------------------------------------------------------------- track
 
 def _cmd_track(args: argparse.Namespace) -> int:
     if not args.dets or not args.out:
         raise CliError("track requires --dets and --out")
-    seq = parse_sequence(_read_lines(args.dets))
+    seq = _read_sequence(args.dets)
     scorer = BaselineScorer(ScorerConfig(
         w_iou=args.w_iou, w_det=args.w_det, terminal_score=args.terminal_score,
     ))
@@ -150,10 +158,21 @@ def _cmd_track(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- evaluate
 
 def _frames_of(path: str):
-    seq = parse_sequence(_read_lines(path))
+    """(track_id, box) per frame; a track_id repeated within a frame is an error."""
     frames = {}
-    for frame, dets in seq.frames.items():
-        frames[frame] = [(d.source.track_id, d.box) for d in dets]
+    repeats = []
+    for frame, dets in _read_sequence(path).frames.items():
+        objs = frames[frame] = [(d.source.track_id, d.box) for d in dets]
+        if len(dict(objs)) != len(objs):
+            seen = set()
+            for d in dets:
+                if d.source.track_id in seen:
+                    repeats.append(d.source)
+                seen.add(d.source.track_id)
+    if repeats:
+        first = min(repeats, key=lambda record: record.lineno)
+        raise CliError(f"{path}:{first.lineno}: duplicate track_id {first.track_id} "
+                       f"in frame {first.frame}")
     return frames
 
 

@@ -428,6 +428,54 @@ def test_assoc_debug_bad_scoreset_rows_name_the_line(tmp_path, capsys, body, lin
     assert f"error: {scores}:{lineno}: expected " in capsys.readouterr().err
 
 
+def _kitti_argv(tmp_path, flag, bad_text):
+    """A track or evaluate run whose ``flag`` file holds ``bad_text``."""
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    _write_detections(good)
+    bad.write_text(bad_text)
+    files = {"--dets": bad} if flag == "--dets" else {"--gt": good, "--hyp": good, flag: bad}
+    command = "track" if flag == "--dets" else "evaluate"
+    argv = [command, "--out", str(tmp_path / "res.txt")] if command == "track" else [command]
+    for name, path in files.items():
+        argv += [name, str(path)]
+    return argv, bad
+
+
+@pytest.mark.parametrize("flag", ["--dets", "--gt", "--hyp"])
+def test_kitti_format_errors_name_the_file_and_line(tmp_path, capsys, flag):
+    good_line = format_label_line(make_label(0, 1, slot_box(0, 0)))
+    argv, bad = _kitti_argv(tmp_path, flag, f"{good_line}\n{good_line}\n0 1\n")
+    assert execute(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}:3: expected 17 or 18 fields, got 2\n"
+
+
+@pytest.mark.parametrize("flag, field, token", [
+    ("--dets", "score", "nan"),
+    ("--dets", "bbox_right", "inf"),
+    ("--gt", "bbox_left", "-inf"),
+    ("--hyp", "score", "inf"),
+])
+def test_non_finite_box_or_score_names_the_file_and_line(tmp_path, capsys, flag, field,
+                                                          token):
+    fields = format_label_line(make_label(0, 1, slot_box(0, 0), score=0.5)).split()
+    fields[{"bbox_left": 6, "bbox_right": 8, "score": 17}[field]] = token
+    good_line = format_label_line(make_label(0, 2, slot_box(1, 0), score=0.5))
+    argv, bad = _kitti_argv(tmp_path, flag, f"{good_line}\n{' '.join(fields)}\n")
+    assert execute(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}:2: field '{field}' is not finite: '{token}'\n")
+
+
+@pytest.mark.parametrize("flag", ["--gt", "--hyp"])
+def test_evaluate_names_a_repeated_record(tmp_path, capsys, flag):
+    lines = [format_label_line(make_label(f, tid, slot_box(tid, f)))
+             for f, tid in [(0, 1), (0, 2), (1, 1), (2, 2), (1, 2), (1, 1), (0, 2)]]
+    argv, bad = _kitti_argv(tmp_path, flag, "\n".join(lines) + "\n")
+    assert execute(argv) == 1
+    # lines 6 and 7 both repeat a record of their frame; the first is named
+    assert capsys.readouterr().err == f"error: {bad}:6: duplicate track_id 1 in frame 1\n"
+
+
 def test_bev_subcommand(tmp_path, capsys):
     pts = tmp_path / "points.txt"
     pts.write_text("0.0 0.0 1.5\n0.4 0.2 0.5\n9 9 9\n")

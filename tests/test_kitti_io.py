@@ -126,6 +126,17 @@ def test_write_tracking_results_two_frames_same_id():
     assert [l.split()[0] for l in lines] == ["0", "1"]
 
 
+def test_integer_valued_fields_are_written_as_their_types():
+    obj = LabeledObject(frame=3.0, track_id=True, class_name="Car", truncated=0, occluded=1.0,
+                        alpha=-1, bbox=Box2D(1, 2, 3, 4), dimensions=(1, 2, 3),
+                        location=(4, 5, 6), rotation_y=0, score=1)
+    expected = "3 1 Car 0.0 1 -1.0 1.0 2.0 3.0 4.0 1.0 2.0 3.0 4.0 5.0 6.0 0.0 1.0"
+    assert format_label_line(obj) == expected
+    sink = io.StringIO()
+    write_tracking_results([Tracklet(id=2, detections=[(3, obj.to_detection())])], sink)
+    assert sink.getvalue() == expected.replace("3 1 Car", "3 2 Car", 1) + "\n"
+
+
 def test_write_tracking_results_requires_ids():
     det = make_label(0, -1, slot_box(0, 0)).to_detection()
     with pytest.raises(ValueError):
@@ -228,3 +239,234 @@ def test_bad_record_names_its_line(edit, reason):
     with pytest.raises(KittiFormatError, match=f"^line 4: {reason}") as info:
         parse_objects(io.StringIO((DEVKIT_LINE + "\n") * 3 + " ".join(fields) + "\n"))
     assert info.value.lineno == 4
+
+
+# ---------------------------------------------------------------- columnar reader
+
+def _record_fields(src, box=None) -> tuple:
+    """A record's 17 or 18 field values in line order, read by field name."""
+    box = src.bbox if box is None else box
+    values = (src.frame, src.track_id, src.class_name, src.truncated, src.occluded,
+              src.alpha, box.left, box.top, box.right, box.bottom,
+              *src.dimensions, *src.location, src.rotation_y)
+    return values if src.score is None else values + (src.score,)
+
+
+def _same_bits(a: tuple, b: tuple) -> bool:
+    """Equal field by field: ints by value and type, floats by their bits."""
+    def key(v):
+        return (type(v), float.hex(v) if type(v) is float else v)
+    return len(a) == len(b) and all(key(x) == key(y) for x, y in zip(a, b))
+
+
+def _oracle(lines):
+    """parse_sequence's answer from the one-line grammar: per frame, in file order."""
+    frames = {}
+    for obj in parse_objects(lines):
+        frames.setdefault(obj.frame, []).append(obj.to_detection())
+    return frames
+
+
+def _assert_matches_oracle(lines):
+    seq = parse_sequence(lines)
+    expected = _oracle(lines)
+    assert list(seq.frames) == list(expected)
+    for frame, dets in expected.items():
+        got = seq.frames[frame]
+        assert len(got) == len(dets)
+        for d, e in zip(got, dets):
+            assert type(d.frame) is int and d.frame == e.frame == frame
+            assert _same_bits((d.box.left, d.box.top, d.box.right, d.box.bottom),
+                              (e.box.left, e.box.top, e.box.right, e.box.bottom))
+            assert _same_bits((d.confidence,), (e.confidence,))
+            assert _same_bits(_record_fields(d.source), _record_fields(e.source))
+            assert d.source.score is None or _same_bits((d.source.score,), (d.confidence,))
+    return seq
+
+
+# a line whose box (-20, -20, 20, 20) holds every finite token below
+_PIN_BASE = "3 4 Car 0.5 1 -1.25 -20 -20 20 20 1.5 1.6 3.9 2.0 1.5 30.0 -1.5 0.75".split()
+_INT_FIELDS = (0, 1, 4)
+_FINITE_FIELDS = (6, 7, 8, 9, 17)
+_INT_PINS = {"1e400": None, "-1e400": None, "nan": None, "inf": None, "-0.0": None,
+             "1_0": 10, "+1.5": None, "4.9e-324": None, "٣": 3}
+_FLOAT_PINS = {"1e400": "inf", "-1e400": "-inf", "nan": "nan", "inf": "inf",
+               "-0.0": "-0x0.0p+0", "1_0": "0x1.4000000000000p+3",
+               "+1.5": "0x1.8000000000000p+0", "4.9e-324": "0x0.0000000000001p-1022",
+               "٣": "0x1.8000000000000p+1"}
+
+
+@pytest.mark.parametrize("token", list(_FLOAT_PINS))
+@pytest.mark.parametrize("idx", [k for k in range(N_DETECTION_FIELDS) if k != 2],
+                         ids=[n for n in _FIELD_NAMES if n != "type"])
+def test_token_handling_is_pinned_per_field(idx, token):
+    fields = list(_PIN_BASE)
+    fields[idx] = token
+    line = " ".join(fields)
+    name = _FIELD_NAMES[idx]
+    if idx in _INT_FIELDS:
+        expected = _INT_PINS[token]
+        message = None if expected is not None else f"field '{name}' is not numeric: {token!r}"
+    else:
+        expected = _FLOAT_PINS[token]
+        message = (f"field '{name}' is not finite: {token!r}"
+                   if idx in _FINITE_FIELDS and expected in ("inf", "-inf", "nan") else None)
+    if message is not None:
+        for parse in (lambda: parse_label_line(line, 1), lambda: parse_sequence([line])):
+            with pytest.raises(KittiFormatError) as info:
+                parse()
+            assert str(info.value) == f"line 1: {message}"
+        return
+    (det,) = [d for dets in _assert_matches_oracle([line]).frames.values() for d in dets]
+    value = _record_fields(det.source, det.box)[idx]
+    if idx in _INT_FIELDS:
+        assert type(value) is int and value == expected
+    else:
+        assert type(value) is float and float.hex(value) == expected
+
+
+def test_frames_and_ids_beyond_int64_stay_python_ints():
+    big = 2 ** 63 + 1
+    line = DEVKIT_LINE.replace("0 2 Car", f"{big} {-big} Car", 1)
+    seq = _assert_matches_oracle([line, DEVKIT_LINE])
+    assert list(seq.frames) == [big, 0]
+    (det,) = seq.frames[big]
+    for value in (det.frame, det.source.frame, det.source.track_id, det.source.occluded):
+        assert type(value) is int
+    assert (det.frame, det.source.track_id) == (big, -big)
+    assert format_label_line(parse_label_line(line)).startswith(f"{big} {-big} Car ")
+
+
+def test_non_finite_echo_fields_are_kept_and_written_back():
+    fields = DEVKIT_LINE.split()
+    fields[5], fields[10], fields[14], fields[16] = "nan", "inf", "-inf", "1e400"
+    line = " ".join(fields) + " 0.5"
+    (det,) = _assert_matches_oracle([line]).frames[0]
+    sink = io.StringIO()
+    write_tracking_results([Tracklet(id=7, detections=[(0, det)])], sink)
+    out = sink.getvalue().split()
+    assert (out[5], out[10], out[14], out[16]) == ("nan", "inf", "-inf", "inf")
+
+
+_FLOAT_SPELLINGS = (repr, "{:.17g}".format, "{:e}".format, "{:+.3f}".format)
+
+
+@st.composite
+def _kitti_lines(draw, min_size=1, max_size=12):
+    """Valid tracking lines: 17 and 18 fields mixed, frames out of order, and
+    numbers in several spellings, with inf and nan outside the box and score."""
+    any_float = st.floats(allow_nan=True, allow_infinity=True)
+    finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
+    spell = st.sampled_from(_FLOAT_SPELLINGS)
+
+    def num(x):
+        return draw(spell)(x)
+
+    lines = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        left, right = sorted((draw(finite), draw(finite)))
+        top, bottom = sorted((draw(finite), draw(finite)))
+        fields = [str(draw(st.integers(0, 12))), str(draw(st.integers(-1, 9))),
+                  draw(st.sampled_from(["Car", "Van", "Pedestrian", "DontCare"])),
+                  num(draw(any_float)), str(draw(st.integers(-1, 3))), num(draw(any_float)),
+                  repr(left), repr(top), repr(right), repr(bottom),
+                  *(num(draw(any_float)) for _ in range(7))]
+        if draw(st.booleans()):
+            fields.append(num(draw(finite)))
+        sep = draw(st.sampled_from([" ", "  ", "\t"]))
+        lines.append(sep.join(fields) + draw(st.sampled_from(["\n", " \n", ""])))
+    return lines
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kitti_lines())
+def test_parse_sequence_equals_the_line_grammar(lines):
+    _assert_matches_oracle(lines)
+
+
+_FAULTS = ("fields", "number", "blank", "box", "frame", "non-finite")
+
+
+def _inject(fields: list[str], fault: str, k: int) -> str:
+    fields = list(fields)
+    if len(fields) < N_LABEL_FIELDS:  # a fault is already there
+        return " ".join(fields)
+    if fault == "fields":
+        fields = fields[:k % 17] if k % 2 else fields + ["1.0"] * (19 - len(fields) + k % 3)
+        return " ".join(fields)
+    if fault == "blank":
+        return " " * (k % 3)
+    if fault == "number":
+        fields[[i for i in range(len(fields)) if i != 2][k % (len(fields) - 1)]] = "1.0x"
+    elif fault == "box":
+        axis = k % 2
+        fields[6 + axis], fields[8 + axis] = "1e300", "-1e300"
+    elif fault == "frame":
+        fields[0] = str(-1 - k)
+    else:
+        choices = [6, 7, 8, 9] + ([17] if len(fields) == N_DETECTION_FIELDS else [])
+        fields[choices[k % len(choices)]] = ("nan", "inf", "-inf", "-1e999")[k % 4]
+    return " ".join(fields)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kitti_lines(), st.data())
+def test_a_bad_line_raises_what_the_line_grammar_raises(lines, data):
+    n_faults = data.draw(st.integers(1, 2))
+    for _ in range(n_faults):
+        at = data.draw(st.integers(0, len(lines) - 1))
+        fault = data.draw(st.sampled_from(_FAULTS))
+        lines[at] = _inject(lines[at].split(), fault, data.draw(st.integers(0, 50)))
+    with pytest.raises(KittiFormatError) as expected:
+        parse_objects(lines)
+    with pytest.raises(KittiFormatError) as got:
+        parse_sequence(lines)
+    assert str(got.value) == str(expected.value)
+    assert got.value.lineno == expected.value.lineno
+
+
+def test_long_files_are_read_in_pieces_with_the_right_line_numbers():
+    line18, line17 = DEVKIT_LINE + " 0.5", DEVKIT_LINE
+    lines = [line18 if i % 3 else line17 for i in range(5000)]
+    seq = _assert_matches_oracle(lines)
+    assert sum(d.source.lineno == i + 1 for i, d in enumerate(seq.frames[0])) == 5000
+    for bad in (2048, 2049, 4500):
+        broken = list(lines)
+        broken[bad - 1] = DEVKIT_LINE.replace("100.0", "nan")
+        with pytest.raises(KittiFormatError,
+                           match=f"^line {bad}: field 'bbox_left' is not finite: 'nan'$"):
+            parse_sequence(broken)
+
+
+def test_reading_and_writing_build_no_labeled_object_per_line(monkeypatch):
+    import paretotrack.kitti_io as kitti_io
+
+    lines = [f"{f} -1 Car 0.0 0 -1.2 {10.0 * f} 5.0 {10.0 * f + 4.0} 9.0 "
+             f"1.5 1.6 3.9 2.0 1.5 30.0 -1.5 0.9" for f in range(6)]
+    expected = io.StringIO()
+    dets = [d for ds in _oracle(lines).values() for d in ds]
+    write_tracking_results([Tracklet(id=2, detections=[(d.frame, d) for d in dets])], expected)
+
+    def no_objects(*_args, **_kwargs):
+        raise AssertionError("a LabeledObject was built")
+
+    monkeypatch.setattr(kitti_io, "LabeledObject", no_objects)
+    seq = parse_sequence(lines)
+    dets = [d for ds in seq.frames.values() for d in ds]
+    sink = io.StringIO()
+    write_tracking_results([Tracklet(id=2, detections=[(d.frame, d) for d in dets])], sink)
+    assert sink.getvalue() == expected.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(_kitti_lines())
+def test_results_write_the_same_from_either_kind_of_source(lines):
+    columnar = [d for ds in parse_sequence(lines).frames.values() for d in ds]
+    objects = [d for ds in _oracle(lines).values() for d in ds]
+    texts = []
+    for dets in (columnar, objects):
+        tracks = [Tracklet(id=i % 5, detections=[(d.frame, d)]) for i, d in enumerate(dets)]
+        sink = io.StringIO()
+        write_tracking_results(tracks, sink)
+        texts.append(sink.getvalue())
+    assert texts[0] == texts[1]
