@@ -50,9 +50,6 @@ from .scoring import (
     ScorerConfig,
     ScoreSet,
     baseline_scores,
-    correlation_features,
-    cosine_similarity,
-    fuse_features,
 )
 from .tracker import (
     TrackerConfig,

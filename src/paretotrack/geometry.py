@@ -51,6 +51,8 @@ class Box3D:
     yaw: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.center, *self.size, self.yaw))):
+            raise ValueError(f"box center, size and yaw must be finite, got {self}")
         if any(s <= 0 for s in self.size):
             raise ValueError(f"box size components must be positive, got {self.size}")
 

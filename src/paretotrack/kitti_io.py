@@ -4,9 +4,9 @@ One object per line, whitespace separated:
 frame track_id type truncated occluded alpha bbox(4) dimensions(3) location(3) rotation_y [score]
 
 17 fields for label files, 18 when a detection score is appended.  The box
-and the score must be finite; the other float fields may be inf or nan and
-are echoed as read.  Numbers are serialized with repr-level precision so
-parse(write(x)) reproduces every field bit-for-bit.
+and the score must be finite to read or write; the other float fields may
+be inf or nan and are echoed as read.  Numbers are serialized with repr-level
+precision so parse(write(x)) reproduces every field bit-for-bit.
 
 `parse_label_line` is the grammar of one line.  `parse_sequence` reads a
 whole file into typed columns instead: each field column is converted in one
@@ -43,7 +43,7 @@ _FIELDS = (
 )
 _BOX = slice(6, 10)
 _SCORE = 17
-_FINITE = frozenset((6, 7, 8, 9, _SCORE))  # the box and the score
+_FINITE = (6, 7, 8, 9, _SCORE)  # the box and the score
 _FORMAT = {
     n: " ".join({int: "%d", float: "%r", str: "%s"}[conv] for _, conv in _FIELDS[:n])
     for n in (N_LABEL_FIELDS, N_DETECTION_FIELDS)
@@ -148,11 +148,7 @@ class Detection:
 class SequenceDetections:
     """Per-frame detections of one sequence, keyed by frame index."""
 
-    sequence_id: str = ""
     frames: dict[int, list[Detection]] = field(default_factory=dict)
-
-    def n_objects(self) -> int:
-        return sum(len(v) for v in self.frames.values())
 
 
 def _line_values(line: str, lineno: int | None) -> list:
@@ -208,10 +204,17 @@ def _format_lines(rows: Sequence[tuple]) -> list[str]:
 
     Each field goes through its converter (`int` or `float`) before `%d` or
     `%r`, so a line reads `str(int(v))` and `repr(float(v))` field by field.
+    The first non-finite box coordinate or score raises `ValueError`.
     """
     if not rows:
         return []
     columns = [list(map(conv, column)) for (_, conv), column in zip(_FIELDS, zip(*rows))]
+    finite = [k for k in _FINITE if k < len(columns)]
+    if not all(map(math.isfinite, chain.from_iterable(columns[k] for k in finite))):
+        row, k = next((row, k) for row in range(len(rows)) for k in finite
+                      if not math.isfinite(columns[k][row]))
+        raise ValueError(f"cannot write frame {columns[0][row]}, track_id {columns[1][row]}: "
+                         f"field '{_FIELDS[k][0]}' is not finite: {columns[k][row]!r}")
     return list(map(_FORMAT[len(columns)].__mod__, zip(*columns)))
 
 
@@ -257,7 +260,7 @@ def _convert(lines: Sequence[str], columns: tuple[list, ...]) -> bool:
     return True
 
 
-def parse_sequence(source: Iterable[str] | IO[str], sequence_id: str = "") -> SequenceDetections:
+def parse_sequence(source: Iterable[str] | IO[str]) -> SequenceDetections:
     """Group a stream of records into per-frame detections, keeping per-frame order."""
     lines = list(source)
     columns = tuple([] for _ in _FIELDS)
@@ -265,7 +268,7 @@ def parse_sequence(source: Iterable[str] | IO[str], sequence_id: str = "") -> Se
         if not _convert(lines[start:start + _CHUNK], columns):
             parse_objects(lines)  # raises at the first bad line
             raise AssertionError("the column checks rejected a file the line grammar accepts")
-    seq = SequenceDetections(sequence_id=sequence_id)
+    seq = SequenceDetections()
     frames = seq.frames
     for row, (frame, left, top, right, bottom, score) in enumerate(
             zip(columns[0], *columns[_BOX], columns[_SCORE])):
@@ -276,8 +279,8 @@ def parse_sequence(source: Iterable[str] | IO[str], sequence_id: str = "") -> Se
 
 
 def write_objects(objs: Iterable[LabeledObject], sink: IO[str]) -> None:
-    for obj in objs:
-        sink.write(format_label_line(obj) + "\n")
+    """Write one line per record; a record that cannot be written writes nothing."""
+    sink.write("".join(format_label_line(obj) + "\n" for obj in objs))
 
 
 # the source of a synthetic detection: devkit-style placeholders

@@ -74,6 +74,8 @@ def clear_mot(
     matched ground-truth object whose hypothesis ID differs from the last
     hypothesis it was ever matched to.  MOTA = 1 - (FP + FN + IDSW) / GT.
     """
+    if not 0.0 < thresh <= 1.0:  # checked here too, for sequences with no frames
+        raise ValueError(f"threshold must be in (0, 1], got {thresh}")
     frames = sorted(set(gt_frames) | set(hyp_frames))
     prev: dict[int, int] = {}
     last_hyp: dict[int, int] = {}

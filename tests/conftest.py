@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from paretotrack.geometry import Box2D
 from paretotrack.kitti_io import LabeledObject, SequenceDetections
@@ -39,6 +40,18 @@ def slot_box(slot: int, frame: int) -> Box2D:
     return Box2D(left, top, left + 60.0, top + 30.0)
 
 
+# Coordinates from a small integer grid make touching edges, zero-width or
+# zero-height boxes and identical boxes common; the float range covers the rest.
+_coord = st.one_of(st.integers(-3, 3).map(float),
+                   st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True))
+
+
+@st.composite
+def boxes(draw):
+    x1, x2, y1, y2 = (draw(_coord) for _ in range(4))
+    return Box2D(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+
+
 def random_gt_sequence(rng, max_objects=10, max_frames=30):
     """Synthetic ground truth: objects live in contiguous frame windows.
 
@@ -46,7 +59,7 @@ def random_gt_sequence(rng, max_objects=10, max_frames=30):
     """
     n_objects = int(rng.integers(1, max_objects + 1))
     n_frames = int(rng.integers(3, max_frames + 1))
-    seq = SequenceDetections(sequence_id="synthetic")
+    seq = SequenceDetections()
     gt = {f: [] for f in range(n_frames)}
     for obj in range(n_objects):
         enter = int(rng.integers(0, max(1, n_frames - 1)))

@@ -47,6 +47,15 @@ def test_evaluate_perfect_hypothesis(tmp_path, capsys):
     assert "MOTA=1.0000" in out
 
 
+@pytest.mark.parametrize("iou", ["5", "0", "nan"])
+def test_evaluate_rejects_a_bad_threshold_on_empty_files(tmp_path, capsys, iou):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    code = execute(["evaluate", "--gt", str(empty), "--hyp", str(empty), "--iou", iou])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: threshold must be in (0, 1], got {float(iou)}\n"
+
+
 def test_track_then_evaluate_round(tmp_path, capsys):
     dets = tmp_path / "seq.txt"
     res = tmp_path / "res.txt"
@@ -484,6 +493,22 @@ def test_bev_subcommand(tmp_path, capsys):
                     "--rows", "8", "--cols", "8", "--out", str(out)]) == 0
     text = out.read_text()
     assert text.startswith("P2\n8 8\n")
+
+
+@pytest.mark.parametrize("token", ["nan", "inf"])
+@pytest.mark.parametrize("position", range(7))
+def test_bev_rejects_a_non_finite_box(tmp_path, capsys, position, token):
+    pts = tmp_path / "points.txt"
+    pts.write_text("0.0 0.0 0.5\n")
+    out = tmp_path / "img.pgm"
+    box = ["0", "0", "0", "4", "2", "2", "0"]
+    box[position] = token
+    assert execute(["bev", "--points", str(pts), "--box", ",".join(box),
+                    "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: box center, size and yaw must be finite, got Box3D(center=(")
+    assert token in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_entry_point_runs():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import boxes
 from paretotrack.geometry import (
     BevImage,
     Box2D,
@@ -40,23 +41,11 @@ def test_iou_disjoint_boxes():
     assert iou_2d(Box2D(0, 0, 1, 1), Box2D(5, 5, 6, 6)) == 0.0
 
 
-# Coordinates from a small integer grid make touching edges, zero-width or
-# zero-height boxes and identical boxes common; the float range covers the rest.
-_coord = st.one_of(st.integers(-3, 3).map(float),
-                   st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True))
-
-
-@st.composite
-def _boxes(draw):
-    x1, x2, y1, y2 = (draw(_coord) for _ in range(4))
-    return Box2D(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
-
-
 _SQUARE = Box2D(0.0, 0.0, 2.0, 2.0)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_boxes(), max_size=6), st.lists(_boxes(), max_size=6))
+@given(st.lists(boxes(), max_size=6), st.lists(boxes(), max_size=6))
 @example([], [_SQUARE])
 @example([_SQUARE], [])
 @example([_SQUARE], [_SQUARE, Box2D(2.0, 0.0, 4.0, 2.0), Box2D(1.0, 1.0, 1.0, 3.0),

@@ -1,4 +1,6 @@
 import io
+import math
+import re
 import string
 
 import pytest
@@ -152,6 +154,30 @@ def test_write_tracking_results_sorted_by_frame_then_id():
     write_tracking_results(tracks, sink)
     keys = [(int(l.split()[0]), int(l.split()[1])) for l in sink.getvalue().splitlines()]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("box,score,name,value", [
+    (Box2D(0.0, 0.0, 60.0, 30.0), math.nan, "score", "nan"),
+    (Box2D(0.0, 0.0, math.inf, 30.0), 0.5, "bbox_right", "inf"),
+    (Box2D(-math.inf, 0.0, 60.0, 30.0), math.nan, "bbox_left", "-inf"),
+])
+def test_writers_refuse_a_non_finite_box_or_score(box, score, name, value):
+    good = make_label(0, 1, slot_box(0, 0))
+    bad = make_label(4, 9, box, score=score)
+
+    def names(track_id):
+        return re.escape(f"frame 4, track_id {track_id}: field '{name}' is not finite: {value}")
+
+    with pytest.raises(ValueError, match=names(9)):
+        format_label_line(bad)
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match=names(9)):
+        write_objects([good, bad], sink)
+    tracks = [Tracklet(id=1, detections=[(0, good.to_detection())]),
+              Tracklet(id=2, detections=[(4, bad.to_detection())])]
+    with pytest.raises(ValueError, match=names(2)):
+        write_tracking_results(tracks, sink)
+    assert sink.getvalue() == ""
 
 
 def test_blank_interior_line_rejected():

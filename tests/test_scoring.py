@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_label, slot_box
+from conftest import boxes, make_label, slot_box
+from paretotrack.geometry import Box2D, iou_2d
+from paretotrack.kitti_io import Detection
 from paretotrack.scoring import (
     BaselineScorer,
     ScorerConfig,
     ScoreSet,
     baseline_scores,
-    correlation_features,
-    cosine_similarity,
-    fuse_features,
 )
 from paretotrack.tracker import Tracklet
 
@@ -17,47 +18,6 @@ from paretotrack.tracker import Tracklet
 def _tracklet(slot, frame=0, score=0.9):
     det = make_label(frame, slot, slot_box(slot, frame), score=score).to_detection()
     return Tracklet(id=slot, detections=[(frame, det)])
-
-
-def test_correlation_direct_definition():
-    out = correlation_features([np.array([1.0, 2.0])], [np.array([3.0, 1.0])])
-    assert out.shape == (1, 1, 2)
-    assert out[0, 0].tolist() == [2.0, 1.0]
-
-
-def test_correlation_identical_vectors_zero():
-    v = np.array([0.5, -1.5, 2.0])
-    assert not correlation_features([v], [v]).any()
-
-
-def test_correlation_empty_prev():
-    out = correlation_features([], [np.array([1.0, 2.0])])
-    assert out.shape == (0, 1, 2)
-
-
-def test_correlation_dimension_mismatch():
-    with pytest.raises(ValueError):
-        correlation_features([np.zeros(3)], [np.zeros(4)])
-
-
-def test_fuse_features_sum_and_identity():
-    assert fuse_features([1.0, 2.0], [3.0, 4.0]).tolist() == [4.0, 6.0]
-    x = np.array([0.3, -0.7])
-    assert fuse_features(x, np.zeros(2)).tolist() == x.tolist()
-
-
-def test_fuse_features_commutes(rng):
-    a, b = rng.normal(size=8), rng.normal(size=8)
-    assert fuse_features(a, b).tolist() == fuse_features(b, a).tolist()
-
-
-def test_fuse_features_mismatch():
-    with pytest.raises(ValueError):
-        fuse_features(np.zeros(2), np.zeros(3))
-
-
-def test_cosine_zero_norm():
-    assert cosine_similarity(np.zeros(4), np.ones(4)) == 0.0
 
 
 def test_scoreset_shape_validation():
@@ -70,13 +30,11 @@ def test_scoreset_rejects_nan():
         ScoreSet([np.nan], [], [], [0.0], np.zeros((0, 1)))
 
 
-def test_baseline_identical_box_and_feature_max_affinity():
+def test_baseline_identical_box_max_affinity():
     track = _tracklet(0)
     det = track.detections[0][1]
-    feats = ([np.array([1.0, 2.0])], [np.array([1.0, 2.0])])
-    scores = baseline_scores([track], [det], features=feats,
-                             cfg=ScorerConfig(w_iou=1.0, w_app=1.0))
-    assert scores.s_link[0, 0] == 2.0
+    scores = baseline_scores([track], [det], cfg=ScorerConfig(w_iou=1.0))
+    assert scores.s_link[0, 0] == 1.0
 
 
 def test_baseline_disjoint_boxes():
@@ -124,8 +82,6 @@ def test_baseline_monotone_in_iou():
     prev = None
     for shift in range(0, 60, 10):
         base = slot_box(0, 0)
-        from paretotrack.geometry import Box2D
-
         det_box = Box2D(base.left + shift, base.top, base.right + shift, base.bottom)
         det = make_label(1, 0, det_box).to_detection()
         val = baseline_scores([track], [det]).s_link[0, 0]
@@ -140,3 +96,36 @@ def test_baseline_scorer_callable():
     det = track.detections[0][1]
     scores = scorer([track], [det])
     assert scores.s_link[0, 0] == 2.0
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _detections(frame=0):
+    return st.builds(Detection, st.just(frame), boxes(), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _tracklets(draw):
+    history = draw(st.lists(_detections(), min_size=1, max_size=3))
+    return Tracklet(id=None, detections=list(enumerate(history)))
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_tracklets(), max_size=6), st.lists(_detections(frame=5), max_size=6),
+       _finite, _finite, _finite)
+def test_baseline_equals_scalar_recomputation(tracks, dets, w_iou, w_det, terminal):
+    cfg = ScorerConfig(w_iou=w_iou, w_det=w_det, terminal_score=terminal)
+    got = baseline_scores(tracks, dets, cfg=cfg)
+    last = [t.detections[-1][1] for t in tracks]
+    link = [w_iou * (2.0 * iou_2d(p.box, d.box) - 1.0) for p in last for d in dets]
+    assert got.s_link.shape == (len(tracks), len(dets))
+    assert _bits(got.s_link.ravel()) == _bits(link)
+    assert _bits(got.s_det_prev) == _bits(w_det * (2.0 * p.confidence - 1.0) for p in last)
+    assert _bits(got.s_det_curr) == _bits(w_det * (2.0 * d.confidence - 1.0) for d in dets)
+    assert _bits(got.s_in) == [terminal.hex()] * len(dets)
+    assert _bits(got.s_out) == [terminal.hex()] * len(tracks)
