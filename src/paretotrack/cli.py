@@ -27,6 +27,7 @@ from .kitti_io import KittiFormatError, parse_sequence, write_tracking_results
 from .latency import (
     CANDIDATE_OPS,
     LatencyEntry,
+    LatencyLookupError,
     LatencyTable,
     ScriptedClock,
     TableFormatError,
@@ -34,6 +35,7 @@ from .latency import (
     profile_op,
 )
 from .metrics import clear_mot, format_report_kv, format_report_table
+from .nas.search import max_latency_ms
 from .scoring import BaselineScorer, ScorerConfig, ScoreSet
 from .tracker import TrackerConfig, run_sequence
 
@@ -143,6 +145,13 @@ def _cmd_track(args: argparse.Namespace) -> int:
     if not args.dets or not args.out:
         raise CliError("track requires --dets and --out")
     seq = _read_sequence(args.dets)
+    # the baseline scorer's s_det, checked here so that an overflow names its line
+    overflows = [d for dets in seq.frames.values() for d in dets
+                 if not math.isfinite(args.w_det * (2.0 * d.confidence - 1.0))]
+    if overflows:
+        first = min(overflows, key=lambda d: d.source.lineno)
+        raise CliError(f"{args.dets}:{first.source.lineno}: score {first.confidence!r} "
+                       f"weighted by --w-det {args.w_det!r} is not finite")
     scorer = BaselineScorer(ScorerConfig(
         w_iou=args.w_iou, w_det=args.w_det, terminal_score=args.terminal_score,
     ))
@@ -275,6 +284,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
             table = LatencyTable.read(_read_lines(args.table))
         except TableFormatError as exc:
             raise CliError(f"{args.table}:{exc.lineno}: {exc.reason}") from None
+        try:
+            norm = max_latency_ms(space, table)
+        except LatencyLookupError as exc:
+            raise CliError(f"{args.table}: {exc}") from None
+        if norm == 0.0:
+            raise CliError(f"{args.table}: every op of the search space costs 0 ms, "
+                           "so the latency term has no scale")
     else:
         table = _synthetic_table(space)
     surrogate = (nas.OpCostSurrogate if args.surrogate == "op-cost"
@@ -291,6 +307,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
                                        theta_lr=args.theta_lr),
         seed=args.seed,
     )
+    if not front:
+        raise CliError(f"all {len(lambdas)} lambdas failed; no front written")
     _atomic_write(args.out, "".join(format_pareto_line(p) + "\n" for p in front))
     if args.plot_data:
         buf = io.StringIO()

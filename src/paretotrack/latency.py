@@ -160,6 +160,7 @@ class LatencyTable:
         if header != TABLE_HEADER:
             raise TableFormatError(1, f"expected header {TABLE_HEADER!r}, got {header!r}")
         table = cls()
+        first_line: dict[OpConfig, int] = {}
         for lineno, raw in enumerate(lines, start=2):
             line = raw.strip()
             if not line:
@@ -179,6 +180,10 @@ class LatencyTable:
                 raise TableFormatError(lineno, f"missing field {exc}") from None
             except ValueError as exc:
                 raise TableFormatError(lineno, str(exc)) from None
+            first = first_line.setdefault(cfg, lineno)
+            if first != lineno:
+                raise TableFormatError(
+                    lineno, f"duplicate entry for {cfg}, first on line {first}")
             table.add(cfg, entry)
         return table
 
@@ -222,14 +227,17 @@ def profile_op(
 
 
 def softmax_weights(logits) -> np.ndarray:
-    """Stable softmax: positive weights summing to 1 (max-subtracted)."""
-    arr = np.asarray(logits, dtype=np.float64).reshape(-1)
-    if arr.size == 0:
+    """Stable (max-subtracted) softmax along the last axis: weights summing to 1.
+
+    Each row of a (rows, ops) matrix gets, bit for bit, the row's own softmax.
+    """
+    arr = np.atleast_1d(np.asarray(logits, dtype=np.float64))
+    if arr.shape[-1] == 0:
         raise ValueError("softmax of an empty vector")
     if not np.isfinite(arr).all():
         raise ValueError("softmax input must be finite")
-    e = np.exp(arr - arr.max())
-    return e / e.sum()
+    e = np.exp(arr - arr.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def op_latencies(table: LatencyTable, template: OpTemplate,
@@ -251,16 +259,15 @@ def expected_latency(
     """
     if len(edge_logits) != len(edge_configs):
         raise ValueError("one logit vector per edge config is required")
-    per_edge = []
-    for logits, template in zip(edge_logits, edge_configs):
-        weights = softmax_weights(logits)
-        if weights.shape[0] != len(ops):
-            raise ValueError(
-                f"expected {len(ops)} logits per edge, got {weights.shape[0]}"
-            )
-        lats = op_latencies(table, template, ops)
-        per_edge.append(math.fsum(w * l for w, l in zip(weights, lats)))
-    return math.fsum(per_edge)
+    rows = [np.asarray(logits, dtype=np.float64).reshape(-1) for logits in edge_logits]
+    for row in rows:
+        if row.shape[0] != len(ops):
+            raise ValueError(f"expected {len(ops)} logits per edge, got {row.shape[0]}")
+    weights = softmax_weights(np.reshape(rows, (len(rows), len(ops))))
+    return math.fsum(
+        math.fsum(w * l for w, l in zip(row, op_latencies(table, template, ops)))
+        for row, template in zip(weights, edge_configs)
+    )
 
 
 def nominal_cost_ms(cfg: OpConfig) -> float:

@@ -88,20 +88,19 @@ def max_latency_ms(space: SearchSpace, table: LatencyTable) -> float:
     return weighted_latency(one_hot, lats)
 
 
-def relaxed_latency_ms(space: SearchSpace, arch: ArchLogits,
-                       table: LatencyTable) -> float:
-    """Softmax-weighted expected latency of relaxed logits over all edge instances."""
-    return weighted_latency(arch_weights(space, arch), edge_latencies(space, table))
-
-
 def arch_weights(space: SearchSpace, arch: ArchLogits) -> dict[str, np.ndarray]:
     """Per-kind softmax weights, row per edge position."""
-    return {
-        kind: np.vstack([
-            softmax_weights(arch.by_kind[kind][p]) for p in range(space.n_positions)
-        ])
-        for kind in space.kinds()
-    }
+    return {kind: softmax_weights(arch.by_kind[kind]) for kind in space.kinds()}
+
+
+def _objective(evaluator: SurrogateEvaluator, weights: dict[str, np.ndarray],
+               theta: np.ndarray, split: str, lam: float,
+               lat_vectors: dict[str, np.ndarray], norm: float) -> float:
+    """Surrogate loss plus lambda times the relaxed latency over `norm`."""
+    value = evaluator.loss(weights, theta, split)
+    if lam > 0.0:
+        value += lam * (weighted_latency(weights, lat_vectors) / norm)
+    return value
 
 
 def total_loss(
@@ -121,24 +120,20 @@ def total_loss(
     """
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
-    track = evaluator.loss(arch_weights(space, arch), np.asarray(theta), split)
-    if lam == 0.0:
-        return track
-    norm = max_latency_ms(space, table)
-    return track + lam * (relaxed_latency_ms(space, arch, table) / norm)
+    return _objective(evaluator, arch_weights(space, arch), np.asarray(theta), split,
+                      lam, edge_latencies(space, table), max_latency_ms(space, table))
 
 
 def _alpha_gradient(
     space: SearchSpace,
-    arch: ArchLogits,
+    weights: dict[str, np.ndarray],
     theta: np.ndarray,
     evaluator: SurrogateEvaluator,
     lat_vectors: dict[str, np.ndarray],
     norm: float,
     lam: float,
 ) -> dict[str, np.ndarray]:
-    """Exact gradient of total_loss w.r.t. the logits via the softmax Jacobian."""
-    weights = arch_weights(space, arch)
+    """Exact gradient of total_loss w.r.t. the logits whose softmax is `weights`."""
     g_w, _ = evaluator.grad(weights, theta, "train")
     grads = {}
     for kind in space.kinds():
@@ -178,20 +173,19 @@ def stage1_search(
     best_arch = arch.copy()
     best_theta = theta.copy()
     history = []
+    weights = arch_weights(space, arch)
     for epoch in range(budget.epochs):
-        grads = _alpha_gradient(space, arch, theta, evaluator, lat_vectors, norm, lam)
+        grads = _alpha_gradient(space, weights, theta, evaluator, lat_vectors, norm, lam)
         for kind in space.kinds():
             arch.by_kind[kind] -= budget.alpha_lr * grads[kind]
         if not arch.is_finite():
             raise SearchDivergedError(epoch, "non-finite logits")
+        # these weights serve the theta steps, the validation and the next alpha step
         weights = arch_weights(space, arch)
         for _ in range(budget.theta_iters):
             _, g_theta = evaluator.grad(weights, theta, "train")
             theta = theta - budget.theta_lr * g_theta
-        # total_loss on "val", reusing the latency vectors and norm built above
-        val = evaluator.loss(weights, theta, "val")
-        if lam > 0.0:
-            val += lam * (weighted_latency(weights, lat_vectors) / norm)
+        val = _objective(evaluator, weights, theta, "val", lam, lat_vectors, norm)
         if not math.isfinite(val):
             raise SearchDivergedError(epoch)
         history.append(val)

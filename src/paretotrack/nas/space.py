@@ -137,11 +137,10 @@ def discretize(arch: ArchLogits, space: SearchSpace) -> DiscreteArch:
     it is `none`, which deletes the edge.  Each node then keeps at most its
     two highest-weight incoming edges (ties to the lowest edge index).
     """
-    from ..latency import softmax_weights
+    from .search import arch_weights
 
     ops = space.ops
     none_idx = ops.index("none")
-    retained: list[tuple[str, tuple[int, int], str]] = []
     for kind in space.kinds():
         logits = arch.by_kind[kind]
         if logits.shape != (space.n_positions, len(ops)):
@@ -149,13 +148,11 @@ def discretize(arch: ArchLogits, space: SearchSpace) -> DiscreteArch:
                 f"logits for {kind!r} shaped {logits.shape}, expected "
                 f"({space.n_positions}, {len(ops)})"
             )
-        chosen: list[tuple[int, tuple[int, int], int, float]] = []
-        for pos, edge in enumerate(space.positions):
-            weights = softmax_weights(logits[pos])
-            best = int(np.argmax(weights))  # argmax takes the lowest index on ties
-            if best == none_idx:
-                continue
-            chosen.append((pos, edge, best, float(weights[best])))
+    retained: list[tuple[str, tuple[int, int], str]] = []
+    for kind, weights in arch_weights(space, arch).items():
+        best = weights.argmax(axis=1)  # argmax takes the lowest index on ties
+        chosen = [(pos, edge, int(best[pos]), float(weights[pos, best[pos]]))
+                  for pos, edge in enumerate(space.positions) if best[pos] != none_idx]
         by_node: dict[int, list[tuple[int, tuple[int, int], int, float]]] = {}
         for item in chosen:
             by_node.setdefault(item[1][1], []).append(item)

@@ -390,6 +390,46 @@ def test_search_bad_table_entry_names_the_file_and_line(tmp_path, capsys, field,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit, reason", [
+    (lambda text: re.sub(r"mean_ms=\S+", "mean_ms=0.0", text),
+     "every op of the search space costs 0 ms, so the latency term has no scale"),
+    (lambda text: re.sub(r"op=sep_conv_7 .*\n", "", text),
+     "no latency entry for OpConfig(op_name='sep_conv_7'"),
+], ids=["zero-latencies", "missing-entry"])
+def test_search_rejects_a_table_it_cannot_price_with(tmp_path, capsys, edit, reason):
+    table = tmp_path / "table.txt"
+    assert execute(["profile-latency", "--out", str(table), "--reps", "1"]) == 0
+    table.write_text(edit(table.read_text()))
+    out, plot = tmp_path / "front.txt", tmp_path / "plot.txt"
+    assert execute(["search", "--table", str(table), "--out", str(out),
+                    "--plot-data", str(plot), "--lambdas", "0,1"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {table}: {reason}")
+    assert not out.exists() and not plot.exists()
+
+
+def test_search_writes_nothing_when_every_lambda_fails(tmp_path, capsys):
+    out, plot = tmp_path / "front.txt", tmp_path / "plot.txt"
+    assert execute(["search", "--out", str(out), "--plot-data", str(plot),
+                    "--lambdas", "0,1", "--epochs", "5", "--stage2-iters", "5",
+                    "--theta-lr", "1e300"]) == 1
+    assert "error: all 2 lambdas failed; no front written\n" in capsys.readouterr().err
+    assert not out.exists() and not plot.exists()
+
+
+def test_search_names_a_duplicate_table_entry(tmp_path, capsys):
+    table = tmp_path / "table.txt"
+    assert execute(["profile-latency", "--out", str(table), "--reps", "1"]) == 0
+    lines = table.read_text().splitlines(keepends=True)
+    table.write_text("".join(lines + [lines[2].replace("mean_ms=", "mean_ms=9")]))
+    out = tmp_path / "front.txt"
+    assert execute(["search", "--table", str(table), "--out", str(out),
+                    "--lambdas", "0.1", "--epochs", "5", "--stage2-iters", "5"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {re.escape(str(table))}:{len(lines) + 1}: duplicate "
+                        r"entry for OpConfig\(.*\), first on line 3\n", err), err
+    assert not out.exists()
+
+
 def test_assoc_debug_random(capsys):
     assert execute(["assoc-debug", "--random", "2,3", "--seed", "5"]) == 0
     out = capsys.readouterr().out
@@ -473,6 +513,22 @@ def test_non_finite_box_or_score_names_the_file_and_line(tmp_path, capsys, flag,
     assert execute(argv) == 1
     assert capsys.readouterr().err == (
         f"error: {bad}:2: field '{field}' is not finite: '{token}'\n")
+
+
+@pytest.mark.parametrize("score, w_det", [("1e308", "1.0"), ("1e300", "1e10"),
+                                           ("-1e308", "1.0"), ("5.0", "1e308")])
+def test_track_names_a_detection_whose_weighted_score_overflows(tmp_path, capsys,
+                                                                score, w_det):
+    lines = [format_label_line(make_label(f, -1, slot_box(0, f), score=0.9))
+             for f in range(4)]
+    lines[2] = " ".join(lines[2].split()[:-1] + [score])
+    lines[3] = " ".join(lines[3].split()[:-1] + [score])
+    argv, bad = _kitti_argv(tmp_path, "--dets", "\n".join(lines) + "\n")
+    assert execute(argv + ["--w-det", w_det]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}:3: score {float(score)!r} weighted by --w-det "
+        f"{float(w_det)!r} is not finite\n")
+    assert not (tmp_path / "res.txt").exists()
 
 
 @pytest.mark.parametrize("flag", ["--gt", "--hyp"])

@@ -1,8 +1,10 @@
-"""Byte identity of `track` output and `evaluate` stdout on a seeded sequence.
+"""Byte identity of `track`, `evaluate` and `search` outputs.
 
-The digest was computed with the object-per-line KITTI reader and writer;
-any later change to parsing, tracking, evaluation or formatting that moves a
-byte of either output fails here.
+The track/evaluate digest was computed with the object-per-line KITTI reader
+and writer; any later change to parsing, tracking, evaluation or formatting
+that moves a byte of either output fails here.  The search digest was
+computed with the per-row softmax; it pins the front and plot files on three
+flag sets.
 """
 
 import contextlib
@@ -10,9 +12,18 @@ import hashlib
 import io
 import random
 
+import numpy as np
+
 from paretotrack.cli import execute
 
 GOLDEN_SHA256 = "43ba1c4661fcbb464349459c9152c287cd1a2c0ec88b90aa08e99fc13db6a819"
+SEARCH_SHA256 = "aa947edbc04812c6174a2c587a33aa6f43f2c4c68735c57bb6cd0d4272b0c8e6"
+
+# The c06 problem at every 32nd of its 129 lambdas, on a synthetic-clock table.
+C06_LAMBDAS = np.logspace(-3, 2.5, 129).tolist()[::32]
+C06_FLAGS = ["--normal-cells", "1", "--reduction-cells", "0", "--nodes", "3",
+             "--epochs", "200", "--theta-iters", "2", "--alpha-lr", "0.5",
+             "--theta-lr", "0.2", "--stage2-iters", "300", "--eval-interval", "20"]
 
 
 def _line(frame, track_id, box, rng, score=None):
@@ -72,3 +83,24 @@ def test_track_and_evaluate_outputs_match_the_golden_digest(tmp_path):
                                 "--hyp", str(out), "--iou", iou]) == 0
             digest.update(stdout.getvalue().encode())
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_search_front_and_plot_match_the_golden_digest(tmp_path, capsys):
+    table = tmp_path / "table.txt"
+    assert execute(["profile-latency", "--out", str(table), "--clock", "synthetic"]) == 0
+    flag_sets = (
+        [],
+        ["--table", str(table),
+         "--lambdas", ",".join(repr(x) for x in C06_LAMBDAS)]
+        + C06_FLAGS,
+        ["--normal-cells", "2", "--reduction-cells", "1", "--nodes", "4",
+         "--surrogate", "quadratic"],
+    )
+    digest = hashlib.sha256()
+    for i, flags in enumerate(flag_sets):
+        front, plot = tmp_path / f"front-{i}.txt", tmp_path / f"plot-{i}.txt"
+        assert execute(["search", "--out", str(front), "--plot-data", str(plot)]
+                       + flags) == 0
+        digest.update(front.read_bytes())
+        digest.update(plot.read_bytes())
+    assert digest.hexdigest() == SEARCH_SHA256

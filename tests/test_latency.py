@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from paretotrack.latency import (
     CANDIDATE_OPS,
@@ -105,6 +108,16 @@ def test_softmax_rejects_empty_and_nonfinite():
         softmax_weights([])
     with pytest.raises(ValueError):
         softmax_weights([np.inf, 0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=12),
+                  elements=st.floats(-1e3, 1e3)))
+def test_softmax_of_rows_equals_each_row_alone(logits):
+    weights = softmax_weights(logits)
+    assert weights.shape == logits.shape
+    for index in np.ndindex(logits.shape[:-1]):
+        assert weights[index].tobytes() == softmax_weights(logits[index]).tobytes()
 
 
 def _table(values):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import nominal_table
 from paretotrack import nas
 from paretotrack.latency import CANDIDATE_OPS, LatencyEntry, LatencyTable
-from paretotrack.nas.search import arch_weights, max_latency_ms, relaxed_latency_ms
+from paretotrack.nas.search import arch_weights, max_latency_ms
 from paretotrack.nas.space import (
     DiscreteArch,
     edge_latencies,
@@ -170,7 +170,8 @@ def test_total_loss_normalized_latency_in_unit_interval(rng):
     table = nominal_table(space)
     for _ in range(20):
         arch = nas.ArchLogits.random(space, rng, scale=3.0)
-        ratio = relaxed_latency_ms(space, arch, table) / max_latency_ms(space, table)
+        ratio = (weighted_latency(arch_weights(space, arch), edge_latencies(space, table))
+                 / max_latency_ms(space, table))
         assert 0.0 < ratio <= 1.0
 
 
@@ -287,7 +288,7 @@ def test_stage1_single_step_budget():
     rng = np.random.default_rng(7)
     arch0 = nas.ArchLogits.random(space, rng)
     theta0 = rng.normal(0.0, 0.5, size=ev.theta_dim)
-    grads = _alpha_gradient(space, arch0, theta0, ev,
+    grads = _alpha_gradient(space, arch_weights(space, arch0), theta0, ev,
                             edge_latencies(space, table),
                             max_latency_ms(space, table), 0.5)
     for kind in space.kinds():
