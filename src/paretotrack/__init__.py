@@ -40,7 +40,6 @@ from .latency import (
     OpConfig,
     OpTemplate,
     TableFormatError,
-    expected_latency,
     profile_op,
     softmax_weights,
 )

@@ -221,11 +221,10 @@ def _cmd_profile_latency(args: argparse.Namespace) -> int:
             cfg = template.with_op(op)
             cost = nominal_cost_ms(cfg)
             if args.clock == "synthetic":
-                entry = profile_op(cfg, lambda: None,
-                                   clock=ScriptedClock([cost]),
+                entry = profile_op(lambda: None, clock=ScriptedClock([cost]),
                                    warmup=args.warmup, reps=args.reps)
             else:
-                entry = profile_op(cfg, _busy_workload(cost),
+                entry = profile_op(_busy_workload(cost),
                                    warmup=args.warmup, reps=args.reps)
             table.add(cfg, entry)
     buf = io.StringIO()

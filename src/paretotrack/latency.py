@@ -1,9 +1,9 @@
-"""Per-operation latency measurement, lookup table and expected-latency model.
+"""Per-operation latency measurement and lookup table.
 
 Latencies are profiled per operation configuration (op kind, channels,
-resolution, stride) into an exact-match lookup table.  The expected latency of
-a relaxed architecture is the softmax-weighted sum of the candidate-op
-latencies on every edge, read straight from the table.
+resolution, stride) into an exact-match lookup table.  The expected-latency
+model of the search, the softmax-weighted sum of these table entries over
+every edge, lives in `nas.space` (`edge_latencies`, `weighted_latency`).
 
 Clocks return monotonically non-decreasing MILLISECONDS; the default wraps
 time.perf_counter.  Tests inject scripted clocks, so nothing here depends on
@@ -130,9 +130,6 @@ class LatencyTable:
         except KeyError:
             raise LatencyLookupError(cfg) from None
 
-    def mean_ms(self, cfg: OpConfig) -> float:
-        return self.get(cfg).mean_ms
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -193,7 +190,6 @@ def default_clock() -> float:
 
 
 def profile_op(
-    cfg: OpConfig,
     workload: Callable[[], object],
     clock: Callable[[], float] | None = None,
     warmup: int = 10,
@@ -208,7 +204,6 @@ def profile_op(
         raise ValueError("reps must be >= 1")
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
-    _ = cfg  # the workload already embodies the configuration
     if clock is None:
         clock = default_clock
     for _i in range(warmup):
@@ -240,34 +235,9 @@ def softmax_weights(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def op_latencies(table: LatencyTable, template: OpTemplate,
-                 ops: Sequence[str] = CANDIDATE_OPS) -> np.ndarray:
-    """Table latency of every op on one edge template, in `ops` order."""
-    return np.array([table.mean_ms(template.with_op(op)) for op in ops])
-
-
-def expected_latency(
-    edge_logits: Sequence[np.ndarray],
-    table: LatencyTable,
-    edge_configs: Sequence[OpTemplate],
-    ops: Sequence[str] = CANDIDATE_OPS,
-) -> float:
-    """Softmax-weighted expected latency in milliseconds, summed over edges.
-
-    Every (edge, op) pair must resolve to a profiled table entry; a missing
-    configuration raises LatencyLookupError rather than interpolating.
-    """
-    if len(edge_logits) != len(edge_configs):
-        raise ValueError("one logit vector per edge config is required")
-    rows = [np.asarray(logits, dtype=np.float64).reshape(-1) for logits in edge_logits]
-    for row in rows:
-        if row.shape[0] != len(ops):
-            raise ValueError(f"expected {len(ops)} logits per edge, got {row.shape[0]}")
-    weights = softmax_weights(np.reshape(rows, (len(rows), len(ops))))
-    return math.fsum(
-        math.fsum(w * l for w, l in zip(row, op_latencies(table, template, ops)))
-        for row, template in zip(weights, edge_configs)
-    )
+def op_latencies(table: LatencyTable, template: OpTemplate) -> np.ndarray:
+    """Table latency of each op of CANDIDATE_OPS, in order, on one edge template."""
+    return np.array([table.get(template.with_op(op)).mean_ms for op in CANDIDATE_OPS])
 
 
 def nominal_cost_ms(cfg: OpConfig) -> float:

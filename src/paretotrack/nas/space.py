@@ -182,7 +182,7 @@ def one_hot_weights(arch: DiscreteArch, space: SearchSpace) -> dict[str, np.ndar
 def edge_latencies(space: SearchSpace, table: LatencyTable) -> dict[str, np.ndarray]:
     """Per kind: instance-weighted latency of each candidate op on one edge."""
     return {
-        kind: op_latencies(table, space.op_template(kind), space.ops)
+        kind: op_latencies(table, space.op_template(kind))
         * space.instance_count(kind)
         for kind in space.kinds()
     }

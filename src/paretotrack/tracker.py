@@ -11,7 +11,6 @@ tracklet's miss counter.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -155,23 +154,25 @@ def run_sequence(
 ) -> list[Tracklet]:
     """Track a whole sequence and return every tracklet that was ever confirmed.
 
-    Frames are walked contiguously from the smallest to the largest key;
-    absent keys count as frames with zero detections, so gaps age tracklets.
-    While no tracklet is active, stepping an absent frame changes nothing, so
-    the walk jumps ahead to the next frame with detections.
+    Frames with detections are stepped in key order.  The frame indices
+    between them, absent or empty, are frames with zero detections, so gaps
+    age tracklets.  A run of them is applied at once: every active tracklet
+    takes the run's length in misses and loses its hit streak, then the
+    lifecycle rules run once.  That ends where stepping each empty frame
+    would: a tentative tracklet dies at its first miss, a confirmed one
+    retires once its misses reach t_death.
     """
     state = TrackerState(config=cfg)
-    if not seq.frames:
-        return []
-    frames = sorted(seq.frames)
-    frame = frames[0]
-    while frame <= frames[-1]:
-        if not state.active and frame not in seq.frames:
-            frame = frames[bisect_left(frames, frame)]
-        detections = seq.frames.get(frame, [])
-        scores = scorer(state.active, detections)
-        step(state, frame, detections, scores)
-        frame += 1
+    previous = None
+    for frame in sorted(f for f, dets in seq.frames.items() if dets):
+        if previous is not None and frame - previous > 1:
+            for track in state.active:
+                track.consecutive_misses += frame - previous - 1
+                track.consecutive_hits = 0
+            apply_birth_death(state)
+        detections = seq.frames[frame]
+        step(state, frame, detections, scorer(state.active, detections))
+        previous = frame
     confirmed = state.retired + [
         t for t in state.active if t.state is TrackState.CONFIRMED
     ]

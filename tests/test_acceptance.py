@@ -27,15 +27,16 @@ from paretotrack.assoc import (
 )
 from paretotrack.cli import execute
 from paretotrack.kitti_io import format_label_line, parse_objects
-from paretotrack.latency import (
-    CANDIDATE_OPS,
-    LatencyEntry,
-    LatencyTable,
-    OpTemplate,
-    expected_latency,
-)
+from paretotrack.latency import CANDIDATE_OPS, LatencyEntry, LatencyTable
 from paretotrack.metrics import check_report_identity, clear_mot
-from paretotrack.nas.space import DiscreteArch, discrete_latency, one_hot_weights
+from paretotrack.nas.search import arch_weights
+from paretotrack.nas.space import (
+    DiscreteArch,
+    discrete_latency,
+    edge_latencies,
+    one_hot_weights,
+    weighted_latency,
+)
 from paretotrack.tracker import TrackerConfig, TrackerState, TrackState, run_sequence, step
 
 
@@ -142,41 +143,47 @@ def test_c04_lifecycle_gating(t_birth, t_death):
 
 def test_c05_latency_model_matches_recomputation():
     rng = np.random.default_rng(105)
-    ops = CANDIDATE_OPS
     for _ in range(100):
-        n_edges = int(rng.integers(1, 6))
-        templates = []
+        normal = int(rng.integers(0, 4))
+        space = nas.init_search_space(nas.SpaceConfig(
+            normal_cells=normal, reduction_cells=int(rng.integers(0 if normal else 1, 4)),
+            nodes=int(rng.integers(2, 6)), branches=int(rng.integers(1, 4)),
+            channels=int(rng.integers(1, 64)), resolution=int(rng.integers(1, 256)),
+        ))
         table = LatencyTable()
-        for e in range(n_edges):
-            tpl = OpTemplate(int(rng.integers(1, 64)), int(rng.integers(1, 64)),
-                             int(rng.integers(1, 256)), int(rng.integers(1, 3)))
-            templates.append(tpl)
-            for op in ops:
-                if tpl.with_op(op) not in table:
-                    table.add(tpl.with_op(op),
-                              LatencyEntry(float(rng.uniform(0.01, 20.0)), 0.0, 1))
-        logits = [rng.uniform(-4, 4, len(ops)) for _ in range(n_edges)]
-        got = expected_latency(logits, table, templates, ops=ops)
+        for kind in space.kinds():
+            for op in space.ops:
+                table.add(space.op_template(kind).with_op(op),
+                          LatencyEntry(float(rng.uniform(0.01, 20.0)), 0.0, 1))
+        lats = edge_latencies(space, table)
+        arch = nas.ArchLogits({
+            kind: rng.uniform(-4, 4, (space.n_positions, len(space.ops)))
+            for kind in space.kinds()
+        })
+        got = weighted_latency(arch_weights(space, arch), lats)
         # independent recomputation: plain softmax and nested loops
         expected = 0.0
-        for lg, tpl in zip(logits, templates):
-            exps = [math.exp(v) for v in lg]
-            denom = sum(exps)
-            expected += sum(
-                (e / denom) * table.get(tpl.with_op(op)).mean_ms
-                for e, op in zip(exps, ops)
-            )
+        for kind in space.kinds():
+            tpl = space.op_template(kind)
+            for pos in range(space.n_positions):
+                exps = [math.exp(v) for v in arch.by_kind[kind][pos]]
+                denom = sum(exps)
+                expected += space.instance_count(kind) * sum(
+                    (e / denom) * table.get(tpl.with_op(op)).mean_ms
+                    for e, op in zip(exps, space.ops)
+                )
         assert abs(got - expected) <= 1e-12 * max(abs(expected), 1e-30)
 
-        # one-hot limit on the first edge
-        vals = [table.get(templates[0].with_op(op)).mean_ms for op in ops]
-        spread = max(vals) - min(vals)
-        idx = int(rng.integers(len(ops)))
-        hot = logits[0].copy()
-        hot[idx] += 50.0
-        one = expected_latency([hot], table, [templates[0]], ops=ops)
-        assert abs(one - vals[idx]) <= 1e-6 * max(spread, 1e-30)
-    _ok(5, "expected latency matches independent recomputation")
+        # one-hot limit: one logit per edge raised by 50 prices that op alone
+        hot_ops = {kind: rng.integers(len(space.ops), size=space.n_positions)
+                   for kind in space.kinds()}
+        for kind, idx in hot_ops.items():
+            arch.by_kind[kind][np.arange(space.n_positions), idx] += 50.0
+        one = weighted_latency(arch_weights(space, arch), lats)
+        exact = math.fsum(float(lats[kind][i]) for kind, idx in hot_ops.items() for i in idx)
+        spread = math.fsum(space.n_positions * float(np.ptp(lats[kind])) for kind in lats)
+        assert abs(one - exact) <= 1e-6 * max(spread, 1e-30)
+    _ok(5, "the search's latency model matches independent recomputation")
 
 
 def test_c06_pareto_search_hypervolume():

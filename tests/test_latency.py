@@ -16,7 +16,6 @@ from paretotrack.latency import (
     OpConfig,
     OpTemplate,
     ScriptedClock,
-    expected_latency,
     nominal_cost_ms,
     profile_op,
     softmax_weights,
@@ -33,23 +32,22 @@ def test_op_config_validation():
 
 
 def test_profile_constant_clock():
-    entry = profile_op(TPL.with_op("identity"), lambda: None,
-                       clock=ScriptedClock([1.0]), warmup=10, reps=100)
+    entry = profile_op(lambda: None, clock=ScriptedClock([1.0]), warmup=10, reps=100)
     assert entry.mean_ms == 1.0
     assert entry.std_ms == 0.0
     assert entry.reps == 100
 
 
 def test_profile_alternating_clock():
-    entry = profile_op(TPL.with_op("identity"), lambda: None,
-                       clock=ScriptedClock([1.0, 0.0, 3.0, 0.0]), warmup=0, reps=10)
+    entry = profile_op(lambda: None, clock=ScriptedClock([1.0, 0.0, 3.0, 0.0]),
+                       warmup=0, reps=10)
     assert entry.mean_ms == 2.0
     assert entry.std_ms == 1.0
 
 
 def test_profile_rejects_zero_reps():
     with pytest.raises(ValueError):
-        profile_op(TPL.with_op("identity"), lambda: None, reps=0)
+        profile_op(lambda: None, reps=0)
 
 
 def test_profile_detects_backwards_clock():
@@ -62,22 +60,19 @@ def test_profile_detects_backwards_clock():
             return self.t
 
     with pytest.raises(ClockError):
-        profile_op(TPL.with_op("identity"), lambda: None, clock=Backwards(), reps=3)
+        profile_op(lambda: None, clock=Backwards(), reps=3)
 
 
 def test_profile_runs_warmup_before_timing():
     calls = []
     clock = ScriptedClock([1.0])
-    profile_op(TPL.with_op("identity"), lambda: calls.append(1),
-               clock=clock, warmup=7, reps=5)
+    profile_op(lambda: calls.append(1), clock=clock, warmup=7, reps=5)
     assert len(calls) == 12
 
 
 def test_profile_reproducible_with_scripted_clock():
-    a = profile_op(TPL.with_op("identity"), lambda: None,
-                   clock=ScriptedClock([0.25, 0.5]), warmup=2, reps=40)
-    b = profile_op(TPL.with_op("identity"), lambda: None,
-                   clock=ScriptedClock([0.25, 0.5]), warmup=2, reps=40)
+    a = profile_op(lambda: None, clock=ScriptedClock([0.25, 0.5]), warmup=2, reps=40)
+    b = profile_op(lambda: None, clock=ScriptedClock([0.25, 0.5]), warmup=2, reps=40)
     assert a == b
 
 
@@ -120,73 +115,8 @@ def test_softmax_of_rows_equals_each_row_alone(logits):
         assert weights[index].tobytes() == softmax_weights(logits[index]).tobytes()
 
 
-def _table(values):
-    table = LatencyTable()
-    for op, ms in values.items():
-        table.add(TPL.with_op(op), LatencyEntry(ms, 0.0, 1))
-    return table
-
-
-def test_expected_latency_single_op():
-    table = _table({"identity": 5.0})
-    lat = expected_latency([np.zeros(1)], table, [TPL], ops=("identity",))
-    assert lat == 5.0
-
-
-def test_expected_latency_equal_weights():
-    table = _table({"identity": 10.0, "sep_conv_3": 20.0})
-    lat = expected_latency([np.zeros(2)], table, [TPL],
-                           ops=("identity", "sep_conv_3"))
-    assert lat == 15.0
-
-
-def test_expected_latency_ln2_weights():
-    table = _table({"identity": 10.0, "sep_conv_3": 20.0})
-    lat = expected_latency([np.array([math.log(2), 0.0])], table, [TPL],
-                           ops=("identity", "sep_conv_3"))
-    assert abs(lat - 40 / 3) < 1e-12
-
-
-def test_expected_latency_missing_entry_names_config():
-    table = _table({"identity": 10.0})
-    with pytest.raises(LatencyLookupError, match="sep_conv_3"):
-        expected_latency([np.zeros(2)], table, [TPL], ops=("identity", "sep_conv_3"))
-
-
-def test_expected_latency_linear_in_table(rng):
-    ops = ("identity", "max_pool_3", "sep_conv_3")
-    base = {op: float(rng.uniform(1, 5)) for op in ops}
-    logits = [rng.normal(size=3) for _ in range(4)]
-    templates = [TPL] * 4
-    lat1 = expected_latency(logits, _table(base), templates, ops=ops)
-    lat3 = expected_latency(logits, _table({k: 3 * v for k, v in base.items()}),
-                            templates, ops=ops)
-    assert abs(lat3 - 3 * lat1) < 1e-9 * abs(lat3)
-
-
-def test_expected_latency_bounds(rng):
-    ops = ("identity", "max_pool_3", "sep_conv_3")
-    vals = {op: float(rng.uniform(1, 9)) for op in ops}
-    table = _table(vals)
-    for _ in range(50):
-        lat = expected_latency([rng.normal(size=3)], table, [TPL], ops=ops)
-        assert min(vals.values()) <= lat <= max(vals.values())
-
-
-def test_expected_latency_one_hot_limit(rng):
-    ops = ("identity", "max_pool_3", "sep_conv_3")
-    vals = {"identity": 2.0, "max_pool_3": 5.0, "sep_conv_3": 9.0}
-    table = _table(vals)
-    rng_range = max(vals.values()) - min(vals.values())
-    for idx, op in enumerate(ops):
-        logits = np.zeros(3)
-        logits[idx] += 50.0
-        lat = expected_latency([logits], table, [TPL], ops=ops)
-        assert abs(lat - vals[op]) <= 1e-6 * rng_range
-
-
 def test_table_exact_match_only():
-    table = _table({"identity": 1.0})
+    table = LatencyTable({TPL.with_op("identity"): LatencyEntry(1.0, 0.0, 1)})
     other = OpTemplate(in_channels=32, out_channels=16, resolution=32, stride=1)
     with pytest.raises(LatencyLookupError):
         table.get(other.with_op("identity"))

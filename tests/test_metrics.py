@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_gt_sequence
+from conftest import random_gt_sequence, slot_box
 from paretotrack.geometry import Box2D
 from paretotrack.metrics import (
     check_report_identity,
@@ -135,3 +137,34 @@ def test_per_frame_counts_sum(rng):
     report = clear_mot(gt, hyp, 0.5)
     assert check_report_identity(report)
     assert report.fn == sum(fn for _, fn, _ in report.per_frame)
+
+
+@st.composite
+def _frame_map(draw):
+    """frame -> [(id, box)]: up to 4 of 6 box slots, ids unique within a frame.
+
+    Drawn ids are independent of slots, so maps share ids across slots (swaps);
+    a frame key may hold no object, and a slot's box may be shifted sideways
+    by 0, 15 or 30 pixels (IoU 1, 0.6 or 1/3 with the unshifted box).
+    """
+    frames = {}
+    for f in draw(st.sets(st.integers(0, 9), max_size=8)):
+        slots = draw(st.lists(st.integers(0, 5), unique=True, max_size=4))
+        ids = draw(st.lists(st.integers(0, 5), unique=True,
+                            min_size=len(slots), max_size=len(slots)))
+        shifts = draw(st.lists(st.sampled_from([0.0, 15.0, 30.0]),
+                               min_size=len(slots), max_size=len(slots)))
+        frames[f] = [(i, _shifted(slot_box(s, f), dx))
+                     for i, s, dx in zip(ids, slots, shifts)]
+    return frames
+
+
+@settings(max_examples=300, deadline=None)
+@given(gt=_frame_map(), hyp=_frame_map(), thresh=st.sampled_from([0.3, 0.5, 0.7, 1.0]))
+def test_clear_mot_counts_hold_on_independent_frame_maps(gt, hyp, thresh):
+    report = clear_mot(gt, hyp, thresh)
+    assert check_report_identity(report)
+    hyp_total = sum(len(objs) for objs in hyp.values())
+    matches = report.gt_count - report.fn
+    assert matches == hyp_total - report.fp
+    assert 0 <= report.idsw <= matches

@@ -226,7 +226,7 @@ def _summary(tracks):
             for t in tracks]
 
 
-@pytest.mark.parametrize("t_death", [1, 5, 3000])
+@pytest.mark.parametrize("t_death", [1, 5, 3000, 10**6])
 def test_run_sequence_gap_skip_matches_frame_walk(t_death):
     # two bursts 4000 frames apart with one lone detection in between; with
     # t_death=3000 the first tracklets are still alive at the lone detection
@@ -244,12 +244,15 @@ def test_run_sequence_huge_frame_gap_finishes_quickly():
     seq = SequenceDetections()
     for f in (0, 1, 2, 10**9, 10**9 + 1):
         seq.frames[f] = [_det(f, 0)]
-    t0 = time.perf_counter()
-    tracks = run_sequence(seq, IdentityScorer(), TrackerConfig(t_birth=2, t_death=5))
-    assert time.perf_counter() - t0 < 1.0
-    assert [[f for f, _ in t.detections] for t in tracks] == [
-        [0, 1, 2], [10**9, 10**9 + 1]
-    ]
+    for t_death, identities in [
+        (5, [[0, 1, 2], [10**9, 10**9 + 1]]),
+        # the first identity is still alive, and confirmed, across the gap
+        (2 * 10**9, [[0, 1, 2, 10**9, 10**9 + 1]]),
+    ]:
+        t0 = time.perf_counter()
+        tracks = run_sequence(seq, IdentityScorer(), TrackerConfig(t_birth=2, t_death=t_death))
+        assert time.perf_counter() - t0 < 1.0
+        assert [[f for f, _ in t.detections] for t in tracks] == identities
 
 
 # frame -> {slot: confidence}; a slot's box drifts one pixel per frame, so the
