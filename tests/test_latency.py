@@ -20,6 +20,9 @@ from paretotrack.latency import (
     profile_op,
     softmax_weights,
 )
+from paretotrack.nas import ArchLogits, SpaceConfig, init_search_space
+from paretotrack.nas.search import arch_weights
+from paretotrack.nas.space import edge_latencies, weighted_latency
 
 TPL = OpTemplate(in_channels=16, out_channels=16, resolution=32, stride=1)
 
@@ -113,6 +116,77 @@ def test_softmax_of_rows_equals_each_row_alone(logits):
     assert weights.shape == logits.shape
     for index in np.ndindex(logits.shape[:-1]):
         assert weights[index].tobytes() == softmax_weights(logits[index]).tobytes()
+
+
+# One edge of one cell on one branch, priced at TPL: the relaxed latency of the
+# search's model is then the softmax-weighted mean of the table row.
+EDGE = init_search_space(SpaceConfig(normal_cells=1, reduction_cells=0, nodes=2,
+                                     branches=1, channels=16, resolution=32))
+
+
+def _table(values):
+    return LatencyTable({TPL.with_op(op): LatencyEntry(ms, 0.0, 1)
+                         for op, ms in values.items()})
+
+
+def _relaxed_latency(logits, table):
+    arch = ArchLogits({"normal": np.asarray(logits, dtype=np.float64)[None, :]})
+    return weighted_latency(arch_weights(EDGE, arch), edge_latencies(EDGE, table))
+
+
+def test_expected_latency_single_op():
+    table = _table({op: 9.0 for op in CANDIDATE_OPS} | {"identity": 5.0})
+    logits = np.zeros(len(CANDIDATE_OPS))
+    logits[CANDIDATE_OPS.index("identity")] = 1e3
+    assert _relaxed_latency(logits, table) == 5.0
+
+
+def test_expected_latency_equal_weights():
+    table = _table({op: 10.0 * (i + 1) for i, op in enumerate(CANDIDATE_OPS)})
+    lat = _relaxed_latency(np.zeros(len(CANDIDATE_OPS)), table)
+    assert abs(lat - 5.0 * (len(CANDIDATE_OPS) + 1)) < 1e-12 * lat
+
+
+def test_expected_latency_ln2_weights():
+    n = len(CANDIDATE_OPS)
+    table = _table({op: 20.0 for op in CANDIDATE_OPS} | {"identity": 10.0})
+    logits = np.zeros(n)
+    logits[CANDIDATE_OPS.index("identity")] = math.log(2)
+    # identity weighs 2 / (n + 1), every other op 1 / (n + 1)
+    assert abs(_relaxed_latency(logits, table) - 20.0 * n / (n + 1)) < 1e-12
+
+
+def test_expected_latency_missing_entry_names_config():
+    table = _table({op: 10.0 for op in CANDIDATE_OPS if op != "sep_conv_3"})
+    with pytest.raises(LatencyLookupError, match="sep_conv_3"):
+        _relaxed_latency(np.zeros(len(CANDIDATE_OPS)), table)
+
+
+def test_expected_latency_linear_in_table(rng):
+    base = {op: float(rng.uniform(1, 5)) for op in CANDIDATE_OPS}
+    for _ in range(20):
+        logits = rng.normal(size=len(CANDIDATE_OPS))
+        lat1 = _relaxed_latency(logits, _table(base))
+        lat3 = _relaxed_latency(logits, _table({k: 3 * v for k, v in base.items()}))
+        assert abs(lat3 - 3 * lat1) < 1e-9 * abs(lat3)
+
+
+def test_expected_latency_bounds(rng):
+    vals = {op: float(rng.uniform(1, 9)) for op in CANDIDATE_OPS}
+    table = _table(vals)
+    for _ in range(50):
+        lat = _relaxed_latency(rng.normal(size=len(CANDIDATE_OPS)), table)
+        assert min(vals.values()) <= lat <= max(vals.values())
+
+
+def test_expected_latency_one_hot_limit():
+    vals = {op: 2.0 + i for i, op in enumerate(CANDIDATE_OPS)}
+    table = _table(vals)
+    rng_range = max(vals.values()) - min(vals.values())
+    for idx, op in enumerate(CANDIDATE_OPS):
+        logits = np.zeros(len(CANDIDATE_OPS))
+        logits[idx] += 50.0
+        assert abs(_relaxed_latency(logits, table) - vals[op]) <= 1e-6 * rng_range
 
 
 def test_table_exact_match_only():

@@ -202,8 +202,8 @@ def test_total_loss_minimal_at_cheapest_arch():
 
 
 @st.composite
-def _priced_spaces(draw, free_none=True):
-    """A two-kind space and a random table, `none` free unless told otherwise."""
+def _discrete_problems(draw):
+    """A two-kind space, a random table with a free `none` and a random arch."""
     space = small_space(normal_cells=draw(st.integers(1, 3)),
                         reduction_cells=draw(st.integers(1, 3)),
                         nodes=draw(st.integers(2, 4)))
@@ -212,15 +212,8 @@ def _priced_spaces(draw, free_none=True):
     for kind in space.kinds():
         template = space.op_template(kind)
         for op in space.ops:
-            cost = 0.0 if op == "none" and free_none else draw(ms)
+            cost = 0.0 if op == "none" else draw(ms)
             table.add(template.with_op(op), LatencyEntry(cost, 0.0, 1))
-    return space, table
-
-
-@st.composite
-def _discrete_problems(draw):
-    """A priced space with a free `none` and a random arch."""
-    space, table = draw(_priced_spaces())
     edges = tuple(
         (kind, edge, op)
         for kind in space.kinds() for edge in space.positions
@@ -251,31 +244,6 @@ def test_latency_model_agrees_with_table_sums(problem):
         for kind in space.kinds() for edge in space.positions
     ))
     assert max_latency_ms(space, table) == nas.discrete_latency(slowest, space, table)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_priced_spaces(free_none=False), st.integers(0, 2**32 - 1))
-def test_relaxed_latency_is_a_mean_linear_and_bounded(priced, seed):
-    space, table = priced
-    lats = edge_latencies(space, table)
-    # equal logits weigh every op alike: the mean table entry per edge
-    uniform = weighted_latency(arch_weights(space, nas.ArchLogits.zeros(space)), lats)
-    mean = math.fsum(x for kind in lats for x in lats[kind].tolist()) / len(space.ops)
-    assert math.isclose(uniform, mean * space.n_positions, rel_tol=1e-12, abs_tol=1e-300)
-
-    weights = arch_weights(space, nas.ArchLogits.random(
-        space, np.random.default_rng(seed), scale=3.0))
-    relaxed = weighted_latency(weights, lats)
-    # linear in the table
-    tripled = LatencyTable({cfg: LatencyEntry(3 * e.mean_ms, e.std_ms, e.reps)
-                            for cfg, e in table.items()})
-    assert math.isclose(weighted_latency(weights, edge_latencies(space, tripled)),
-                        3 * relaxed, rel_tol=1e-12, abs_tol=1e-300)
-    # between the cheapest and the slowest discrete architecture
-    cheapest = math.fsum(space.n_positions * float(lats[kind].min()) for kind in lats)
-    slowest = max_latency_ms(space, table)
-    tol = 1e-12 * slowest + 1e-300
-    assert cheapest - tol <= relaxed <= slowest + tol
 
 
 # ------------------------------------------------------------- stage 1
