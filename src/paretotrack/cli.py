@@ -273,6 +273,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     for flag, rate in (("--alpha-lr", args.alpha_lr), ("--theta-lr", args.theta_lr)):
         if not 0.0 <= rate < math.inf:
             raise CliError(f"{flag} {rate!r} must be finite and >= 0")
+    if args.theta_dim < 0:
+        raise CliError(f"--theta-dim {args.theta_dim} must be >= 0")
     space = nas.init_search_space(nas.SpaceConfig(
         normal_cells=args.normal_cells, reduction_cells=args.reduction_cells,
         nodes=args.nodes, branches=args.branches, channels=args.channels,

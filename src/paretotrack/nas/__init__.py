@@ -23,31 +23,3 @@ from .space import (
     one_hot_weights,
 )
 from .surrogate import OpCostSurrogate, QuadraticSurrogate, SurrogateEvaluator
-
-__all__ = [
-    "ArchLogits",
-    "DiscreteArch",
-    "OpCostSurrogate",
-    "ParetoPoint",
-    "QuadraticSurrogate",
-    "SearchDivergedError",
-    "SearchSpace",
-    "SpaceConfig",
-    "Stage1Budget",
-    "Stage1Result",
-    "Stage2Budget",
-    "Stage2Result",
-    "SurrogateEvaluator",
-    "discrete_latency",
-    "discretize",
-    "dominates",
-    "format_discrete_arch",
-    "hypervolume_2d",
-    "init_search_space",
-    "one_hot_weights",
-    "pareto_front",
-    "pareto_sweep",
-    "stage1_search",
-    "stage2_train",
-    "total_loss",
-]

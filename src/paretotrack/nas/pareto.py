@@ -8,12 +8,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..latency import LatencyTable
-from .search import (
-    Stage1Budget,
-    Stage2Budget,
-    stage1_search,
-    stage2_train,
-)
+from .search import (Stage1Budget, Stage1Result, Stage2Budget, check_lambda,
+                     stage1_search, stage2_train)
 from .space import DiscreteArch, SearchSpace, discrete_latency, discretize
 from .surrogate import SurrogateEvaluator
 
@@ -64,25 +60,19 @@ def hypervolume_2d(points: Sequence[ParetoPoint],
     return area
 
 
-def sweep_point(
-    space: SearchSpace,
-    evaluator: SurrogateEvaluator,
-    table: LatencyTable,
-    lam: float,
-    stage1_budget: Stage1Budget,
-    stage2_budget: Stage2Budget,
-    seed: int,
-) -> ParetoPoint:
-    """One full stage1 -> discretize -> stage2 pass for a single lambda."""
-    result = stage1_search(space, evaluator, table, lam, stage1_budget, seed)
-    arch = discretize(result.arch, space)
-    trained = stage2_train(space, arch, evaluator, stage2_budget, seed)
-    return ParetoPoint(
-        latency_ms=discrete_latency(arch, space, table),
-        track_loss=trained.best_val_loss,
-        arch=arch,
-        lambda_used=lam,
-    )
+def sweep_point(space: SearchSpace, evaluator: SurrogateEvaluator, table: LatencyTable,
+                lam: float, searched: Stage1Result, stage2_budget: Stage2Budget, seed: int,
+                scored: dict[DiscreteArch, tuple[float, float]]) -> ParetoPoint:
+    """Discretize one lambda's stage-1 result; price and train its architecture.
+
+    `scored` keeps both per distinct architecture, which is all they depend on
+    within a sweep, so a repeat reuses them exactly.
+    """
+    arch = discretize(searched.arch, space)
+    if arch not in scored:
+        scored[arch] = (discrete_latency(arch, space, table),
+                        stage2_train(space, arch, evaluator, stage2_budget, seed).best_val_loss)
+    return ParetoPoint(*scored[arch], arch=arch, lambda_used=lam)
 
 
 def pareto_sweep(
@@ -94,18 +84,37 @@ def pareto_sweep(
     stage2_budget: Stage2Budget = Stage2Budget(),
     seed: int = 0,
 ) -> list[ParetoPoint]:
-    """Run the two-stage search once per lambda and keep the non-dominated results.
+    """Run the two-stage search for every lambda and keep the non-dominated results.
 
-    A failing lambda is skipped with a logged warning rather than aborting the
-    sweep.
+    Stage 1 runs once for all valid lambdas, stage 2 once per distinct
+    architecture.  A failing lambda is skipped with a logged warning rather
+    than aborting the sweep.
     """
     if not lambdas:
         raise ValueError("need at least one lambda")
-    points = []
-    for lam in lambdas:
+    outcomes: dict[int, object] = {}
+    for i, lam in enumerate(lambdas):
         try:
-            points.append(sweep_point(space, evaluator, table, lam,
-                                      stage1_budget, stage2_budget, seed))
-        except Exception:
-            log.warning("lambda=%s failed, skipping", lam, exc_info=True)
+            check_lambda(lam)
+        except Exception as exc:
+            outcomes[i] = exc
+    valid = [i for i in range(len(lambdas)) if i not in outcomes]
+    try:
+        searched = stage1_search(space, evaluator, table, [lambdas[i] for i in valid],
+                                 stage1_budget, seed)
+    except Exception as exc:
+        searched = [exc] * len(valid)
+    outcomes.update(zip(valid, searched))
+    scored: dict[DiscreteArch, tuple[float, float]] = {}
+    points = []
+    for i, lam in enumerate(lambdas):
+        outcome = outcomes[i]
+        if not isinstance(outcome, Exception):
+            try:
+                points.append(sweep_point(space, evaluator, table, lam, outcome,
+                                          stage2_budget, seed, scored))
+                continue
+            except Exception as exc:
+                outcome = exc
+        log.warning("lambda=%s failed, skipping", lam, exc_info=outcome)
     return pareto_front(points)

@@ -3,15 +3,18 @@
 Stage 1 alternates a gradient step on the architecture logits with inner
 gradient steps on the model parameters, both against the combined objective
 loss + lambda * normalized expected latency, evaluating on the validation
-split each epoch and keeping the best logits.  Stage 2 freezes a pruned
-architecture and trains the parameters on the plain loss, checkpointing the
-best validation value at a fixed interval.
+split each epoch and keeping the best logits.  It runs a list of lambdas as
+one batch, a (lambdas, positions, ops) logits tensor per cell kind, and each
+row does bit for bit what a run with its lambda alone would.  Stage 2
+freezes a pruned architecture and trains the parameters on the plain loss,
+checkpointing the best validation value at a fixed interval.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +30,12 @@ class SearchDivergedError(RuntimeError):
     def __init__(self, epoch: int, message: str = "non-finite loss"):
         super().__init__(f"{message} at epoch {epoch}")
         self.epoch = epoch
+
+
+def check_lambda(lam: float) -> float:
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
+    return lam
 
 
 def _check_learning_rate(name: str, rate: float) -> None:
@@ -94,13 +103,12 @@ def arch_weights(space: SearchSpace, arch: ArchLogits) -> dict[str, np.ndarray]:
 
 
 def _objective(evaluator: SurrogateEvaluator, weights: dict[str, np.ndarray],
-               theta: np.ndarray, split: str, lam: float,
-               lat_vectors: dict[str, np.ndarray], norm: float) -> float:
-    """Surrogate loss plus lambda times the relaxed latency over `norm`."""
-    value = evaluator.loss(weights, theta, split)
-    if lam > 0.0:
-        value += lam * (weighted_latency(weights, lat_vectors) / norm)
-    return value
+               theta: np.ndarray, split: str, lams: np.ndarray,
+               lat_vectors: dict[str, np.ndarray], norm: float) -> list[float]:
+    """Per row: surrogate loss plus lambda times the relaxed latency over `norm`."""
+    losses = np.atleast_1d(evaluator.loss(weights, theta, split)).tolist()
+    return [loss + lam * (lat / norm) if lam > 0.0 else loss for loss, lam, lat
+            in zip(losses, lams.tolist(), weighted_latency(weights, lat_vectors))]
 
 
 def total_loss(
@@ -118,31 +126,24 @@ def total_loss(
     architecture's value, so it lies in (0, 1] and lambda values stay
     comparable across tables.
     """
-    if not 0.0 <= lam < math.inf:
-        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
-    return _objective(evaluator, arch_weights(space, arch), np.asarray(theta), split,
-                      lam, edge_latencies(space, table), max_latency_ms(space, table))
+    weights = {kind: w[None] for kind, w in arch_weights(space, arch).items()}
+    return _objective(evaluator, weights, np.asarray(theta)[None], split,
+                      np.array([check_lambda(lam)]), edge_latencies(space, table),
+                      max_latency_ms(space, table))[0]
 
 
-def _alpha_gradient(
-    space: SearchSpace,
-    weights: dict[str, np.ndarray],
-    theta: np.ndarray,
-    evaluator: SurrogateEvaluator,
-    lat_vectors: dict[str, np.ndarray],
-    norm: float,
-    lam: float,
-) -> dict[str, np.ndarray]:
-    """Exact gradient of total_loss w.r.t. the logits whose softmax is `weights`."""
+def _alpha_gradient(weights: dict[str, np.ndarray], theta: np.ndarray,
+                    evaluator: SurrogateEvaluator, lat_vectors: dict[str, np.ndarray],
+                    norm: float, lams: np.ndarray | float) -> dict[str, np.ndarray]:
+    """Exact gradient of total_loss w.r.t. the logits whose softmax is `weights`, per row."""
     g_w, _ = evaluator.grad(weights, theta, "train")
+    lams = np.asarray(lams)[..., None, None]
+    priced = lams > 0.0  # the latency term only where lambda > 0, as a run with it alone
     grads = {}
-    for kind in space.kinds():
-        w = weights[kind]
-        g = np.asarray(g_w[kind], dtype=np.float64).copy()
-        if lam > 0.0:
-            g = g + lam * lat_vectors[kind][None, :] / norm
+    for kind, w in weights.items():
+        g = np.where(priced, g_w[kind] + lams * lat_vectors[kind] / norm, g_w[kind])
         # d loss / d logits = W * (g - (W . g)) per row
-        dot = (w * g).sum(axis=1, keepdims=True)
+        dot = (w * g).sum(axis=-1, keepdims=True)
         grads[kind] = w * (g - dot)
     return grads
 
@@ -151,51 +152,67 @@ def stage1_search(
     space: SearchSpace,
     evaluator: SurrogateEvaluator,
     table: LatencyTable,
-    lam: float,
+    lambdas: Sequence[float],
     budget: Stage1Budget = Stage1Budget(),
     seed: int = 0,
-) -> Stage1Result:
-    """Search the relaxed architecture under a latency-weighted objective.
+) -> list[Stage1Result | SearchDivergedError]:
+    """Search the relaxed architecture under each latency weight of `lambdas`.
 
     Per epoch: one gradient step on the logits, `theta_iters` gradient steps
     on the parameters (both on the train split), then a validation
-    evaluation; the logits with the best validation total loss are returned.
+    evaluation; each lambda gets the logits of its first best validation
+    total loss, or a SearchDivergedError if its logits or loss turn non-finite.
     """
-    if not 0.0 <= lam < math.inf:
-        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
+    lams = np.array([check_lambda(lam) for lam in lambdas], dtype=np.float64)
     rng = np.random.default_rng(seed)
-    arch = ArchLogits.random(space, rng)
-    theta = rng.normal(0.0, 0.5, size=evaluator.theta_dim)
+    logits = {kind: np.repeat(v[None], len(lams), axis=0)
+              for kind, v in ArchLogits.random(space, rng).by_kind.items()}
+    theta = np.repeat(rng.normal(0.0, 0.5, size=(1, evaluator.theta_dim)), len(lams), axis=0)
     lat_vectors = edge_latencies(space, table)
     norm = max_latency_ms(space, table)
+    live = np.arange(len(lams))  # batch row -> index in `lambdas`
+    best_logits = {kind: v.copy() for kind, v in logits.items()}
+    best_theta, best_val = theta.copy(), np.full(len(lams), math.inf)
+    history: list[list[float]] = [[] for _ in live]
+    diverged: dict[int, SearchDivergedError] = {}
 
-    best_val = math.inf
-    best_arch = arch.copy()
-    best_theta = theta.copy()
-    history = []
-    weights = arch_weights(space, arch)
-    for epoch in range(budget.epochs):
-        grads = _alpha_gradient(space, weights, theta, evaluator, lat_vectors, norm, lam)
-        for kind in space.kinds():
-            arch.by_kind[kind] -= budget.alpha_lr * grads[kind]
-        if not arch.is_finite():
-            raise SearchDivergedError(epoch, "non-finite logits")
-        # these weights serve the theta steps, the validation and the next alpha step
-        weights = arch_weights(space, arch)
-        for _ in range(budget.theta_iters):
-            _, g_theta = evaluator.grad(weights, theta, "train")
-            theta = theta - budget.theta_lr * g_theta
-        val = _objective(evaluator, weights, theta, "val", lam, lat_vectors, norm)
-        if not math.isfinite(val):
-            raise SearchDivergedError(epoch)
-        history.append(val)
-        if val < best_val:
-            best_val = val
-            best_arch = arch.copy()
-            best_theta = theta.copy()
-    return Stage1Result(
-        arch=best_arch, theta=best_theta, best_val_loss=best_val, val_history=history
-    )
+    def keep(ok: np.ndarray, epoch: int, message: str) -> None:
+        nonlocal live, lams, theta, logits, weights
+        if not ok.all():
+            diverged.update((i, SearchDivergedError(epoch, message)) for i in live[~ok].tolist())
+            live, lams, theta = live[ok], lams[ok], theta[ok]
+            logits, weights = ({kind: v[ok] for kind, v in d.items()} for d in (logits, weights))
+
+    # the finiteness checks find a diverging row; a warning would fail every row
+    with np.errstate(all="ignore"):
+        weights = {kind: softmax_weights(v) for kind, v in logits.items()}
+        for epoch in range(budget.epochs):
+            grads = _alpha_gradient(weights, theta, evaluator, lat_vectors, norm, lams)
+            for kind in logits:
+                logits[kind] -= budget.alpha_lr * grads[kind]
+            keep(np.logical_and.reduce([np.isfinite(v).all(axis=(1, 2)) for v in logits.values()]),
+                 epoch, "non-finite logits")
+            if not live.size:
+                break
+            # these weights serve the theta steps, the validation and the next alpha step
+            weights = {kind: softmax_weights(v) for kind, v in logits.items()}
+            for _ in range(budget.theta_iters):
+                _, g_theta = evaluator.grad(weights, theta, "train")
+                theta = theta - budget.theta_lr * g_theta
+            vals = np.array(_objective(evaluator, weights, theta, "val", lams, lat_vectors, norm))
+            ok = np.isfinite(vals)
+            for i, val in zip(live[ok].tolist(), vals[ok].tolist()):
+                history[i].append(val)
+            better = ok & (vals < best_val[live])
+            rows = live[better]
+            best_val[rows] = vals[better]
+            for kind, v in logits.items():
+                best_logits[kind][rows] = v[better]
+            best_theta[rows] = theta[better]
+            keep(ok, epoch, "non-finite loss")
+    return [diverged[i] if i in diverged else Stage1Result(
+        arch=ArchLogits({kind: v[i] for kind, v in best_logits.items()}), theta=best_theta[i],
+        best_val_loss=float(best_val[i]), val_history=history[i]) for i in range(len(history))]
 
 
 def stage2_train(
@@ -231,9 +248,5 @@ def stage2_train(
                 best_val = val
                 best_theta = theta.copy()
             best_history.append(best_val)
-    return Stage2Result(
-        params=best_theta,
-        best_val_loss=best_val,
-        val_history=history,
-        best_history=best_history,
-    )
+    return Stage2Result(params=best_theta, best_val_loss=best_val, val_history=history,
+                        best_history=best_history)

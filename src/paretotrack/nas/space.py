@@ -113,12 +113,6 @@ class ArchLogits:
             for k in space.kinds()
         })
 
-    def copy(self) -> "ArchLogits":
-        return ArchLogits({k: v.copy() for k, v in self.by_kind.items()})
-
-    def is_finite(self) -> bool:
-        return all(np.isfinite(v).all() for v in self.by_kind.values())
-
 
 @dataclass(frozen=True)
 class DiscreteArch:
@@ -189,15 +183,18 @@ def edge_latencies(space: SearchSpace, table: LatencyTable) -> dict[str, np.ndar
 
 
 def weighted_latency(weights: dict[str, np.ndarray],
-                     lats: dict[str, np.ndarray]) -> float:
+                     lats: dict[str, np.ndarray]) -> float | list[float]:
     """fsum of weights[kind] * lats[kind] over every kind, edge position and op.
 
     This is the one latency model of the search: softmax weights give the
     relaxed latency, one-hot weights the latency of a discrete architecture.
+    Weight stacks shaped (rows, positions, ops) give a list, one fsum per row.
     """
-    return math.fsum(
-        x for kind in weights for x in (weights[kind] * lats[kind]).ravel().tolist()
-    )
+    terms = [weights[kind] * lats[kind] for kind in weights]
+    rows = np.concatenate([t.reshape(*t.shape[:-2], -1) for t in terms], axis=-1)
+    if rows.ndim == 1:
+        return math.fsum(rows.tolist())
+    return [math.fsum(row) for row in rows.tolist()]
 
 
 def discrete_latency(arch: DiscreteArch, space: SearchSpace,

@@ -5,6 +5,9 @@ loss and provides exact gradients in both arguments; the search machinery is
 agnostic to what is underneath.  Both evaluators here are deterministic given
 their seed and treat the train/val split tags as the same objective, which
 keeps closed-form optima checkable.
+
+Given weight stacks shaped (rows, positions, ops) and theta shaped (rows,
+theta_dim), both return a list with, bit for bit, each row's loss alone.
 """
 
 from __future__ import annotations
@@ -36,12 +39,12 @@ _OP_QUALITY = {
 
 
 class SurrogateEvaluator(Protocol):
-    """Differentiable loss over (edge-op weights, theta) with a split tag."""
+    """Differentiable loss over (edge-op weights, theta) with a split tag, per row of a stack."""
 
     theta_dim: int
 
     def loss(self, weights: dict[str, np.ndarray], theta: np.ndarray,
-             split: str = "train") -> float: ...
+             split: str = "train") -> float | list[float]: ...
 
     def grad(self, weights: dict[str, np.ndarray], theta: np.ndarray,
              split: str = "train") -> tuple[dict[str, np.ndarray], np.ndarray]: ...
@@ -50,6 +53,11 @@ class SurrogateEvaluator(Protocol):
 def _check_split(split: str) -> None:
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
+
+
+def _check_theta_dim(theta_dim: int) -> None:
+    if theta_dim < 0:
+        raise ValueError(f"theta_dim must be >= 0, got {theta_dim!r}")
 
 
 class QuadraticSurrogate:
@@ -62,6 +70,7 @@ class QuadraticSurrogate:
     """
 
     def __init__(self, space: SearchSpace, theta_dim: int = 4, seed: int = 0):
+        _check_theta_dim(theta_dim)
         rng = np.random.default_rng(seed)
         self.theta_dim = theta_dim
         self.space = space
@@ -75,15 +84,14 @@ class QuadraticSurrogate:
         self.theta_target = rng.uniform(-1.0, 1.0, size=theta_dim)
         self.theta_curvature = rng.uniform(0.5, 2.0, size=theta_dim)
 
-    def loss(self, weights, theta, split="train") -> float:
+    def loss(self, weights, theta, split="train"):
         _check_split(split)
         total = 0.0
         for kind, target in self.weight_targets.items():
             diff = np.asarray(weights[kind]) - target
-            total += float((self.curvature[kind] * diff * diff).sum())
+            total = total + (self.curvature[kind] * diff * diff).sum(axis=(-2, -1))
         dt = np.asarray(theta) - self.theta_target
-        total += float((self.theta_curvature * dt * dt).sum())
-        return total
+        return (total + (self.theta_curvature * dt * dt).sum(axis=-1)).tolist()
 
     def grad(self, weights, theta, split="train"):
         _check_split(split)
@@ -99,7 +107,7 @@ class OpCostSurrogate:
     """Monotone trade-off surrogate: expressive (slow) ops lower the loss.
 
     loss = weighted mean over edges of sum_o W[e,o] * (1 - quality(o))
-         + mu * ||theta - theta*||^2
+         + ||theta - theta*||^2
 
     Each edge carries its own sensitivity drawn from the seed, so different
     edges trade quality against latency at different rates and mixed-op
@@ -108,8 +116,8 @@ class OpCostSurrogate:
     one-hot encoding and enumeration oracles stay exact.
     """
 
-    def __init__(self, space: SearchSpace, theta_dim: int = 4, seed: int = 0,
-                 theta_scale: float = 1.0):
+    def __init__(self, space: SearchSpace, theta_dim: int = 4, seed: int = 0):
+        _check_theta_dim(theta_dim)
         rng = np.random.default_rng(seed)
         self.theta_dim = theta_dim
         self.space = space
@@ -124,18 +132,19 @@ class OpCostSurrogate:
             for kind in space.kinds()
         }
         self.theta_target = rng.uniform(-1.0, 1.0, size=theta_dim)
-        self.theta_scale = theta_scale
 
-    def loss(self, weights, theta, split="train") -> float:
+    def loss(self, weights, theta, split="train"):
         _check_split(split)
         total = 0.0
         for kind, cost in self.edge_cost.items():
-            total += float((np.asarray(weights[kind]) * cost).sum())
+            total = total + (np.asarray(weights[kind]) * cost).sum(axis=(-2, -1))
         dt = np.asarray(theta) - self.theta_target
-        return total + self.theta_scale * float(dt @ dt)
+        # per row the dot product of dt @ dt (einsum would sum in another order)
+        return (total + (dt[..., None, :] @ dt[..., None])[..., 0, 0]).tolist()
 
     def grad(self, weights, theta, split="train"):
         _check_split(split)
+        # constant in the weights, so one matrix serves every row of a stack
         g_w = {kind: cost.copy() for kind, cost in self.edge_cost.items()}
         dt = np.asarray(theta) - self.theta_target
-        return g_w, 2.0 * self.theta_scale * dt
+        return g_w, 2.0 * dt

@@ -236,14 +236,13 @@ def test_c07_lambda_trend():
     table = nominal_table(space)
     evaluator = nas.OpCostSurrogate(space, theta_dim=4, seed=0)
     budget = nas.Stage1Budget(epochs=200, theta_iters=2, alpha_lr=0.5, theta_lr=0.2)
-    medians = []
-    for lam in (0.01, 0.1, 1.0, 10.0):
-        latencies = []
-        for seed in range(5):
-            result = nas.stage1_search(space, evaluator, table, lam, budget, seed)
-            arch = nas.discretize(result.arch, space)
-            latencies.append(discrete_latency(arch, space, table))
-        medians.append(float(np.median(latencies)))
+    lambdas = (0.01, 0.1, 1.0, 10.0)
+    # per seed one batch over the lambdas; row by lambda, column by seed
+    latencies = np.transpose([
+        [discrete_latency(nas.discretize(result.arch, space), space, table)
+         for result in nas.stage1_search(space, evaluator, table, lambdas, budget, seed)]
+        for seed in range(5)])
+    medians = [float(np.median(row)) for row in latencies]
     assert all(a >= b for a, b in zip(medians, medians[1:])), medians
     _ok(7, f"median latency non-increasing in lambda: {medians}")
 

@@ -5,6 +5,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -414,6 +415,36 @@ def test_search_writes_nothing_when_every_lambda_fails(tmp_path, capsys):
                     "--theta-lr", "1e300"]) == 1
     assert "error: all 2 lambdas failed; no front written\n" in capsys.readouterr().err
     assert not out.exists() and not plot.exists()
+
+
+def test_search_names_a_negative_theta_dim(tmp_path, capsys):
+    out = tmp_path / "front.txt"
+    argv = ["search", "--out", str(out), "--lambdas", "0.1,1", "--epochs", "5",
+            "--stage2-iters", "5"]
+    assert execute(argv + ["--theta-dim", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --theta-dim -1 must be >= 0\n"
+    assert not out.exists()
+    assert execute(argv + ["--theta-dim", "0"]) == 0
+    assert out.read_text()
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_search_skips_a_diverging_lambda_alone(tmp_path, capsys, caplog, action):
+    # lambda = 1e308 overflows the latency gradient on the first epoch
+    runs = {}
+    for lambdas in ("0.1,1e308,1", "0.1,1"):
+        out = tmp_path / f"front-{lambdas}.txt"
+        caplog.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            assert execute(["search", "--out", str(out), "--lambdas", lambdas,
+                            "--epochs", "20", "--stage2-iters", "20"]) == 0
+        skips = [r.getMessage() for r in caplog.records
+                 if r.name == "paretotrack.nas.pareto"]
+        runs[lambdas] = skips, out.read_bytes()
+    assert runs["0.1,1e308,1"][0] == ["lambda=1e+308 failed, skipping"]
+    assert runs["0.1,1"][0] == []
+    assert runs["0.1,1e308,1"][1] == runs["0.1,1"][1]
 
 
 def test_search_names_a_duplicate_table_entry(tmp_path, capsys):

@@ -3,8 +3,8 @@
 The track/evaluate digest was computed with the object-per-line KITTI reader
 and writer; any later change to parsing, tracking, evaluation or formatting
 that moves a byte of either output fails here.  The search digest was
-computed with the per-row softmax; it pins the front and plot files on three
-flag sets.
+computed with the per-row softmax and one stage-1 run per lambda; it pins the
+front and plot files on four flag sets, the last the full 129-lambda c06 sweep.
 """
 
 import contextlib
@@ -17,10 +17,10 @@ import numpy as np
 from paretotrack.cli import execute
 
 GOLDEN_SHA256 = "43ba1c4661fcbb464349459c9152c287cd1a2c0ec88b90aa08e99fc13db6a819"
-SEARCH_SHA256 = "aa947edbc04812c6174a2c587a33aa6f43f2c4c68735c57bb6cd0d4272b0c8e6"
+SEARCH_SHA256 = "bfc87c6304116869dd7fd27b075cb98cc731a31916c364d4fb0b2af72df27e41"
 
-# The c06 problem at every 32nd of its 129 lambdas, on a synthetic-clock table.
-C06_LAMBDAS = np.logspace(-3, 2.5, 129).tolist()[::32]
+# The c06 problem's 129 lambdas, on a synthetic-clock table.
+C06_LAMBDAS = np.logspace(-3, 2.5, 129).tolist()
 C06_FLAGS = ["--normal-cells", "1", "--reduction-cells", "0", "--nodes", "3",
              "--epochs", "200", "--theta-iters", "2", "--alpha-lr", "0.5",
              "--theta-lr", "0.2", "--stage2-iters", "300", "--eval-interval", "20"]
@@ -91,10 +91,13 @@ def test_search_front_and_plot_match_the_golden_digest(tmp_path, capsys):
     flag_sets = (
         [],
         ["--table", str(table),
-         "--lambdas", ",".join(repr(x) for x in C06_LAMBDAS)]
+         "--lambdas", ",".join(repr(x) for x in C06_LAMBDAS[::32])]
         + C06_FLAGS,
         ["--normal-cells", "2", "--reduction-cells", "1", "--nodes", "4",
          "--surrogate", "quadratic"],
+        ["--table", str(table),
+         "--lambdas", ",".join(repr(x) for x in C06_LAMBDAS)]
+        + C06_FLAGS,
     )
     digest = hashlib.sha256()
     for i, flags in enumerate(flag_sets):

@@ -151,7 +151,7 @@ def test_search_rejects_negative_or_non_finite_lambda(lam):
     with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
         nas.total_loss(space, arch, np.zeros(ev.theta_dim), ev, table, lam)
     with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
-        nas.stage1_search(space, ev, table, lam, nas.Stage1Budget(epochs=1))
+        nas.stage1_search(space, ev, table, [lam], nas.Stage1Budget(epochs=1))
 
 
 @pytest.mark.parametrize("rate", [-1.0, -math.inf, math.inf, math.nan])
@@ -252,8 +252,8 @@ def test_stage1_quadratic_reaches_known_minimizer():
     space = small_space()
     table = nominal_table(space)
     ev = nas.QuadraticSurrogate(space, theta_dim=4, seed=5)
-    res = nas.stage1_search(
-        space, ev, table, lam=0.0,
+    (res,) = nas.stage1_search(
+        space, ev, table, [0.0],
         budget=nas.Stage1Budget(epochs=3000, theta_iters=2, alpha_lr=2.0, theta_lr=0.2),
         seed=2,
     )
@@ -266,8 +266,8 @@ def test_stage1_huge_lambda_selects_cheapest_ops():
     space = small_space()
     table = nominal_table(space)
     ev = nas.OpCostSurrogate(space, seed=1)
-    res = nas.stage1_search(
-        space, ev, table, lam=1e6,
+    (res,) = nas.stage1_search(
+        space, ev, table, [1e6],
         budget=nas.Stage1Budget(epochs=150, theta_iters=1, alpha_lr=0.5, theta_lr=0.1),
         seed=0,
     )
@@ -280,7 +280,7 @@ def test_stage1_single_step_budget():
     table = nominal_table(space)
     ev = nas.QuadraticSurrogate(space, seed=2)
     budget = nas.Stage1Budget(epochs=1, theta_iters=0, alpha_lr=0.05, theta_lr=0.01)
-    res = nas.stage1_search(space, ev, table, lam=0.5, budget=budget, seed=7)
+    (res,) = nas.stage1_search(space, ev, table, [0.5], budget=budget, seed=7)
 
     # recompute the single expected gradient step by hand
     from paretotrack.nas.search import _alpha_gradient
@@ -288,7 +288,7 @@ def test_stage1_single_step_budget():
     rng = np.random.default_rng(7)
     arch0 = nas.ArchLogits.random(space, rng)
     theta0 = rng.normal(0.0, 0.5, size=ev.theta_dim)
-    grads = _alpha_gradient(space, arch_weights(space, arch0), theta0, ev,
+    grads = _alpha_gradient(arch_weights(space, arch0), theta0, ev,
                             edge_latencies(space, table),
                             max_latency_ms(space, table), 0.5)
     for kind in space.kinds():
@@ -300,13 +300,12 @@ def test_stage1_divergence_reports_epoch():
     space = small_space()
     table = nominal_table(space)
     ev = nas.QuadraticSurrogate(space, seed=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(nas.SearchDivergedError) as info:
-            nas.stage1_search(space, ev, table, lam=0.0,
-                              budget=nas.Stage1Budget(epochs=200, theta_iters=5,
-                                                      alpha_lr=0.05, theta_lr=1e6),
-                              seed=0)
-    assert info.value.epoch >= 0
+    (res,) = nas.stage1_search(space, ev, table, [0.0],
+                               budget=nas.Stage1Budget(epochs=200, theta_iters=5,
+                                                       alpha_lr=0.05, theta_lr=1e6),
+                               seed=0)
+    assert isinstance(res, nas.SearchDivergedError)
+    assert res.epoch >= 0
 
 
 def test_stage1_deterministic():
@@ -314,11 +313,98 @@ def test_stage1_deterministic():
     table = nominal_table(space)
     ev = nas.OpCostSurrogate(space, seed=4)
     budget = nas.Stage1Budget(epochs=40, theta_iters=2, alpha_lr=0.3, theta_lr=0.1)
-    a = nas.stage1_search(space, ev, table, 0.5, budget, seed=9)
-    b = nas.stage1_search(space, ev, table, 0.5, budget, seed=9)
+    (a,) = nas.stage1_search(space, ev, table, [0.5], budget, seed=9)
+    (b,) = nas.stage1_search(space, ev, table, [0.5], budget, seed=9)
     for kind in space.kinds():
         assert np.array_equal(a.arch.by_kind[kind], b.arch.by_kind[kind])
     assert a.best_val_loss == b.best_val_loss
+
+
+def _stage1_alone(space, ev, table, lam, budget, seed):
+    """Reference: stage 1 for one lambda on single (positions, ops) matrices."""
+    from paretotrack.nas.search import _alpha_gradient
+
+    rng = np.random.default_rng(seed)
+    arch = nas.ArchLogits.random(space, rng)
+    theta = rng.normal(0.0, 0.5, size=ev.theta_dim)
+    lats, norm = edge_latencies(space, table), max_latency_ms(space, table)
+    best, history = None, []
+    weights = arch_weights(space, arch)
+    for epoch in range(budget.epochs):
+        grads = _alpha_gradient(weights, theta, ev, lats, norm, lam)
+        logits = {k: arch.by_kind[k] - budget.alpha_lr * grads[k] for k in space.kinds()}
+        if not all(np.isfinite(v).all() for v in logits.values()):
+            return nas.SearchDivergedError(epoch, "non-finite logits")
+        arch = nas.ArchLogits(logits)
+        weights = arch_weights(space, arch)
+        for _ in range(budget.theta_iters):
+            theta = theta - budget.theta_lr * ev.grad(weights, theta, "train")[1]
+        val = ev.loss(weights, theta, "val")
+        if lam > 0.0:
+            val += lam * (weighted_latency(weights, lats) / norm)
+        if not math.isfinite(val):
+            return nas.SearchDivergedError(epoch)
+        history.append(val)
+        if best is None or val < best[0]:
+            best = (val, arch, theta)
+    return nas.Stage1Result(best[1], best[2], best[0], history)
+
+
+def _same_bits(a, b):
+    if isinstance(a, nas.SearchDivergedError):
+        return isinstance(b, nas.SearchDivergedError) and str(a) == str(b)
+    return (not isinstance(b, nas.SearchDivergedError)
+            and a.arch.by_kind.keys() == b.arch.by_kind.keys()
+            and all(a.arch.by_kind[k].tobytes() == b.arch.by_kind[k].tobytes()
+                    for k in a.arch.by_kind)
+            and a.theta.tobytes() == b.theta.tobytes()
+            and type(a.best_val_loss) is type(b.best_val_loss) is float
+            and a.best_val_loss.hex() == b.best_val_loss.hex()
+            and [v.hex() for v in a.val_history] == [v.hex() for v in b.val_history])
+
+
+@st.composite
+def _batch_problems(draw):
+    """A small space, either surrogate, a budget and lambdas with 0 and repeats."""
+    normal = draw(st.integers(0, 2))
+    space = small_space(normal_cells=normal,
+                        reduction_cells=draw(st.integers(0 if normal else 1, 1)),
+                        nodes=draw(st.integers(2, 4)))
+    surrogate = draw(st.sampled_from([nas.OpCostSurrogate, nas.QuadraticSurrogate]))
+    ev = surrogate(space, theta_dim=draw(st.integers(0, 4)), seed=draw(st.integers(0, 99)))
+    lams = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=1, max_size=5))
+    lams += draw(st.lists(st.sampled_from(lams), max_size=3))
+    budget = nas.Stage1Budget(epochs=draw(st.integers(1, 12)),
+                              theta_iters=draw(st.integers(0, 3)),
+                              alpha_lr=draw(st.floats(0.0, 2.0)),
+                              theta_lr=draw(st.floats(0.0, 0.4)))
+    return space, ev, draw(st.permutations(lams)), budget, draw(st.integers(0, 99))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_batch_problems())
+def test_stage1_batch_rows_equal_each_lambda_alone(problem):
+    space, ev, lams, budget, seed = problem
+    table = nominal_table(space)
+    batch = nas.stage1_search(space, ev, table, lams, budget, seed)
+    assert len(batch) == len(lams)
+    for lam, row in zip(lams, batch):
+        (alone,) = nas.stage1_search(space, ev, table, [lam], budget, seed)
+        assert _same_bits(row, alone)
+        assert _same_bits(row, _stage1_alone(space, ev, table, lam, budget, seed))
+
+
+def test_stage1_diverging_row_leaves_the_others_alone():
+    # under the suite's error::RuntimeWarning filter: no warning may escape either
+    space = small_space()
+    table = nominal_table(space)
+    ev = nas.OpCostSurrogate(space, seed=0)
+    budget = nas.Stage1Budget(epochs=20, theta_iters=1, alpha_lr=0.5, theta_lr=0.2)
+    lams = [0.1, 1e308, 1.0]
+    batch = nas.stage1_search(space, ev, table, lams, budget, seed=0)
+    assert isinstance(batch[1], nas.SearchDivergedError) and batch[1].epoch == 0
+    for lam, row in zip(lams, batch):
+        assert _same_bits(row, nas.stage1_search(space, ev, table, [lam], budget, seed=0)[0])
 
 
 # ------------------------------------------------------------- stage 2
@@ -437,6 +523,48 @@ def test_pareto_sweep_skips_failing_lambda(caplog):
     assert "skipping" in caplog.text
 
 
+def test_pareto_sweep_logs_each_failing_lambda_in_order(caplog):
+    space = small_space(reduction_cells=0)
+    table = nominal_table(space)
+    ev = nas.OpCostSurrogate(space, seed=0)
+    with caplog.at_level("WARNING"):
+        pts = nas.pareto_sweep(space, ev, table, [math.nan, 1.0, 1e308, -1.0],
+                               nas.Stage1Budget(epochs=20, theta_iters=1,
+                                                alpha_lr=0.5, theta_lr=0.2),
+                               nas.Stage2Budget(iters=20, eval_interval=5,
+                                                theta_lr=0.2),
+                               seed=0)
+    assert [p.lambda_used for p in pts] == [1.0]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"lambda={lam} failed, skipping" for lam in ("nan", "1e+308", "-1.0")]
+    assert [type(r.exc_info[1]) for r in caplog.records] == [
+        ValueError, nas.SearchDivergedError, ValueError]
+
+
+def test_pareto_sweep_trains_each_distinct_architecture_once(monkeypatch):
+    from paretotrack.nas import pareto
+
+    space = small_space(reduction_cells=0)
+    table = nominal_table(space)
+    ev = nas.OpCostSurrogate(space, seed=0)
+    trained = []
+
+    def stage2_train(space, arch, *args):
+        trained.append(arch)
+        return nas.stage2_train(space, arch, *args)
+
+    monkeypatch.setattr(pareto, "stage2_train", stage2_train)
+    budget = nas.Stage1Budget(epochs=60, theta_iters=2, alpha_lr=0.5, theta_lr=0.2)
+    lambdas = np.logspace(-3, 2.5, 12).tolist()
+    front = nas.pareto_sweep(space, ev, table, lambdas, budget,
+                             nas.Stage2Budget(iters=40, eval_interval=10, theta_lr=0.2),
+                             seed=0)
+    archs = {nas.discretize(r.arch, space)
+             for r in nas.stage1_search(space, ev, table, lambdas, budget, seed=0)}
+    assert len(trained) == len(set(trained)) == len(archs) < len(lambdas)
+    assert set(trained) == archs and {p.arch for p in front} <= archs
+
+
 # ------------------------------------------------------------- surrogates
 
 def test_surrogate_rejects_unknown_split():
@@ -470,3 +598,50 @@ def test_surrogates_deterministic_given_seed():
          for k in space.kinds()}
     th = np.zeros(a.theta_dim)
     assert a.loss(W, th) == b.loss(W, th)
+
+
+def _loss_alone(ev, weights, theta):
+    """Reference: one matrix per kind, reduced as whole-matrix sums and `dt @ dt`."""
+    total, dt = 0.0, theta - ev.theta_target
+    if isinstance(ev, nas.OpCostSurrogate):
+        for kind, cost in ev.edge_cost.items():
+            total += float((weights[kind] * cost).sum())
+        return total + float(dt @ dt)
+    for kind, target in ev.weight_targets.items():
+        diff = weights[kind] - target
+        total += float((ev.curvature[kind] * diff * diff).sum())
+    return total + float((ev.theta_curvature * dt * dt).sum())
+
+
+@pytest.mark.parametrize("surrogate", [nas.OpCostSurrogate, nas.QuadraticSurrogate])
+@pytest.mark.parametrize("theta_dim", [0, 1, 4, 9, 33])
+def test_surrogate_stack_gives_each_rows_own_loss_bit_for_bit(surrogate, theta_dim, rng):
+    space = small_space(nodes=4)
+    ev = surrogate(space, theta_dim=theta_dim, seed=3)
+    rows = 7
+    weights = {k: rng.dirichlet(np.ones(len(space.ops)), size=(rows, space.n_positions))
+               for k in space.kinds()}
+    theta = rng.normal(size=(rows, theta_dim))
+    losses = ev.loss(weights, theta, "val")
+    g_w, g_theta = ev.grad(weights, theta)
+    assert len(losses) == rows
+    for r in range(rows):
+        one = {k: w[r] for k, w in weights.items()}
+        alone = ev.loss(one, theta[r], "val")
+        assert type(alone) is type(losses[r]) is float
+        assert losses[r].hex() == alone.hex() == _loss_alone(ev, one, theta[r]).hex()
+        g_w1, g_theta1 = ev.grad(one, theta[r])
+        for k in space.kinds():
+            batched = np.broadcast_to(g_w[k], weights[k].shape)[r]
+            assert batched.tobytes() == np.asarray(g_w1[k], dtype=np.float64).tobytes()
+        assert g_theta[r].tobytes() == g_theta1.tobytes()
+
+
+@pytest.mark.parametrize("surrogate", [nas.OpCostSurrogate, nas.QuadraticSurrogate])
+def test_surrogates_reject_a_negative_theta_dim(surrogate):
+    space = small_space()
+    with pytest.raises(ValueError, match=r"^theta_dim must be >= 0, got -1$"):
+        surrogate(space, theta_dim=-1)
+    uniform = {k: np.full((space.n_positions, len(space.ops)), 1.0 / len(space.ops))
+               for k in space.kinds()}
+    assert type(surrogate(space, theta_dim=0).loss(uniform, np.zeros(0))) is float
