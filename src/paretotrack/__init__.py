@@ -2,7 +2,6 @@
 and a two-stage Pareto architecture search over a symbolic cell space."""
 
 from .assoc import (
-    AssociationProblem,
     AssociationSolution,
     check_feasible,
     make_solution,

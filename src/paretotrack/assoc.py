@@ -20,6 +20,10 @@ node j is worth v(j) = max(0, s_det_curr(j) + s_in(j)), and a matched pair is
 worth w(i, j) = s_det_prev(i) + s_det_curr(j) + s_link(i, j).  Matching on the
 adjusted gains w' = w - u - v (keeping only w' > 0 edges) is optimal and
 polynomial, so no external MIP solver is needed.
+
+A ScoreSet is the whole problem: solve_exact and solve_bruteforce take one and
+return the flags plus the (row, col) link pairs they chose.  A solution does
+not carry its objective; objective_value(scores, solution) prices it on demand.
 """
 
 from __future__ import annotations
@@ -39,24 +43,16 @@ from .scoring import ScoreSet
 BRUTEFORCE_FLAG_LIMIT = 25
 
 
-@dataclass(frozen=True)
-class AssociationProblem:
-    scores: ScoreSet
-
-
 @dataclass
 class AssociationSolution:
-    """Binary flow flags plus the objective they achieve."""
+    """Binary flow flags plus the (row, col) pairs set in f_link, in row order."""
 
     f_in: np.ndarray
     f_out: np.ndarray
     f_det_prev: np.ndarray
     f_det_curr: np.ndarray
     f_link: np.ndarray
-    objective: float
-
-    def link_pairs(self) -> list[tuple[int, int]]:
-        return [(int(i), int(j)) for i, j in np.argwhere(self.f_link == 1)]
+    link_pairs: list[tuple[int, int]]
 
     def flag_vector(self) -> tuple[int, ...]:
         """Row-major f_link, then f_in, then f_out; the tie-break sort key."""
@@ -68,38 +64,33 @@ class AssociationSolution:
         )
 
 
-def _as_flags(values, shape) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64).reshape(shape)
-    return arr
-
-
-def make_solution(scores: ScoreSet, f_link, f_in, f_out) -> AssociationSolution:
-    """Assemble a solution from the free flags; f_det follows from the constraints."""
+def make_solution(scores: ScoreSet, link_pairs, f_in, f_out) -> AssociationSolution:
+    """Assemble a solution from its links and node flags; f_det follows from the constraints."""
     n, m = scores.n_prev, scores.n_curr
-    f_link = _as_flags(f_link, (n, m))
-    f_in = _as_flags(f_in, (m,))
-    f_out = _as_flags(f_out, (n,))
-    sol = AssociationSolution(
+    link_pairs = list(link_pairs)
+    f_link = np.zeros((n, m), dtype=np.int64)
+    for i, j in link_pairs:
+        f_link[i, j] = 1
+    f_in = np.asarray(f_in, dtype=np.int64).reshape(m)
+    f_out = np.asarray(f_out, dtype=np.int64).reshape(n)
+    return AssociationSolution(
         f_in=f_in,
         f_out=f_out,
         f_det_prev=f_link.sum(axis=1) + f_out,
         f_det_curr=f_link.sum(axis=0) + f_in,
         f_link=f_link,
-        objective=0.0,
+        link_pairs=link_pairs,
     )
-    sol.objective = objective_value(AssociationProblem(scores), sol)
-    return sol
 
 
-def objective_value(problem: AssociationProblem, sol: AssociationSolution) -> float:
+def objective_value(scores: ScoreSet, sol: AssociationSolution) -> float:
     """Exact objective of a solution.
 
     Uses math.fsum over every active term, so the result is the correctly
     rounded true sum regardless of term order; two solutions with equal
     mathematical objectives always compare equal.
     """
-    s = problem.scores
-    n, m = s.n_prev, s.n_curr
+    n, m = scores.n_prev, scores.n_curr
     if (
         sol.f_in.shape != (m,)
         or sol.f_out.shape != (n,)
@@ -109,14 +100,14 @@ def objective_value(problem: AssociationProblem, sol: AssociationSolution) -> fl
     ):
         raise ValueError("solution shape does not match the score set")
     terms = []
-    for scores, flags in ((s.s_in, sol.f_in), (s.s_link, sol.f_link),
-                          (s.s_det_prev, sol.f_det_prev),
-                          (s.s_det_curr, sol.f_det_curr), (s.s_out, sol.f_out)):
-        terms += scores[flags != 0].tolist()
+    for values, flags in ((scores.s_in, sol.f_in), (scores.s_link, sol.f_link),
+                          (scores.s_det_prev, sol.f_det_prev),
+                          (scores.s_det_curr, sol.f_det_curr), (scores.s_out, sol.f_out)):
+        terms += values[flags != 0].tolist()
     return math.fsum(terms)
 
 
-def check_feasible(problem: AssociationProblem, sol: AssociationSolution) -> bool:
+def check_feasible(sol: AssociationSolution) -> bool:
     """True iff all flags are binary and both constraint families hold exactly."""
     arrays = (sol.f_in, sol.f_out, sol.f_det_prev, sol.f_det_curr, sol.f_link)
     if any(not np.isin(a, (0, 1)).all() for a in arrays):
@@ -172,7 +163,7 @@ def _lex_refine(adjusted: np.ndarray, target: float) -> list[tuple[int, int]]:
     return forced
 
 
-def solve_exact(problem: AssociationProblem) -> AssociationSolution:
+def solve_exact(scores: ScoreSet) -> AssociationSolution:
     """Feasible solution maximizing the objective.
 
     Ties between equally scoring solutions resolve to the lexicographically
@@ -180,9 +171,8 @@ def solve_exact(problem: AssociationProblem) -> AssociationSolution:
     problems above BRUTEFORCE_FLAG_LIMIT free flags the tie-break falls back
     to the matching's deterministic scan order.
     """
-    s = problem.scores
-    n, m = s.n_prev, s.n_curr
-    u, v, adjusted = _node_gains(s)
+    n, m = scores.n_prev, scores.n_curr
+    u, v, adjusted = _node_gains(scores)
     pairs = positive_matching(adjusted)
     if n * m + n + m <= BRUTEFORCE_FLAG_LIMIT and pairs:
         gains = [float(adjusted[i, j]) for i, j in pairs]
@@ -196,16 +186,13 @@ def solve_exact(problem: AssociationProblem) -> AssociationSolution:
         ):
             pairs = _lex_refine(adjusted, target)
 
-    f_link = np.zeros((n, m), dtype=np.int64)
-    for i, j in pairs:
-        f_link[i, j] = 1
-    matched_prev = f_link.sum(axis=1) > 0
-    matched_curr = f_link.sum(axis=0) > 0
     # Unmatched nodes activate only when strictly profitable, so exact zero
     # prizes stay inactive (the lexicographically smaller choice).
-    f_out = ((~matched_prev) & (s.s_det_prev + s.s_out > 0.0)).astype(np.int64)
-    f_in = ((~matched_curr) & (s.s_det_curr + s.s_in > 0.0)).astype(np.int64)
-    return make_solution(s, f_link, f_in, f_out)
+    f_out = scores.s_det_prev + scores.s_out > 0.0
+    f_in = scores.s_det_curr + scores.s_in > 0.0
+    for i, j in pairs:
+        f_out[i] = f_in[j] = False
+    return make_solution(scores, pairs, f_in, f_out)
 
 
 @lru_cache(maxsize=64)
@@ -236,7 +223,7 @@ def _bits_range(width: int, lo: int, hi: int) -> np.ndarray:
     return (ints[:, None] >> np.arange(width, dtype=np.int64)) & 1
 
 
-def solve_bruteforce(problem: AssociationProblem) -> AssociationSolution:
+def solve_bruteforce(scores: ScoreSet) -> AssociationSolution:
     """Exhaustive oracle: enumerate every assignment of the free flags.
 
     f_det_prev/f_det_curr are determined by the constraints, so the free flags
@@ -245,8 +232,7 @@ def solve_bruteforce(problem: AssociationProblem) -> AssociationSolution:
     solve_exact.  Refuses problems with more than BRUTEFORCE_FLAG_LIMIT flags.
     The f_in/f_out axes are enumerated in chunks to bound memory.
     """
-    s = problem.scores
-    n, m = s.n_prev, s.n_curr
+    n, m = scores.n_prev, scores.n_curr
     if n * m + n + m > BRUTEFORCE_FLAG_LIMIT:
         raise ValueError(
             f"instance has {n * m + n + m} free flags, "
@@ -256,9 +242,9 @@ def solve_bruteforce(problem: AssociationProblem) -> AssociationSolution:
     linked_prev = links.sum(axis=2)  # (K, n)
     linked_curr = links.sum(axis=1)  # (K, m)
     base = (
-        (links * s.s_link[None, :, :]).sum(axis=(1, 2))
-        + linked_prev @ s.s_det_prev
-        + linked_curr @ s.s_det_curr
+        (links * scores.s_link[None, :, :]).sum(axis=(1, 2))
+        + linked_prev @ scores.s_det_prev
+        + linked_curr @ scores.s_det_curr
     )  # (K,)
 
     best = -np.inf
@@ -266,12 +252,12 @@ def solve_bruteforce(problem: AssociationProblem) -> AssociationSolution:
     best_combo = None
     for alo in range(0, 2 ** m, _ENUM_CHUNK):
         in_bits = _bits_range(m, alo, min(alo + _ENUM_CHUNK, 2 ** m))
-        in_gain = in_bits @ (s.s_in + s.s_det_curr)  # (A,)
+        in_gain = in_bits @ (scores.s_in + scores.s_det_curr)  # (A,)
         # f_in may only fire on detections that are not linked; same for f_out.
         in_ok = ~((in_bits[None, :, :] & (linked_curr[:, None, :] > 0)).any(axis=2))
         for blo in range(0, 2 ** n, _ENUM_CHUNK):
             out_bits = _bits_range(n, blo, min(blo + _ENUM_CHUNK, 2 ** n))
-            out_gain = out_bits @ (s.s_out + s.s_det_prev)  # (B,)
+            out_gain = out_bits @ (scores.s_out + scores.s_det_prev)  # (B,)
             out_ok = ~((out_bits[None, :, :] & (linked_prev[:, None, :] > 0)).any(axis=2))
 
             obj = base[:, None, None] + in_gain[None, :, None] + out_gain[None, None, :]
@@ -291,4 +277,6 @@ def solve_bruteforce(problem: AssociationProblem) -> AssociationSolution:
             key = (tuple(combo[0].reshape(-1)), tuple(combo[1]), tuple(combo[2]))
             if local > best or key < best_key:
                 best, best_key, best_combo = local, key, combo
-    return make_solution(s, *best_combo)
+    link, f_in, f_out = best_combo
+    rows, cols = np.nonzero(link)
+    return make_solution(scores, zip(rows.tolist(), cols.tolist()), f_in, f_out)

@@ -21,7 +21,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import nas
-from .assoc import AssociationProblem, solve_exact
+from .assoc import objective_value, solve_exact
 from .geometry import Box3D, PointCloud, bev_to_pgm, crop_points, rasterize_bev
 from .kitti_io import KittiFormatError, parse_sequence, write_tracking_results
 from .latency import (
@@ -123,6 +123,21 @@ def _parse_lambdas(text: str) -> list[float]:
     return values
 
 
+# (rule, test) pairs for _check_flags
+_FINITE = ("finite", math.isfinite)
+_RATE = ("finite and >= 0", lambda x: 0.0 <= x < math.inf)
+_AT_LEAST_0 = (">= 0", lambda x: x >= 0)
+_AT_LEAST_1 = (">= 1", lambda x: x >= 1)
+
+
+def _check_flags(args: argparse.Namespace, rules: dict) -> None:
+    """Reject the first flag whose value breaks its rule, naming flag and value."""
+    for flag, (rule, ok) in rules.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if not ok(value):
+            raise CliError(f"{flag} {value!r} must be {rule}")
+
+
 def _read_lines(path: str) -> list[str]:
     try:
         with open(path) as handle:
@@ -144,6 +159,9 @@ def _read_sequence(path: str):
 def _cmd_track(args: argparse.Namespace) -> int:
     if not args.dets or not args.out:
         raise CliError("track requires --dets and --out")
+    _check_flags(args, {"--t-birth": _AT_LEAST_1, "--t-death": _AT_LEAST_1,
+                        "--w-iou": _FINITE, "--w-det": _FINITE,
+                        "--terminal-score": _FINITE})
     seq = _read_sequence(args.dets)
     # the baseline scorer's s_det, checked here so that an overflow names its line
     overflows = [d for dets in seq.frames.values() for d in dets
@@ -270,11 +288,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if not args.out:
         raise CliError("search requires --out")
     lambdas = _parse_lambdas(args.lambdas)
-    for flag, rate in (("--alpha-lr", args.alpha_lr), ("--theta-lr", args.theta_lr)):
-        if not 0.0 <= rate < math.inf:
-            raise CliError(f"{flag} {rate!r} must be finite and >= 0")
-    if args.theta_dim < 0:
-        raise CliError(f"--theta-dim {args.theta_dim} must be >= 0")
+    _check_flags(args, {"--epochs": _AT_LEAST_1, "--theta-iters": _AT_LEAST_0,
+                        "--alpha-lr": _RATE, "--theta-lr": _RATE,
+                        "--stage2-iters": _AT_LEAST_0, "--eval-interval": _AT_LEAST_1,
+                        "--theta-dim": _AT_LEAST_0})
     space = nas.init_search_space(nas.SpaceConfig(
         normal_cells=args.normal_cells, reduction_cells=args.reduction_cells,
         nodes=args.nodes, branches=args.branches, channels=args.channels,
@@ -380,7 +397,7 @@ def _cmd_assoc_debug(args: argparse.Namespace) -> int:
         )
     else:
         scores = _read_scoreset(args.scores)
-    sol = solve_exact(AssociationProblem(scores))
+    sol = solve_exact(scores)
     out = sys.stdout
     out.write(f"n_prev={scores.n_prev} n_curr={scores.n_curr}\n")
     out.write("s_in: " + " ".join(repr(x) for x in scores.s_in) + "\n")
@@ -395,7 +412,7 @@ def _cmd_assoc_debug(args: argparse.Namespace) -> int:
     out.write("f_det_curr: " + " ".join(str(x) for x in sol.f_det_curr) + "\n")
     for i in range(scores.n_prev):
         out.write("f_link: " + " ".join(str(x) for x in sol.f_link[i]) + "\n")
-    out.write(f"objective={sol.objective!r}\n")
+    out.write(f"objective={objective_value(scores, sol)!r}\n")
     return 0
 
 

@@ -131,6 +131,8 @@ class OpCostSurrogate:
             kind: sensitivity[kind][:, None] * base[None, :] / norm
             for kind in space.kinds()
         }
+        for cost in self.edge_cost.values():
+            cost.flags.writeable = False  # grad hands these out uncopied
         self.theta_target = rng.uniform(-1.0, 1.0, size=theta_dim)
 
     def loss(self, weights, theta, split="train"):
@@ -144,7 +146,8 @@ class OpCostSurrogate:
 
     def grad(self, weights, theta, split="train"):
         _check_split(split)
-        # constant in the weights, so one matrix serves every row of a stack
-        g_w = {kind: cost.copy() for kind, cost in self.edge_cost.items()}
+        # constant in the weights, so one read-only matrix serves every row
+        # of a stack and every call
+        g_w = dict(self.edge_cost)
         dt = np.asarray(theta) - self.theta_target
         return g_w, 2.0 * dt

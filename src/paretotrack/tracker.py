@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
-from .assoc import AssociationProblem, AssociationSolution, solve_exact
+from .assoc import AssociationSolution, solve_exact
 from .kitti_io import Detection, SequenceDetections
 from .scoring import ScoreSet
 
@@ -92,31 +92,27 @@ def step(
             f"score set shaped ({scores.n_prev}, {scores.n_curr}) does not match "
             f"{len(state.active)} tracklets x {len(detections)} detections"
         )
-    solution = solve_exact(AssociationProblem(scores))
+    solution = solve_exact(scores)
 
     matched_tracks = set()
-    matched_dets = set()
-    for i, j in solution.link_pairs():
+    for i, j in solution.link_pairs:
         track = state.active[i]
         track.append(frame, detections[j])
         track.consecutive_hits += 1
         track.consecutive_misses = 0
         matched_tracks.add(i)
-        matched_dets.add(j)
 
     for i, track in enumerate(state.active):
         if i not in matched_tracks:
             track.consecutive_misses += 1
             track.consecutive_hits = 0
 
-    for j, det in enumerate(detections):
-        if j in matched_dets:
-            continue
-        if solution.f_in[j]:
-            state.active.append(
-                Tracklet(id=None, detections=[(frame, det)], consecutive_hits=1)
-            )
-        # otherwise the detection is dropped as a false positive
+    # f_in is 1 only on unmatched detections; an unmatched one without it is
+    # dropped as a false positive
+    for j in solution.f_in.nonzero()[0].tolist():
+        state.active.append(
+            Tracklet(id=None, detections=[(frame, detections[j])], consecutive_hits=1)
+        )
 
     apply_birth_death(state)
     return state, solution

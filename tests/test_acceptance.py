@@ -20,8 +20,8 @@ from conftest import (
 )
 from paretotrack import nas
 from paretotrack.assoc import (
-    AssociationProblem,
     check_feasible,
+    objective_value,
     solve_bruteforce,
     solve_exact,
 )
@@ -49,12 +49,12 @@ def test_c01_solver_oracle_equivalence():
     t0 = time.perf_counter()
     for _ in range(200):
         n, m = int(rng.integers(0, 5)), int(rng.integers(0, 5))
-        problem = AssociationProblem(random_scoreset(rng, n, m))
+        problem = random_scoreset(rng, n, m)
         exact = solve_exact(problem)
         brute = solve_bruteforce(problem)
-        assert check_feasible(problem, exact)
-        assert check_feasible(problem, brute)
-        assert exact.objective == brute.objective
+        assert check_feasible(exact)
+        assert check_feasible(brute)
+        assert objective_value(problem, exact) == objective_value(problem, brute)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
     _ok(1, "solver-oracle equivalence, 200 instances")
@@ -62,12 +62,12 @@ def test_c01_solver_oracle_equivalence():
 
 def test_c02_solver_scalability():
     rng = np.random.default_rng(102)
-    problem = AssociationProblem(random_scoreset(rng, 100, 100))
+    problem = random_scoreset(rng, 100, 100)
     t0 = time.perf_counter()
     solution = solve_exact(problem)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
-    assert check_feasible(problem, solution)
+    assert check_feasible(solution)
     _ok(2, "100x100 instance under one second")
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import random_scoreset
 from paretotrack import assoc
 from paretotrack.assoc import (
-    AssociationProblem,
     check_feasible,
     make_solution,
     objective_value,
@@ -21,31 +20,36 @@ from paretotrack.scoring import ScoreSet
 
 
 def _problem(s_in, s_out, s_det_prev, s_det_curr, s_link):
-    return AssociationProblem(ScoreSet(s_in, s_out, s_det_prev, s_det_curr, s_link))
+    return ScoreSet(s_in, s_out, s_det_prev, s_det_curr, s_link)
+
+
+def _pairs(f_link):
+    """The (row, col) cells set in a link matrix, in row order."""
+    rows, cols = np.nonzero(f_link)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def test_objective_all_zero_flags():
     p = _problem([1.0], [1.0], [1.0], [1.0], [[1.0]])
-    sol = make_solution(p.scores, [[0]], [0], [0])
-    assert sol.objective == 0.0
+    sol = make_solution(p, [], [0], [0])
+    assert objective_value(p, sol) == 0.0
 
 
 def test_objective_matched_pair():
     p = _problem([-1.0], [-1.0], [1.0], [1.0], [[2.0]])
-    sol = make_solution(p.scores, [[1]], [0], [0])
-    assert sol.objective == 4.0
+    sol = make_solution(p, [(0, 0)], [0], [0])
+    assert objective_value(p, sol) == 4.0
 
 
 def test_objective_matches_independent_summation(rng):
     # oracle: direct per-flag accumulation in the documented term order
     for _ in range(50):
         n, m = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-        p = AssociationProblem(random_scoreset(rng, n, m))
+        s = random_scoreset(rng, n, m)
         f_link = rng.integers(0, 2, (n, m))
         f_in = rng.integers(0, 2, m)
         f_out = rng.integers(0, 2, n)
-        sol = make_solution(p.scores, f_link, f_in, f_out)
-        s = p.scores
+        sol = make_solution(s, _pairs(f_link), f_in, f_out)
         terms = []
         for j in range(m):
             if sol.f_in[j]:
@@ -63,14 +67,14 @@ def test_objective_matches_independent_summation(rng):
         for i in range(n):
             if sol.f_out[i]:
                 terms.append(s.s_out[i])
-        assert objective_value(p, sol) == math.fsum(terms)
+        assert objective_value(s, sol) == math.fsum(terms)
 
 
 def test_objective_shape_mismatch():
     p = _problem([0.0], [0.0], [0.0], [0.0], [[0.0]])
     other = make_solution(
         ScoreSet([0.0, 0.0], [0.0], [0.0], [0.0, 0.0], [[0.0, 0.0]]),
-        [[0, 0]], [0, 0], [0],
+        [], [0, 0], [0],
     )
     with pytest.raises(ValueError):
         objective_value(p, other)
@@ -78,21 +82,21 @@ def test_objective_shape_mismatch():
 
 def test_feasible_all_zero():
     p = _problem([0.0], [0.0], [0.0], [0.0], [[0.0]])
-    assert check_feasible(p, make_solution(p.scores, [[0]], [0], [0]))
+    assert check_feasible(make_solution(p, [], [0], [0]))
 
 
 def test_infeasible_link_without_det():
     p = _problem([0.0], [0.0], [0.0], [0.0], [[0.0]])
-    sol = make_solution(p.scores, [[1]], [0], [0])
+    sol = make_solution(p, [(0, 0)], [0], [0])
     sol.f_det_curr[0] = 0
-    assert not check_feasible(p, sol)
+    assert not check_feasible(sol)
 
 
 def test_infeasible_link_plus_birth():
     p = _problem([0.0], [0.0], [0.0], [0.0], [[0.0]])
-    sol = make_solution(p.scores, [[1]], [1], [0])
+    sol = make_solution(p, [(0, 0)], [1], [0])
     sol.f_det_curr[0] = 1  # left side 1, right side 2
-    assert not check_feasible(p, sol)
+    assert not check_feasible(sol)
 
 
 def test_solve_exact_match_example():
@@ -101,13 +105,13 @@ def test_solve_exact_match_example():
     assert sol.f_link[0, 0] == 1
     assert sol.f_det_prev[0] == 1 and sol.f_det_curr[0] == 1
     assert sol.f_in[0] == 0 and sol.f_out[0] == 0
-    assert sol.objective == 4.0
+    assert objective_value(p, sol) == 4.0
 
 
 def test_solve_exact_all_negative_scores():
     p = _problem([-1, -1], [-1], [-1], [-1, -1], [[-1, -1]])
     sol = solve_exact(p)
-    assert sol.objective == 0.0
+    assert objective_value(p, sol) == 0.0
     assert not sol.f_link.any() and not sol.f_in.any() and not sol.f_out.any()
 
 
@@ -115,7 +119,7 @@ def test_solve_exact_birth_only():
     p = _problem([1.0], [], [], [1.0], np.zeros((0, 1)))
     sol = solve_exact(p)
     assert sol.f_det_curr[0] == 1 and sol.f_in[0] == 1
-    assert sol.objective == 2.0
+    assert objective_value(p, sol) == 2.0
 
 
 def test_bruteforce_same_instances_as_exact():
@@ -127,18 +131,18 @@ def test_bruteforce_same_instances_as_exact():
     for p in instances:
         e, b = solve_exact(p), solve_bruteforce(p)
         assert e.flag_vector() == b.flag_vector()
-        assert e.objective == b.objective
+        assert objective_value(p, e) == objective_value(p, b)
 
 
 def test_bruteforce_empty_problem():
     p = _problem([], [], [], [], np.zeros((0, 0)))
     sol = solve_bruteforce(p)
-    assert sol.objective == 0.0
+    assert objective_value(p, sol) == 0.0
 
 
 def test_bruteforce_guard():
     rng = np.random.default_rng(0)
-    p = AssociationProblem(random_scoreset(rng, 5, 5))
+    p = random_scoreset(rng, 5, 5)
     with pytest.raises(ValueError):
         solve_bruteforce(p)
 
@@ -147,32 +151,33 @@ def test_bruteforce_matches_literal_enumeration(rng):
     # oracle for the oracle: plain itertools enumeration at trivial sizes
     for _ in range(20):
         n, m = int(rng.integers(0, 3)), int(rng.integers(0, 3))
-        p = AssociationProblem(random_scoreset(rng, n, m))
+        p = random_scoreset(rng, n, m)
         best = None
         for bits in itertools.product((0, 1), repeat=n * m + m + n):
             f_link = np.array(bits[: n * m]).reshape(n, m)
             f_in = np.array(bits[n * m : n * m + m])
             f_out = np.array(bits[n * m + m :])
-            sol = make_solution(p.scores, f_link, f_in, f_out)
-            if not check_feasible(p, sol):
+            sol = make_solution(p, _pairs(f_link), f_in, f_out)
+            if not check_feasible(sol):
                 continue
-            key = (-sol.objective, sol.flag_vector())
+            key = (-objective_value(p, sol), sol.flag_vector())
             if best is None or key < best[0]:
                 best = (key, sol)
         got = solve_bruteforce(p)
-        assert got.objective == best[1].objective
+        assert objective_value(p, got) == objective_value(p, best[1])
         assert got.flag_vector() == best[1].flag_vector()
 
 
 def test_exact_oracle_equivalence_random(rng):
     for _ in range(300):
         n, m = int(rng.integers(0, 5)), int(rng.integers(0, 5))
-        p = AssociationProblem(random_scoreset(rng, n, m))
+        p = random_scoreset(rng, n, m)
         e, b = solve_exact(p), solve_bruteforce(p)
-        assert check_feasible(p, e)
-        assert check_feasible(p, b)
-        assert e.objective == b.objective
+        assert check_feasible(e)
+        assert check_feasible(b)
+        assert objective_value(p, e) == objective_value(p, b)
         assert e.flag_vector() == b.flag_vector()
+        assert e.link_pairs == _pairs(e.f_link) == b.link_pairs
 
 
 def test_exact_oracle_equivalence_integer_ties(rng):
@@ -186,9 +191,8 @@ def test_exact_oracle_equivalence_integer_ties(rng):
             rng.integers(-2, 3, m).astype(float),
             rng.integers(-2, 3, (n, m)).astype(float),
         )
-        p = AssociationProblem(s)
-        e, b = solve_exact(p), solve_bruteforce(p)
-        assert e.objective == b.objective
+        e, b = solve_exact(s), solve_bruteforce(s)
+        assert objective_value(s, e) == objective_value(s, b)
         assert e.flag_vector() == b.flag_vector()
 
 
@@ -211,12 +215,12 @@ def test_monotone_in_link_score(rng):
     for _ in range(50):
         n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         s = random_scoreset(rng, n, m)
-        before = solve_exact(AssociationProblem(s)).objective
+        before = objective_value(s, solve_exact(s))
         i, j = int(rng.integers(n)), int(rng.integers(m))
         bumped = s.s_link.copy()
         bumped[i, j] += float(rng.uniform(0, 3))
         s2 = ScoreSet(s.s_in, s.s_out, s.s_det_prev, s.s_det_curr, bumped)
-        after = solve_exact(AssociationProblem(s2)).objective
+        after = objective_value(s2, solve_exact(s2))
         assert after >= before
 
 
@@ -225,18 +229,18 @@ def test_scale_invariance_of_argmax(rng):
     for _ in range(30):
         n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         s = random_scoreset(rng, n, m)
-        base = solve_exact(AssociationProblem(s)).flag_vector()
+        base = solve_exact(s).flag_vector()
         for c in (0.5, 2.0, 4.0):
             s2 = ScoreSet(c * s.s_in, c * s.s_out, c * s.s_det_prev,
                           c * s.s_det_curr, c * s.s_link)
-            assert solve_exact(AssociationProblem(s2)).flag_vector() == base
+            assert solve_exact(s2).flag_vector() == base
 
 
 def test_exact_solution_always_feasible(rng):
     for _ in range(100):
         n, m = int(rng.integers(0, 6)), int(rng.integers(0, 6))
-        p = AssociationProblem(random_scoreset(rng, n, m))
-        assert check_feasible(p, solve_exact(p))
+        p = random_scoreset(rng, n, m)
+        assert check_feasible(solve_exact(p))
 
 
 @st.composite
@@ -261,7 +265,7 @@ def _forced_matching_problems(draw):
     u = np.maximum(0.0, s_det_prev + s_out)
     v = np.maximum(0.0, s_det_curr + s_in)
     s_link = adjusted + u[:, None] + v[None, :] - s_det_prev[:, None] - s_det_curr[None, :]
-    return AssociationProblem(ScoreSet(s_in, s_out, s_det_prev, s_det_curr, s_link))
+    return ScoreSet(s_in, s_out, s_det_prev, s_det_curr, s_link)
 
 
 @settings(max_examples=300, deadline=None)
@@ -270,7 +274,7 @@ def test_exact_skips_refine_and_equals_oracle_when_every_pair_is_forced(problem)
     with mock.patch.object(assoc, "_lex_refine", side_effect=AssertionError):
         e = solve_exact(problem)
     b = solve_bruteforce(problem)
-    assert e.objective == b.objective
+    assert objective_value(problem, e) == objective_value(problem, b)
     assert e.flag_vector() == b.flag_vector()
 
 
@@ -282,5 +286,5 @@ def test_refine_runs_when_a_pair_is_invisible_to_fsum():
     with mock.patch.object(assoc, "_lex_refine", wraps=assoc._lex_refine) as refine:
         e = solve_exact(p)
     assert refine.called
-    assert e.link_pairs() == [(0, 0)]
+    assert e.link_pairs == [(0, 0)]
     assert e.flag_vector() == solve_bruteforce(p).flag_vector()

@@ -275,6 +275,31 @@ def test_search_rejects_negative_or_non_finite_learning_rate(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value, rule", [
+    ("track", "--w-iou", "inf", "finite"),
+    ("track", "--w-det", "nan", "finite"),
+    ("track", "--terminal-score", "nan", "finite"),
+    ("track", "--t-birth", "0", ">= 1"),
+    ("track", "--t-death", "0", ">= 1"),
+    ("search", "--epochs", "0", ">= 1"),
+    ("search", "--theta-iters", "-1", ">= 0"),
+    ("search", "--stage2-iters", "-1", ">= 0"),
+    ("search", "--eval-interval", "0", ">= 1"),
+])
+def test_a_bad_flag_value_names_the_flag(tmp_path, capsys, command, flag, value, rule):
+    out = tmp_path / "out.txt"
+    if command == "track":
+        dets = tmp_path / "d.txt"
+        _write_detections(dets)
+        argv = ["track", "--dets", str(dets), "--out", str(out)]
+    else:
+        argv = ["search", "--out", str(out), "--lambdas", "1", "--epochs", "2",
+                "--stage2-iters", "2"]
+    assert execute(argv + [flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {flag} {value} must be {rule}\n"
+    assert not out.exists()
+
+
 def test_profile_latency_synthetic_deterministic(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

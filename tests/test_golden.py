@@ -1,10 +1,13 @@
-"""Byte identity of `track`, `evaluate` and `search` outputs.
+"""Byte identity of `track`, `evaluate`, `search` and `assoc-debug` outputs.
 
 The track/evaluate digest was computed with the object-per-line KITTI reader
 and writer; any later change to parsing, tracking, evaluation or formatting
 that moves a byte of either output fails here.  The search digest was
 computed with the per-row softmax and one stage-1 run per lambda; it pins the
 front and plot files on four flag sets, the last the full 129-lambda c06 sweep.
+The assoc-debug digest was computed while every solution carried its objective;
+it pins the printed flags and the `objective=` line on four random instances and
+one scores file.
 """
 
 import contextlib
@@ -18,6 +21,7 @@ from paretotrack.cli import execute
 
 GOLDEN_SHA256 = "43ba1c4661fcbb464349459c9152c287cd1a2c0ec88b90aa08e99fc13db6a819"
 SEARCH_SHA256 = "bfc87c6304116869dd7fd27b075cb98cc731a31916c364d4fb0b2af72df27e41"
+ASSOC_DEBUG_SHA256 = "46505f0430863c7faacaa3887df2b7853cb1cbbc70ee381c148dc35d7caa7894"
 
 # The c06 problem's 129 lambdas, on a synthetic-clock table.
 C06_LAMBDAS = np.logspace(-3, 2.5, 129).tolist()
@@ -107,3 +111,18 @@ def test_search_front_and_plot_match_the_golden_digest(tmp_path, capsys):
         digest.update(front.read_bytes())
         digest.update(plot.read_bytes())
     assert digest.hexdigest() == SEARCH_SHA256
+
+
+def test_assoc_debug_output_matches_the_golden_digest(tmp_path):
+    scores = tmp_path / "scores.txt"
+    scores.write_text("scoreset v1\nn_prev=1 n_curr=1\ns_in: -1.0\ns_out: -1.0\n"
+                      "s_det_prev: 1.0\ns_det_curr: 1.0\n2.0\n")
+    # 5,5 has 35 free flags: past the brute-force limit, so no lex refinement
+    runs = [["--random", sizes, "--seed", "7"] for sizes in ("0,3", "3,0", "2,3", "5,5")]
+    digest = hashlib.sha256()
+    for flags in runs + [["--scores", str(scores)]]:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert execute(["assoc-debug"] + flags) == 0
+        digest.update(stdout.getvalue().encode())
+    assert digest.hexdigest() == ASSOC_DEBUG_SHA256

@@ -600,6 +600,27 @@ def test_surrogates_deterministic_given_seed():
     assert a.loss(W, th) == b.loss(W, th)
 
 
+def test_op_cost_grad_is_read_only_and_shared_across_calls():
+    space = small_space()
+    ev = nas.OpCostSurrogate(space, seed=2)
+    W = {k: np.full((space.n_positions, len(space.ops)), 1.0 / len(space.ops))
+         for k in space.kinds()}
+    th = np.zeros(ev.theta_dim)
+    before = ev.loss(W, th)
+    g_w, _ = ev.grad(W, th)
+    kind = space.kinds()[0]
+    saved = g_w[kind].copy()
+    with pytest.raises(ValueError, match="read-only"):
+        g_w[kind][0, 0] = 1e9
+    with pytest.raises(ValueError, match="read-only"):
+        g_w[kind] *= 2.0
+    g_w[kind] = np.zeros_like(saved)  # replacing a dict entry leaves the surrogate alone
+    assert ev.loss(W, th) == before
+    again, _ = ev.grad(W, th)
+    assert again[kind] is ev.edge_cost[kind]
+    assert again[kind].tobytes() == saved.tobytes()
+
+
 def _loss_alone(ev, weights, theta):
     """Reference: one matrix per kind, reduced as whole-matrix sums and `dt @ dt`."""
     total, dt = 0.0, theta - ev.theta_target
