@@ -53,7 +53,6 @@ from .tracker import (
     TrackerConfig,
     TrackerState,
     Tracklet,
-    TrackState,
     apply_birth_death,
     run_sequence,
     step,

@@ -128,6 +128,7 @@ _FINITE = ("finite", math.isfinite)
 _RATE = ("finite and >= 0", lambda x: 0.0 <= x < math.inf)
 _AT_LEAST_0 = (">= 0", lambda x: x >= 0)
 _AT_LEAST_1 = (">= 1", lambda x: x >= 1)
+_AT_LEAST_2 = (">= 2", lambda x: x >= 2)
 
 
 def _check_flags(args: argparse.Namespace, rules: dict) -> None:
@@ -230,6 +231,8 @@ def _busy_workload(cost_ms: float):
 def _cmd_profile_latency(args: argparse.Namespace) -> int:
     if not args.out:
         raise CliError("profile-latency requires --out")
+    _check_flags(args, {"--reps": _AT_LEAST_1, "--warmup": _AT_LEAST_0,
+                        "--channels": _AT_LEAST_1, "--resolution": _AT_LEAST_1})
     space = nas.init_search_space(nas.SpaceConfig(channels=args.channels,
                                                   resolution=args.resolution))
     table = LatencyTable()
@@ -291,7 +294,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     _check_flags(args, {"--epochs": _AT_LEAST_1, "--theta-iters": _AT_LEAST_0,
                         "--alpha-lr": _RATE, "--theta-lr": _RATE,
                         "--stage2-iters": _AT_LEAST_0, "--eval-interval": _AT_LEAST_1,
-                        "--theta-dim": _AT_LEAST_0})
+                        "--theta-dim": _AT_LEAST_0, "--nodes": _AT_LEAST_2,
+                        "--normal-cells": _AT_LEAST_0, "--reduction-cells": _AT_LEAST_0,
+                        "--branches": _AT_LEAST_1, "--channels": _AT_LEAST_1,
+                        "--resolution": _AT_LEAST_1})
     space = nas.init_search_space(nas.SpaceConfig(
         normal_cells=args.normal_cells, reduction_cells=args.reduction_cells,
         nodes=args.nodes, branches=args.branches, channels=args.channels,
@@ -400,18 +406,16 @@ def _cmd_assoc_debug(args: argparse.Namespace) -> int:
     sol = solve_exact(scores)
     out = sys.stdout
     out.write(f"n_prev={scores.n_prev} n_curr={scores.n_curr}\n")
-    out.write("s_in: " + " ".join(repr(x) for x in scores.s_in) + "\n")
-    out.write("s_out: " + " ".join(repr(x) for x in scores.s_out) + "\n")
-    out.write("s_det_prev: " + " ".join(repr(x) for x in scores.s_det_prev) + "\n")
-    out.write("s_det_curr: " + " ".join(repr(x) for x in scores.s_det_curr) + "\n")
-    for i in range(scores.n_prev):
-        out.write("s_link: " + " ".join(repr(x) for x in scores.s_link[i]) + "\n")
-    out.write("f_in: " + " ".join(str(x) for x in sol.f_in) + "\n")
-    out.write("f_out: " + " ".join(str(x) for x in sol.f_out) + "\n")
-    out.write("f_det_prev: " + " ".join(str(x) for x in sol.f_det_prev) + "\n")
-    out.write("f_det_curr: " + " ".join(str(x) for x in sol.f_det_curr) + "\n")
-    for i in range(scores.n_prev):
-        out.write("f_link: " + " ".join(str(x) for x in sol.f_link[i]) + "\n")
+    # plain Python numbers, so the score lines under a 'scoreset v1' header
+    # read back through --scores
+    rows = [("s_in", scores.s_in), ("s_out", scores.s_out),
+            ("s_det_prev", scores.s_det_prev), ("s_det_curr", scores.s_det_curr),
+            *(("s_link", row) for row in scores.s_link),
+            ("f_in", sol.f_in), ("f_out", sol.f_out),
+            ("f_det_prev", sol.f_det_prev), ("f_det_curr", sol.f_det_curr),
+            *(("f_link", row) for row in sol.f_link)]
+    for name, values in rows:
+        out.write(f"{name}: " + " ".join(map(repr, values.tolist())) + "\n")
     out.write(f"objective={objective_value(scores, sol)!r}\n")
     return 0
 

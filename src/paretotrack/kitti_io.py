@@ -86,7 +86,6 @@ class LabeledObject:
     def to_detection(self) -> "Detection":
         """View this record as a tracker-facing detection; absent score counts as 1.0."""
         return Detection(
-            frame=self.frame,
             box=self.bbox,
             confidence=1.0 if self.score is None else self.score,
             source=self,
@@ -136,9 +135,11 @@ class KittiRecord:
 
 @dataclass(frozen=True)
 class Detection:
-    """A detected object in one frame, as consumed by the tracker."""
+    """A detected object in one frame, as consumed by the tracker.
 
-    frame: int
+    Its frame is the key it is filed under in `SequenceDetections.frames`.
+    """
+
     box: Box2D
     confidence: float
     source: LabeledObject | KittiRecord | None = None
@@ -272,7 +273,7 @@ def parse_sequence(source: Iterable[str] | IO[str]) -> SequenceDetections:
     frames = seq.frames
     for row, (frame, left, top, right, bottom, score) in enumerate(
             zip(columns[0], *columns[_BOX], columns[_SCORE])):
-        det = Detection(frame, Box2D(left, top, right, bottom),
+        det = Detection(Box2D(left, top, right, bottom),
                         1.0 if score is None else score, KittiRecord(columns, row))
         frames.setdefault(frame, []).append(det)
     return seq

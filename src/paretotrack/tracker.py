@@ -5,25 +5,22 @@ detections become tentative tracklets that must appear in t_birth consecutive
 frames before they are confirmed and receive a public ID; a tentative tracklet
 is discarded on its first miss.  Confirmed tracklets survive misses until they
 have disappeared for t_death consecutive frames.  Tentative tracklets do take
-part in association (so their hit streaks can grow), and a match resets a
-tracklet's miss counter.
+part in association, so their hit streaks can grow.
+
+A tracklet records only its ID and its detections, and the lifecycle is read
+from them: it is tentative while its ID is None, a tentative tracklet's hit
+streak is its number of detections (it dies at its first miss), and at frame
+f it has missed the f - last_frame frames since its last detection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Sequence
 
 from .assoc import AssociationSolution, solve_exact
 from .kitti_io import Detection, SequenceDetections
 from .scoring import ScoreSet
-
-
-class TrackState(Enum):
-    TENTATIVE = "tentative"
-    CONFIRMED = "confirmed"
-    DEAD = "dead"
 
 
 @dataclass(frozen=True)
@@ -38,13 +35,10 @@ class TrackerConfig:
 
 @dataclass
 class Tracklet:
-    """One identity: its detections in frame order plus lifecycle counters."""
+    """One identity: its public ID (None while tentative) and its detections in frame order."""
 
     id: int | None
     detections: list[tuple[int, Detection]]
-    state: TrackState = TrackState.TENTATIVE
-    consecutive_hits: int = 1
-    consecutive_misses: int = 0
 
     @property
     def last_frame(self) -> int:
@@ -84,8 +78,9 @@ def step(
     """Associate one frame of detections against the active tracklets.
 
     Matched pairs extend their tracklet; unmatched detections flagged as
-    trajectory starts (or true positives) spawn tentative tracklets; unmatched
-    tracklets accrue a miss.  Lifecycle transitions are applied afterwards.
+    trajectory starts (or true positives) spawn tentative tracklets.  The
+    lifecycle rules then run at this frame, where an unmatched tracklet has
+    one more miss.
     """
     if scores.n_prev != len(state.active) or scores.n_curr != len(detections):
         raise ValueError(
@@ -93,52 +88,44 @@ def step(
             f"{len(state.active)} tracklets x {len(detections)} detections"
         )
     solution = solve_exact(scores)
-
-    matched_tracks = set()
     for i, j in solution.link_pairs:
-        track = state.active[i]
-        track.append(frame, detections[j])
-        track.consecutive_hits += 1
-        track.consecutive_misses = 0
-        matched_tracks.add(i)
-
-    for i, track in enumerate(state.active):
-        if i not in matched_tracks:
-            track.consecutive_misses += 1
-            track.consecutive_hits = 0
-
+        state.active[i].append(frame, detections[j])
     # f_in is 1 only on unmatched detections; an unmatched one without it is
     # dropped as a false positive
     for j in solution.f_in.nonzero()[0].tolist():
-        state.active.append(
-            Tracklet(id=None, detections=[(frame, detections[j])], consecutive_hits=1)
-        )
-
-    apply_birth_death(state)
+        state.active.append(Tracklet(id=None, detections=[(frame, detections[j])]))
+    apply_birth_death(state, frame)
     return state, solution
 
 
-def apply_birth_death(state: TrackerState) -> TrackerState:
-    """Confirm ripe tentative tracklets, discard broken ones, retire expired ones."""
+def apply_birth_death(state: TrackerState, frame: int) -> TrackerState:
+    """Apply the lifecycle rules at ``frame``: confirm, discard and retire tracklets.
+
+    At ``frame`` each active tracklet has missed every frame since its last
+    detection.  A tentative tracklet with a miss is discarded, one with
+    t_birth detections is confirmed with the next ID, and a confirmed
+    tracklet with t_death misses is retired.  Applying the rules twice at one
+    frame changes nothing.  A frame before a tracklet's last detection raises
+    ValueError.
+    """
     cfg = state.config
     survivors = []
     for track in state.active:
-        if track.state is TrackState.TENTATIVE:
-            if track.consecutive_misses >= 1:
-                track.state = TrackState.DEAD  # never confirmed: a wrong detection
-            elif track.consecutive_hits >= cfg.t_birth:
-                track.state = TrackState.CONFIRMED
+        misses = frame - track.last_frame
+        if misses < 0:
+            raise ValueError(
+                f"frame {frame} is before a tracklet's last frame {track.last_frame}"
+            )
+        if track.id is None:
+            if misses:
+                continue  # never confirmed: a wrong detection
+            if len(track.detections) >= cfg.t_birth:
                 track.id = state.next_id
                 state.next_id += 1
-                survivors.append(track)
-            else:
-                survivors.append(track)
-        else:  # confirmed
-            if track.consecutive_misses >= cfg.t_death:
-                track.state = TrackState.DEAD
-                state.retired.append(track)
-            else:
-                survivors.append(track)
+        elif misses >= cfg.t_death:
+            state.retired.append(track)
+            continue
+        survivors.append(track)
     state.active = survivors
     return state
 
@@ -152,24 +139,15 @@ def run_sequence(
 
     Frames with detections are stepped in key order.  The frame indices
     between them, absent or empty, are frames with zero detections, so gaps
-    age tracklets.  A run of them is applied at once: every active tracklet
-    takes the run's length in misses and loses its hit streak, then the
-    lifecycle rules run once.  That ends where stepping each empty frame
-    would: a tentative tracklet dies at its first miss, a confirmed one
-    retires once its misses reach t_death.
+    age tracklets: before a frame is scored, the lifecycle rules run once at
+    the frame before it.  Misses are counted from each tracklet's last frame,
+    so that ends where stepping each empty frame would, and a gap of any
+    length costs the same.
     """
     state = TrackerState(config=cfg)
-    previous = None
     for frame in sorted(f for f, dets in seq.frames.items() if dets):
-        if previous is not None and frame - previous > 1:
-            for track in state.active:
-                track.consecutive_misses += frame - previous - 1
-                track.consecutive_hits = 0
-            apply_birth_death(state)
+        apply_birth_death(state, frame - 1)
         detections = seq.frames[frame]
         step(state, frame, detections, scorer(state.active, detections))
-        previous = frame
-    confirmed = state.retired + [
-        t for t in state.active if t.state is TrackState.CONFIRMED
-    ]
+    confirmed = state.retired + [t for t in state.active if t.id is not None]
     return sorted(confirmed, key=lambda t: t.id)

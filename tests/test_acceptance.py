@@ -37,7 +37,7 @@ from paretotrack.nas.space import (
     one_hot_weights,
     weighted_latency,
 )
-from paretotrack.tracker import TrackerConfig, TrackerState, TrackState, run_sequence, step
+from paretotrack.tracker import TrackerConfig, TrackerState, run_sequence, step
 
 
 def _ok(num, name):
@@ -129,10 +129,10 @@ def test_c04_lifecycle_gating(t_birth, t_death):
             removed_at = frame
         if expect_alive and expect_confirmed:
             assert len(state.active) == 1
-            assert state.active[0].state is TrackState.CONFIRMED
+            assert state.active[0].id == 0
         elif expect_alive and frame < present:
             assert len(state.active) == 1
-            assert state.active[0].state is TrackState.TENTATIVE
+            assert state.active[0].id is None
         elif not expect_alive:
             assert state.active == []
     assert confirmed_at == t_birth - 1  # frames are 0-based; hit #t_birth

@@ -285,6 +285,16 @@ def test_search_rejects_negative_or_non_finite_learning_rate(tmp_path, capsys,
     ("search", "--theta-iters", "-1", ">= 0"),
     ("search", "--stage2-iters", "-1", ">= 0"),
     ("search", "--eval-interval", "0", ">= 1"),
+    ("search", "--nodes", "1", ">= 2"),
+    ("search", "--normal-cells", "-1", ">= 0"),
+    ("search", "--reduction-cells", "-1", ">= 0"),
+    ("search", "--branches", "0", ">= 1"),
+    ("search", "--channels", "0", ">= 1"),
+    ("search", "--resolution", "0", ">= 1"),
+    ("profile-latency", "--reps", "0", ">= 1"),
+    ("profile-latency", "--warmup", "-1", ">= 0"),
+    ("profile-latency", "--channels", "0", ">= 1"),
+    ("profile-latency", "--resolution", "0", ">= 1"),
 ])
 def test_a_bad_flag_value_names_the_flag(tmp_path, capsys, command, flag, value, rule):
     out = tmp_path / "out.txt"
@@ -292,9 +302,11 @@ def test_a_bad_flag_value_names_the_flag(tmp_path, capsys, command, flag, value,
         dets = tmp_path / "d.txt"
         _write_detections(dets)
         argv = ["track", "--dets", str(dets), "--out", str(out)]
-    else:
+    elif command == "search":
         argv = ["search", "--out", str(out), "--lambdas", "1", "--epochs", "2",
                 "--stage2-iters", "2"]
+    else:
+        argv = ["profile-latency", "--out", str(out)]
     assert execute(argv + [flag, value]) == 1
     assert capsys.readouterr().err == f"error: {flag} {value} must be {rule}\n"
     assert not out.exists()
@@ -508,6 +520,16 @@ def test_assoc_debug_scores_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "objective=4.0" in out
     assert "f_link: 1" in out
+
+
+@pytest.mark.parametrize("sizes", ["0,3", "3,0", "2,3", "5,5"])
+def test_assoc_debug_score_lines_read_back_through_scores(tmp_path, capsys, sizes):
+    assert execute(["assoc-debug", "--random", sizes, "--seed", "7"]) == 0
+    dump = capsys.readouterr().out
+    scores = tmp_path / "scores.txt"
+    scores.write_text("scoreset v1\n" + dump.partition("f_in:")[0])
+    assert execute(["assoc-debug", "--scores", str(scores)]) == 0
+    assert capsys.readouterr().out == dump
 
 
 @pytest.mark.parametrize("sizes", ["n_prev 1 n_curr 1", "n_curr=1", "n_prev=-1 n_curr=1"])

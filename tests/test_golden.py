@@ -5,9 +5,9 @@ and writer; any later change to parsing, tracking, evaluation or formatting
 that moves a byte of either output fails here.  The search digest was
 computed with the per-row softmax and one stage-1 run per lambda; it pins the
 front and plot files on four flag sets, the last the full 129-lambda c06 sweep.
-The assoc-debug digest was computed while every solution carried its objective;
-it pins the printed flags and the `objective=` line on four random instances and
-one scores file.
+The assoc-debug digest was computed once the score lines printed plain floats
+(they had printed numpy scalar reprs); it pins the printed scores, flags and the
+`objective=` line on four random instances and one scores file.
 """
 
 import contextlib
@@ -21,7 +21,7 @@ from paretotrack.cli import execute
 
 GOLDEN_SHA256 = "43ba1c4661fcbb464349459c9152c287cd1a2c0ec88b90aa08e99fc13db6a819"
 SEARCH_SHA256 = "bfc87c6304116869dd7fd27b075cb98cc731a31916c364d4fb0b2af72df27e41"
-ASSOC_DEBUG_SHA256 = "46505f0430863c7faacaa3887df2b7853cb1cbbc70ee381c148dc35d7caa7894"
+ASSOC_DEBUG_SHA256 = "2eb0e57311d76bbb2b0c74b4d58c6571db95e7e6728841654c9f02e8e539ce74"
 
 # The c06 problem's 129 lambdas, on a synthetic-clock table.
 C06_LAMBDAS = np.logspace(-3, 2.5, 129).tolist()

@@ -21,7 +21,7 @@ from paretotrack.kitti_io import (
     write_objects,
     write_tracking_results,
 )
-from paretotrack.tracker import Tracklet, TrackState
+from paretotrack.tracker import Tracklet
 
 DEVKIT_LINE = "0 2 Car 0 0 -1.57 100.0 150.0 200.0 250.0 1.5 1.6 3.9 2.0 1.5 30.0 -1.5"
 
@@ -118,8 +118,7 @@ def test_write_tracking_results_empty():
 def test_write_tracking_results_two_frames_same_id():
     det0 = make_label(0, -1, slot_box(0, 0)).to_detection()
     det1 = make_label(1, -1, slot_box(0, 1)).to_detection()
-    track = Tracklet(id=4, detections=[(0, det0), (1, det1)],
-                     state=TrackState.CONFIRMED)
+    track = Tracklet(id=4, detections=[(0, det0), (1, det1)])
     sink = io.StringIO()
     write_tracking_results([track], sink)
     lines = sink.getvalue().splitlines()
@@ -149,7 +148,7 @@ def test_write_tracking_results_sorted_by_frame_then_id():
     tracks = []
     for tid in (3, 1):
         dets = [(f, make_label(f, -1, slot_box(tid, f)).to_detection()) for f in (0, 1)]
-        tracks.append(Tracklet(id=tid, detections=dets, state=TrackState.CONFIRMED))
+        tracks.append(Tracklet(id=tid, detections=dets))
     sink = io.StringIO()
     write_tracking_results(tracks, sink)
     keys = [(int(l.split()[0]), int(l.split()[1])) for l in sink.getvalue().splitlines()]
@@ -301,7 +300,7 @@ def _assert_matches_oracle(lines):
         got = seq.frames[frame]
         assert len(got) == len(dets)
         for d, e in zip(got, dets):
-            assert type(d.frame) is int and d.frame == e.frame == frame
+            assert type(d.source.frame) is int and d.source.frame == e.source.frame == frame
             assert _same_bits((d.box.left, d.box.top, d.box.right, d.box.bottom),
                               (e.box.left, e.box.top, e.box.right, e.box.bottom))
             assert _same_bits((d.confidence,), (e.confidence,))
@@ -357,9 +356,9 @@ def test_frames_and_ids_beyond_int64_stay_python_ints():
     seq = _assert_matches_oracle([line, DEVKIT_LINE])
     assert list(seq.frames) == [big, 0]
     (det,) = seq.frames[big]
-    for value in (det.frame, det.source.frame, det.source.track_id, det.source.occluded):
+    for value in (det.source.frame, det.source.track_id, det.source.occluded):
         assert type(value) is int
-    assert (det.frame, det.source.track_id) == (big, -big)
+    assert (det.source.frame, det.source.track_id) == (big, -big)
     assert format_label_line(parse_label_line(line)).startswith(f"{big} {-big} Car ")
 
 
@@ -470,17 +469,17 @@ def test_reading_and_writing_build_no_labeled_object_per_line(monkeypatch):
     lines = [f"{f} -1 Car 0.0 0 -1.2 {10.0 * f} 5.0 {10.0 * f + 4.0} 9.0 "
              f"1.5 1.6 3.9 2.0 1.5 30.0 -1.5 0.9" for f in range(6)]
     expected = io.StringIO()
-    dets = [d for ds in _oracle(lines).values() for d in ds]
-    write_tracking_results([Tracklet(id=2, detections=[(d.frame, d) for d in dets])], expected)
+    dets = [(f, d) for f, ds in _oracle(lines).items() for d in ds]
+    write_tracking_results([Tracklet(id=2, detections=dets)], expected)
 
     def no_objects(*_args, **_kwargs):
         raise AssertionError("a LabeledObject was built")
 
     monkeypatch.setattr(kitti_io, "LabeledObject", no_objects)
     seq = parse_sequence(lines)
-    dets = [d for ds in seq.frames.values() for d in ds]
+    dets = [(f, d) for f, ds in seq.frames.items() for d in ds]
     sink = io.StringIO()
-    write_tracking_results([Tracklet(id=2, detections=[(d.frame, d) for d in dets])], sink)
+    write_tracking_results([Tracklet(id=2, detections=dets)], sink)
     assert sink.getvalue() == expected.getvalue()
 
 
@@ -491,7 +490,7 @@ def test_results_write_the_same_from_either_kind_of_source(lines):
     objects = [d for ds in _oracle(lines).values() for d in ds]
     texts = []
     for dets in (columnar, objects):
-        tracks = [Tracklet(id=i % 5, detections=[(d.frame, d)]) for i, d in enumerate(dets)]
+        tracks = [Tracklet(id=i % 5, detections=[(d.source.frame, d)]) for i, d in enumerate(dets)]
         sink = io.StringIO()
         write_tracking_results(tracks, sink)
         texts.append(sink.getvalue())

@@ -101,13 +101,12 @@ def test_baseline_scorer_callable():
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def _detections(frame=0):
-    return st.builds(Detection, st.just(frame), boxes(), st.floats(0.0, 1.0))
+_detections = st.builds(Detection, boxes(), st.floats(0.0, 1.0))
 
 
 @st.composite
 def _tracklets(draw):
-    history = draw(st.lists(_detections(), min_size=1, max_size=3))
+    history = draw(st.lists(_detections, min_size=1, max_size=3))
     return Tracklet(id=None, detections=list(enumerate(history)))
 
 
@@ -116,7 +115,7 @@ def _bits(values) -> list[str]:
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_tracklets(), max_size=6), st.lists(_detections(frame=5), max_size=6),
+@given(st.lists(_tracklets(), max_size=6), st.lists(_detections, max_size=6),
        _finite, _finite, _finite)
 def test_baseline_equals_scalar_recomputation(tracks, dets, w_iou, w_det, terminal):
     cfg = ScorerConfig(w_iou=w_iou, w_det=w_det, terminal_score=terminal)

@@ -1,4 +1,5 @@
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from paretotrack.tracker import (
     TrackerConfig,
     TrackerState,
     Tracklet,
-    TrackState,
+    apply_birth_death,
     run_sequence,
     step,
 )
@@ -38,30 +39,30 @@ def test_config_validation():
 
 def test_step_match_extends_tracklet():
     state = TrackerState(config=TrackerConfig(t_birth=1, t_death=2))
-    track = Tracklet(id=0, detections=[(0, _det(0, 0))], state=TrackState.CONFIRMED)
+    track = Tracklet(id=0, detections=[(0, _det(0, 0))])
     state.active = [track]
     state.next_id = 1
     _, sol = step(state, 1, [_det(1, 0)], _matched_scores(1, 1, [(0, 0)]))
     assert sol.f_link[0, 0] == 1
     assert len(track.detections) == 2
     assert track.id == 0
-    assert track.consecutive_misses == 0
+    assert track.last_frame == 1  # no miss at frame 1
 
 
 def test_step_spawns_tentative_without_id():
     state = TrackerState(config=TrackerConfig(t_birth=2, t_death=2))
     step(state, 0, [_det(0, 0)], _matched_scores(0, 1, []))
     assert len(state.active) == 1
-    assert state.active[0].state is TrackState.TENTATIVE
     assert state.active[0].id is None
+    assert state.next_id == 0
 
 
 def test_step_miss_increments():
     state = TrackerState(config=TrackerConfig(t_birth=1, t_death=3))
-    track = Tracklet(id=0, detections=[(0, _det(0, 0))], state=TrackState.CONFIRMED)
+    track = Tracklet(id=0, detections=[(0, _det(0, 0))])
     state.active = [track]
     step(state, 1, [], _matched_scores(1, 0, []))
-    assert track.consecutive_misses == 1
+    assert track.last_frame == 0  # one miss at frame 1
     assert track in state.active
 
 
@@ -84,24 +85,23 @@ def test_birth_confirms_after_threshold():
     cfg = TrackerConfig(t_birth=2, t_death=5)
     state = TrackerState(config=cfg)
     step(state, 0, [_det(0, 0)], _matched_scores(0, 1, []))
-    assert state.active[0].state is TrackState.TENTATIVE
+    assert state.active[0].id is None
     step(state, 1, [_det(1, 0)], _matched_scores(1, 1, [(0, 0)]))
-    assert state.active[0].state is TrackState.CONFIRMED
     assert state.active[0].id == 0
 
 
 def test_death_removes_after_threshold():
     cfg = TrackerConfig(t_birth=1, t_death=2)
     state = TrackerState(config=cfg)
-    track = Tracklet(id=0, detections=[(0, _det(0, 0))], state=TrackState.CONFIRMED)
+    track = Tracklet(id=0, detections=[(0, _det(0, 0))])
     state.active = [track]
     state.next_id = 1
     step(state, 1, [], _matched_scores(1, 0, []))
     assert track in state.active
     step(state, 2, [], _matched_scores(1, 0, []))
     assert state.active == []
-    assert track.state is TrackState.DEAD
     assert state.retired == [track]
+    assert track.id == 0  # a retired tracklet keeps its public ID
 
 
 def test_tentative_dies_on_first_miss():
@@ -116,7 +116,7 @@ def test_tentative_dies_on_first_miss():
 def test_birth_threshold_one_confirms_immediately():
     state = TrackerState(config=TrackerConfig(t_birth=1, t_death=1))
     step(state, 0, [_det(0, 0)], _matched_scores(0, 1, []))
-    assert state.active[0].state is TrackState.CONFIRMED
+    assert state.active[0].id == 0
 
 
 def test_ids_unique_and_monotone():
@@ -130,19 +130,39 @@ def test_ids_unique_and_monotone():
 def test_match_resets_miss_counter():
     cfg = TrackerConfig(t_birth=1, t_death=3)
     state = TrackerState(config=cfg)
-    track = Tracklet(id=0, detections=[(0, _det(0, 0))], state=TrackState.CONFIRMED)
+    track = Tracklet(id=0, detections=[(0, _det(0, 0))])
     state.active = [track]
     state.next_id = 1
     step(state, 1, [], _matched_scores(1, 0, []))
-    assert track.consecutive_misses == 1
+    assert 1 - track.last_frame == 1  # one miss at frame 1
     step(state, 2, [_det(2, 0)], _matched_scores(1, 1, [(0, 0)]))
-    assert track.consecutive_misses == 0
+    assert 2 - track.last_frame == 0  # the match at frame 2 ends the misses
 
 
 def test_frame_monotonicity_enforced():
     track = Tracklet(id=0, detections=[(3, _det(3, 0))])
     with pytest.raises(ValueError):
         track.append(3, _det(3, 0))
+
+
+def test_backwards_step_raises():
+    # an unmatched tracklet last seen after the stepped frame cannot count misses
+    state = TrackerState(config=TrackerConfig(t_birth=1, t_death=3))
+    state.active = [Tracklet(id=0, detections=[(3, _det(3, 0))])]
+    state.next_id = 1
+    with pytest.raises(ValueError, match="frame 2 is before"):
+        step(state, 2, [], _matched_scores(1, 0, []))
+    with pytest.raises(ValueError):
+        apply_birth_death(state, 2)
+
+
+def test_birth_death_twice_at_one_frame_changes_nothing():
+    state = TrackerState(config=TrackerConfig(t_birth=2, t_death=2))
+    step(state, 0, [_det(0, 0), _det(0, 1)], _matched_scores(0, 2, []))
+    step(state, 1, [_det(1, 0)], _matched_scores(2, 1, [(0, 0)]))
+    before = [(t.id, t.last_frame) for t in state.active], state.next_id
+    apply_birth_death(state, 1)
+    assert ([(t.id, t.last_frame) for t in state.active], state.next_id) == before
 
 
 def test_run_sequence_empty():
@@ -202,7 +222,7 @@ def test_dead_tracklets_never_revive():
     step(state, 0, [_det(0, 0)], _matched_scores(0, 1, []))
     dead = state.active[0]
     step(state, 1, [], _matched_scores(1, 0, []))
-    assert dead.state is TrackState.DEAD
+    assert state.active == [] and state.retired == [dead]
     # the same object reappearing gets a fresh identity
     step(state, 2, [_det(2, 0)], _matched_scores(0, 1, []))
     assert state.active[0] is not dead
@@ -215,14 +235,12 @@ def _walk_every_frame(seq, scorer, cfg):
     for frame in range(min(seq.frames), max(seq.frames) + 1):
         dets = seq.frames.get(frame, [])
         step(state, frame, dets, scorer(state.active, dets))
-    confirmed = state.retired + [
-        t for t in state.active if t.state is TrackState.CONFIRMED
-    ]
+    confirmed = state.retired + [t for t in state.active if t.id is not None]
     return sorted(confirmed, key=lambda t: t.id)
 
 
 def _summary(tracks):
-    return [(t.id, t.state, [(f, d.source.track_id) for f, d in t.detections])
+    return [(t.id, t.last_frame, [(f, d.source.track_id) for f, d in t.detections])
             for t in tracks]
 
 
@@ -287,3 +305,97 @@ def test_run_sequence_invariants(frames, t_birth, t_death, scorer):
         confirmed_at.append(frames_of[t_birth - 1])
     assert [t.id for t in tracks] == list(range(len(tracks)))
     assert confirmed_at == sorted(confirmed_at)  # IDs follow confirmation order
+
+
+@dataclass
+class _Counted:
+    obj: int
+    frames: list
+    id: int | None = None
+    hits: int = 1
+    misses: int = 0
+
+
+class _CounterLifecycle:
+    """Reference lifecycle kept with hit and miss counters, stepped on every frame.
+
+    With one detection per present object and the identity scorer, an
+    object's detection extends its own live tracklet or starts a tentative
+    one, in object order.
+    """
+
+    def __init__(self, t_birth, t_death):
+        self.t_birth, self.t_death = t_birth, t_death
+        self.active, self.retired, self.next_id = [], [], 0
+
+    def step(self, frame, present):
+        live = {t.obj for t in self.active}
+        for t in self.active:
+            if t.obj in present:
+                t.frames.append(frame)
+                t.hits, t.misses = t.hits + 1, 0
+            else:
+                t.hits, t.misses = 0, t.misses + 1
+        self.active += [_Counted(obj, [frame]) for obj in sorted(present - live)]
+        survivors = []
+        for t in self.active:
+            if t.id is None:
+                if t.misses >= 1:
+                    continue
+                if t.hits >= self.t_birth:
+                    t.id, self.next_id = self.next_id, self.next_id + 1
+            elif t.misses >= self.t_death:
+                self.retired.append(t)
+                continue
+            survivors.append(t)
+        self.active = survivors
+
+
+def _ids_and_frames(tracks):
+    return [(t.id, list(t.frames)) if isinstance(t, _Counted)
+            else (t.id, [f for f, _ in t.detections]) for t in tracks]
+
+
+_presence = st.integers(1, 16).flatmap(lambda n: st.lists(
+    st.lists(st.booleans(), min_size=n, max_size=n), min_size=1, max_size=4))
+
+
+@pytest.mark.parametrize("t_death", [1, 2, 3, 4])
+@pytest.mark.parametrize("t_birth", [1, 2, 3, 4])
+@settings(max_examples=30, deadline=None)
+@given(presence=_presence)
+def test_lifecycle_matches_hit_and_miss_counters(t_birth, t_death, presence):
+    # presence[obj][frame]: whether object obj is detected at that frame
+    n_frames = len(presence[0])
+    seq = SequenceDetections()
+    for f in range(n_frames):
+        objs = [obj for obj, row in enumerate(presence) if row[f]]
+        if objs:
+            seq.frames[f] = [make_label(f, obj, slot_box(obj, f)).to_detection()
+                             for obj in objs]
+    cfg = TrackerConfig(t_birth=t_birth, t_death=t_death)
+
+    reference = _CounterLifecycle(t_birth, t_death)
+    state = TrackerState(config=cfg)
+    after = {}  # frame -> the reference's active tracklets after that frame
+    for f in range(n_frames):
+        reference.step(f, {obj for obj, row in enumerate(presence) if row[f]})
+        after[f] = _ids_and_frames(reference.active)
+        dets = seq.frames.get(f, [])
+        step(state, f, dets, IdentityScorer()(state.active, dets))
+        assert _ids_and_frames(state.active) == after[f]
+        assert _ids_and_frames(state.retired) == _ids_and_frames(reference.retired)
+
+    # run_sequence skips the empty frames: before scoring a frame, its active
+    # tracklets are the reference's after the frame before
+    scored = []
+
+    def recording_scorer(tracklets, detections):
+        scored.append((detections[0].source.frame, _ids_and_frames(tracklets)))
+        return IdentityScorer()(tracklets, detections)
+
+    tracks = run_sequence(seq, recording_scorer, cfg)
+    assert scored == [(f, after.get(f - 1, [])) for f in seq.frames]
+    # no tracklet is confirmed after the last detection
+    confirmed = reference.retired + [t for t in reference.active if t.id is not None]
+    assert _ids_and_frames(tracks) == _ids_and_frames(sorted(confirmed, key=lambda t: t.id))
