@@ -37,6 +37,7 @@ from .latency import (
 from .metrics import clear_mot, format_report_kv, format_report_table
 from .nas.search import max_latency_ms
 from .scoring import BaselineScorer, ScorerConfig, ScoreSet
+from .settings import AT_LEAST_0, RATE, SettingError
 from .tracker import TrackerConfig, run_sequence
 
 CONFIG_ENV_VAR = "PARETOTRACK_CONFIG"
@@ -115,28 +116,12 @@ def _parse_lambdas(text: str) -> list[float]:
             lam = float(tok)
         except ValueError:
             raise CliError(f"cannot parse lambda {tok!r} in {text!r}") from None
-        if not 0.0 <= lam < math.inf:
-            raise CliError(f"lambda {tok!r} must be finite and >= 0")
+        if not RATE.holds(lam):
+            raise CliError(f"lambda {tok!r} must be {RATE.text}")
         values.append(lam)
     if not values:
         raise CliError("lambda list is empty")
     return values
-
-
-# (rule, test) pairs for _check_flags
-_FINITE = ("finite", math.isfinite)
-_RATE = ("finite and >= 0", lambda x: 0.0 <= x < math.inf)
-_AT_LEAST_0 = (">= 0", lambda x: x >= 0)
-_AT_LEAST_1 = (">= 1", lambda x: x >= 1)
-_AT_LEAST_2 = (">= 2", lambda x: x >= 2)
-
-
-def _check_flags(args: argparse.Namespace, rules: dict) -> None:
-    """Reject the first flag whose value breaks its rule, naming flag and value."""
-    for flag, (rule, ok) in rules.items():
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if not ok(value):
-            raise CliError(f"{flag} {value!r} must be {rule}")
 
 
 def _read_lines(path: str) -> list[str]:
@@ -160,9 +145,10 @@ def _read_sequence(path: str):
 def _cmd_track(args: argparse.Namespace) -> int:
     if not args.dets or not args.out:
         raise CliError("track requires --dets and --out")
-    _check_flags(args, {"--t-birth": _AT_LEAST_1, "--t-death": _AT_LEAST_1,
-                        "--w-iou": _FINITE, "--w-det": _FINITE,
-                        "--terminal-score": _FINITE})
+    cfg = TrackerConfig(t_birth=args.t_birth, t_death=args.t_death)
+    scorer = BaselineScorer(ScorerConfig(
+        w_iou=args.w_iou, w_det=args.w_det, terminal_score=args.terminal_score,
+    ))
     seq = _read_sequence(args.dets)
     # the baseline scorer's s_det, checked here so that an overflow names its line
     overflows = [d for dets in seq.frames.values() for d in dets
@@ -171,10 +157,6 @@ def _cmd_track(args: argparse.Namespace) -> int:
         first = min(overflows, key=lambda d: d.source.lineno)
         raise CliError(f"{args.dets}:{first.source.lineno}: score {first.confidence!r} "
                        f"weighted by --w-det {args.w_det!r} is not finite")
-    scorer = BaselineScorer(ScorerConfig(
-        w_iou=args.w_iou, w_det=args.w_det, terminal_score=args.terminal_score,
-    ))
-    cfg = TrackerConfig(t_birth=args.t_birth, t_death=args.t_death)
     tracks = run_sequence(seq, scorer, cfg)
     buf = io.StringIO()
     write_tracking_results(tracks, buf)
@@ -231,8 +213,6 @@ def _busy_workload(cost_ms: float):
 def _cmd_profile_latency(args: argparse.Namespace) -> int:
     if not args.out:
         raise CliError("profile-latency requires --out")
-    _check_flags(args, {"--reps": _AT_LEAST_1, "--warmup": _AT_LEAST_0,
-                        "--channels": _AT_LEAST_1, "--resolution": _AT_LEAST_1})
     space = nas.init_search_space(nas.SpaceConfig(channels=args.channels,
                                                   resolution=args.resolution))
     table = LatencyTable()
@@ -291,18 +271,18 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if not args.out:
         raise CliError("search requires --out")
     lambdas = _parse_lambdas(args.lambdas)
-    _check_flags(args, {"--epochs": _AT_LEAST_1, "--theta-iters": _AT_LEAST_0,
-                        "--alpha-lr": _RATE, "--theta-lr": _RATE,
-                        "--stage2-iters": _AT_LEAST_0, "--eval-interval": _AT_LEAST_1,
-                        "--theta-dim": _AT_LEAST_0, "--nodes": _AT_LEAST_2,
-                        "--normal-cells": _AT_LEAST_0, "--reduction-cells": _AT_LEAST_0,
-                        "--branches": _AT_LEAST_1, "--channels": _AT_LEAST_1,
-                        "--resolution": _AT_LEAST_1})
+    stage1_budget = nas.Stage1Budget(epochs=args.epochs, theta_iters=args.theta_iters,
+                                     alpha_lr=args.alpha_lr, theta_lr=args.theta_lr)
+    stage2_budget = nas.Stage2Budget(iters=args.stage2_iters,
+                                     eval_interval=args.eval_interval,
+                                     theta_lr=args.theta_lr)
     space = nas.init_search_space(nas.SpaceConfig(
         normal_cells=args.normal_cells, reduction_cells=args.reduction_cells,
         nodes=args.nodes, branches=args.branches, channels=args.channels,
         resolution=args.resolution,
     ))
+    surrogate = (nas.OpCostSurrogate if args.surrogate == "op-cost"
+                 else nas.QuadraticSurrogate)(space, theta_dim=args.theta_dim, seed=args.seed)
     if args.table:
         try:
             table = LatencyTable.read(_read_lines(args.table))
@@ -317,20 +297,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
                            "so the latency term has no scale")
     else:
         table = _synthetic_table(space)
-    surrogate = (nas.OpCostSurrogate if args.surrogate == "op-cost"
-                 else nas.QuadraticSurrogate)
-    front = nas.pareto_sweep(
-        space, surrogate(space, theta_dim=args.theta_dim, seed=args.seed),
-        table, lambdas,
-        stage1_budget=nas.Stage1Budget(epochs=args.epochs,
-                                       theta_iters=args.theta_iters,
-                                       alpha_lr=args.alpha_lr,
-                                       theta_lr=args.theta_lr),
-        stage2_budget=nas.Stage2Budget(iters=args.stage2_iters,
-                                       eval_interval=args.eval_interval,
-                                       theta_lr=args.theta_lr),
-        seed=args.seed,
-    )
+    front = nas.pareto_sweep(space, surrogate, table, lambdas,
+                             stage1_budget, stage2_budget, seed=args.seed)
     if not front:
         raise CliError(f"all {len(lambdas)} lambdas failed; no front written")
     _atomic_write(args.out, "".join(format_pareto_line(p) + "\n" for p in front))
@@ -395,6 +363,8 @@ def _cmd_assoc_debug(args: argparse.Namespace) -> int:
             n, m = (int(tok) for tok in args.random.split(","))
         except ValueError:
             raise CliError("--random expects 'N,M'") from None
+        if not all(map(AT_LEAST_0.holds, (n, m))):
+            raise SettingError("random", args.random, AT_LEAST_0.text)
         rng = np.random.default_rng(args.seed)
         scores = ScoreSet(
             rng.uniform(-2, 2, m), rng.uniform(-2, 2, n),
@@ -534,6 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the one field whose flag is not its name with dashes
+_FLAG_OF_FIELD = {"iters": "stage2-iters"}
+
+
 def execute(argv: Sequence[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -547,6 +521,11 @@ def execute(argv: Sequence[str]) -> int:
             command.set_defaults(**_config_defaults(command, path))
             args = parser.parse_args(argv)
         return args.func(args)
+    except SettingError as exc:
+        # a config field is reported as the flag that sets it
+        flag = _FLAG_OF_FIELD.get(exc.name, exc.name.replace("_", "-"))
+        print(f"error: --{flag} {exc.value} must be {exc.rule}", file=sys.stderr)
+        return 1
     except (CliError, ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .settings import AT_LEAST_1, check
+
 DEFAULT_BEV_RESOLUTION = (256, 256)
 
 
@@ -180,8 +182,8 @@ def rasterize_bev(
     empty cells are 0.
     """
     rows, cols = resolution
-    if rows <= 0 or cols <= 0:
-        raise ValueError(f"resolution components must be positive, got {resolution}")
+    check("rows", rows, AT_LEAST_1)
+    check("cols", cols, AT_LEAST_1)
     corners = box.footprint_corners()
     x_min, y_min = corners.min(axis=0)
     x_max, y_max = corners.max(axis=0)

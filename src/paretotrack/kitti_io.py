@@ -142,7 +142,7 @@ class Detection:
 
     box: Box2D
     confidence: float
-    source: LabeledObject | KittiRecord | None = None
+    source: LabeledObject | KittiRecord
 
 
 @dataclass
@@ -284,14 +284,6 @@ def write_objects(objs: Iterable[LabeledObject], sink: IO[str]) -> None:
     sink.write("".join(format_label_line(obj) + "\n" for obj in objs))
 
 
-# the source of a synthetic detection: devkit-style placeholders
-_NO_SOURCE = LabeledObject(
-    frame=0, track_id=-1, class_name="Car", truncated=-1.0, occluded=-1, alpha=-10.0,
-    bbox=Box2D(0.0, 0.0, 0.0, 0.0), dimensions=(-1.0, -1.0, -1.0),
-    location=(-1000.0, -1000.0, -1000.0), rotation_y=-10.0,
-)
-
-
 def _result_row(frame: int, track_id: int, det: Detection) -> tuple:
     """The fields of one result line: box and score from the detection, the rest
     from its source (read straight from the columns of a parsed file)."""
@@ -302,8 +294,6 @@ def _result_row(frame: int, track_id: int, det: Detection) -> tuple:
                 box.left, box.top, box.right, box.bottom,
                 c[10][i], c[11][i], c[12][i], c[13][i], c[14][i], c[15][i], c[16][i],
                 det.confidence)
-    if src is None:
-        src = _NO_SOURCE
     return (frame, track_id, src.class_name, src.truncated, src.occluded, src.alpha,
             box.left, box.top, box.right, box.bottom,
             *src.dimensions, *src.location, src.rotation_y, det.confidence)

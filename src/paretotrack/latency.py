@@ -19,6 +19,8 @@ from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
+from .settings import AT_LEAST_0, AT_LEAST_1, check
+
 CANDIDATE_OPS = (
     "none",
     "identity",
@@ -200,10 +202,8 @@ def profile_op(
     The mean is the arithmetic mean of the per-run durations; the population
     standard deviation is recorded alongside for diagnostics.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    if warmup < 0:
-        raise ValueError("warmup must be >= 0")
+    check("reps", reps, AT_LEAST_1)
+    check("warmup", warmup, AT_LEAST_0)
     if clock is None:
         clock = default_clock
     for _i in range(warmup):

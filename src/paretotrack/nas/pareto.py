@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..latency import LatencyTable
-from .search import (Stage1Budget, Stage1Result, Stage2Budget, check_lambda,
-                     stage1_search, stage2_train)
+from ..settings import RATE, check
+from .search import Stage1Budget, Stage1Result, Stage2Budget, stage1_search, stage2_train
 from .space import DiscreteArch, SearchSpace, discrete_latency, discretize
 from .surrogate import SurrogateEvaluator
 
@@ -95,7 +95,7 @@ def pareto_sweep(
     outcomes: dict[int, object] = {}
     for i, lam in enumerate(lambdas):
         try:
-            check_lambda(lam)
+            check("lambda", lam, RATE)
         except Exception as exc:
             outcomes[i] = exc
     valid = [i for i in range(len(lambdas)) if i not in outcomes]

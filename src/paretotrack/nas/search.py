@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ..latency import LatencyTable, softmax_weights
+from ..settings import AT_LEAST_0, AT_LEAST_1, RATE, check
 from .space import (ArchLogits, DiscreteArch, SearchSpace, edge_latencies,
                     one_hot_weights, weighted_latency)
 from .surrogate import SurrogateEvaluator
@@ -32,17 +33,6 @@ class SearchDivergedError(RuntimeError):
         self.epoch = epoch
 
 
-def check_lambda(lam: float) -> float:
-    if not 0.0 <= lam < math.inf:
-        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
-    return lam
-
-
-def _check_learning_rate(name: str, rate: float) -> None:
-    if not 0.0 <= rate < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {rate!r}")
-
-
 @dataclass(frozen=True)
 class Stage1Budget:
     epochs: int = 50
@@ -51,12 +41,10 @@ class Stage1Budget:
     theta_lr: float = 0.01
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("need at least one epoch")
-        if self.theta_iters < 0:
-            raise ValueError("theta_iters must be >= 0")
-        _check_learning_rate("alpha_lr", self.alpha_lr)
-        _check_learning_rate("theta_lr", self.theta_lr)
+        check("epochs", self.epochs, AT_LEAST_1)
+        check("theta_iters", self.theta_iters, AT_LEAST_0)
+        check("alpha_lr", self.alpha_lr, RATE)
+        check("theta_lr", self.theta_lr, RATE)
 
 
 @dataclass(frozen=True)
@@ -66,11 +54,9 @@ class Stage2Budget:
     theta_lr: float = 0.01
 
     def __post_init__(self):
-        if self.iters < 0:
-            raise ValueError("iters must be >= 0")
-        if self.eval_interval < 1:
-            raise ValueError("eval_interval must be >= 1")
-        _check_learning_rate("theta_lr", self.theta_lr)
+        check("iters", self.iters, AT_LEAST_0)
+        check("eval_interval", self.eval_interval, AT_LEAST_1)
+        check("theta_lr", self.theta_lr, RATE)
 
 
 @dataclass
@@ -128,7 +114,7 @@ def total_loss(
     """
     weights = {kind: w[None] for kind, w in arch_weights(space, arch).items()}
     return _objective(evaluator, weights, np.asarray(theta)[None], split,
-                      np.array([check_lambda(lam)]), edge_latencies(space, table),
+                      np.array([check("lambda", lam, RATE)]), edge_latencies(space, table),
                       max_latency_ms(space, table))[0]
 
 
@@ -163,7 +149,7 @@ def stage1_search(
     evaluation; each lambda gets the logits of its first best validation
     total loss, or a SearchDivergedError if its logits or loss turn non-finite.
     """
-    lams = np.array([check_lambda(lam) for lam in lambdas], dtype=np.float64)
+    lams = np.array([check("lambda", lam, RATE) for lam in lambdas], dtype=np.float64)
     rng = np.random.default_rng(seed)
     logits = {kind: np.repeat(v[None], len(lams), axis=0)
               for kind, v in ArchLogits.random(space, rng).by_kind.items()}

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..latency import CANDIDATE_OPS, LatencyTable, OpTemplate, op_latencies
+from ..settings import AT_LEAST_0, AT_LEAST_1, AT_LEAST_2, check
 
 KINDS = ("normal", "reduction")
 
@@ -29,16 +30,13 @@ class SpaceConfig:
     resolution: int = 32
 
     def __post_init__(self):
-        if self.nodes < 2:
-            raise ValueError("cells need at least 2 nodes")
-        if self.normal_cells < 0 or self.reduction_cells < 0:
-            raise ValueError("cell counts must be non-negative")
+        check("nodes", self.nodes, AT_LEAST_2)
+        check("normal_cells", self.normal_cells, AT_LEAST_0)
+        check("reduction_cells", self.reduction_cells, AT_LEAST_0)
         if self.normal_cells + self.reduction_cells < 1:
             raise ValueError("need at least one cell")
-        if self.branches < 1:
-            raise ValueError("need at least one branch")
-        if self.channels < 1 or self.resolution < 1:
-            raise ValueError("channels and resolution must be positive")
+        for name in ("branches", "channels", "resolution"):
+            check(name, getattr(self, name), AT_LEAST_1)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from typing import Protocol
 
 import numpy as np
 
+from ..settings import AT_LEAST_0, check
 from .space import SearchSpace
 
 SPLITS = ("train", "val")
@@ -55,11 +56,6 @@ def _check_split(split: str) -> None:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
 
 
-def _check_theta_dim(theta_dim: int) -> None:
-    if theta_dim < 0:
-        raise ValueError(f"theta_dim must be >= 0, got {theta_dim!r}")
-
-
 class QuadraticSurrogate:
     """Separable quadratic bowl with a known minimizer in weight/theta space.
 
@@ -70,7 +66,7 @@ class QuadraticSurrogate:
     """
 
     def __init__(self, space: SearchSpace, theta_dim: int = 4, seed: int = 0):
-        _check_theta_dim(theta_dim)
+        check("theta_dim", theta_dim, AT_LEAST_0)
         rng = np.random.default_rng(seed)
         self.theta_dim = theta_dim
         self.space = space
@@ -117,7 +113,7 @@ class OpCostSurrogate:
     """
 
     def __init__(self, space: SearchSpace, theta_dim: int = 4, seed: int = 0):
-        _check_theta_dim(theta_dim)
+        check("theta_dim", theta_dim, AT_LEAST_0)
         rng = np.random.default_rng(seed)
         self.theta_dim = theta_dim
         self.space = space

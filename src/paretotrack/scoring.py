@@ -7,7 +7,6 @@ confidence, is the reference implementation and the tracker's default.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -15,6 +14,7 @@ import numpy as np
 
 from .geometry import box_array, iou_matrix
 from .kitti_io import Detection
+from .settings import FINITE, check
 
 if TYPE_CHECKING:  # pragma: no cover
     from .tracker import Tracklet
@@ -28,8 +28,7 @@ class ScorerConfig:
 
     def __post_init__(self):
         for name in ("w_iou", "w_det", "terminal_score"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            check(name, getattr(self, name), FINITE)
 
 
 class ScoreSet:

@@ -1,0 +1,40 @@
+"""The value rules of numeric settings, and the error that names a broken one.
+
+Every config checks its own fields here, so each rule is written once.  A
+SettingError carries the field's name, its value and the rule's text; the
+command line reports it under the flag of the same name.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, NamedTuple
+
+
+class Rule(NamedTuple):
+    text: str
+    holds: Callable[[float], bool]
+
+
+FINITE = Rule("finite", math.isfinite)
+RATE = Rule("finite and >= 0", lambda x: 0.0 <= x < math.inf)
+AT_LEAST_0 = Rule(">= 0", lambda x: x >= 0)
+AT_LEAST_1 = Rule(">= 1", lambda x: x >= 1)
+AT_LEAST_2 = Rule(">= 2", lambda x: x >= 2)
+
+
+class SettingError(ValueError):
+    """A setting broke its rule: 'NAME must be RULE, got VALUE'."""
+
+    def __init__(self, name: str, value, rule: str):
+        super().__init__(f"{name} must be {rule}, got {value!r}")
+        self.name = name
+        self.value = value
+        self.rule = rule
+
+
+def check(name: str, value, rule: Rule):
+    """The value itself if it keeps the rule; otherwise a SettingError."""
+    if not rule.holds(value):
+        raise SettingError(name, value, rule.text)
+    return value

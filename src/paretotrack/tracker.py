@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 from .assoc import AssociationSolution, solve_exact
 from .kitti_io import Detection, SequenceDetections
 from .scoring import ScoreSet
+from .settings import AT_LEAST_1, check
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,8 @@ class TrackerConfig:
     t_death: int = 5
 
     def __post_init__(self):
-        if self.t_birth < 1 or self.t_death < 1:
-            raise ValueError("t_birth and t_death must be >= 1")
+        check("t_birth", self.t_birth, AT_LEAST_1)
+        check("t_death", self.t_death, AT_LEAST_1)
 
 
 @dataclass
@@ -106,10 +107,10 @@ def apply_birth_death(state: TrackerState, frame: int) -> TrackerState:
     t_birth detections is confirmed with the next ID, and a confirmed
     tracklet with t_death misses is retired.  Applying the rules twice at one
     frame changes nothing.  A frame before a tracklet's last detection raises
-    ValueError.
+    ValueError and leaves the state as it was.
     """
     cfg = state.config
-    survivors = []
+    survivors, ripe, retiring = [], [], []
     for track in state.active:
         misses = frame - track.last_frame
         if misses < 0:
@@ -120,12 +121,15 @@ def apply_birth_death(state: TrackerState, frame: int) -> TrackerState:
             if misses:
                 continue  # never confirmed: a wrong detection
             if len(track.detections) >= cfg.t_birth:
-                track.id = state.next_id
-                state.next_id += 1
+                ripe.append(track)
         elif misses >= cfg.t_death:
-            state.retired.append(track)
+            retiring.append(track)
             continue
         survivors.append(track)
+    for track in ripe:
+        track.id = state.next_id
+        state.next_id += 1
+    state.retired += retiring
     state.active = survivors
     return state
 

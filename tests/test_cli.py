@@ -295,6 +295,9 @@ def test_search_rejects_negative_or_non_finite_learning_rate(tmp_path, capsys,
     ("profile-latency", "--warmup", "-1", ">= 0"),
     ("profile-latency", "--channels", "0", ">= 1"),
     ("profile-latency", "--resolution", "0", ">= 1"),
+    ("bev", "--rows", "0", ">= 1"),
+    ("bev", "--cols", "0", ">= 1"),
+    ("assoc-debug", "--random", "2,-1", ">= 0"),
 ])
 def test_a_bad_flag_value_names_the_flag(tmp_path, capsys, command, flag, value, rule):
     out = tmp_path / "out.txt"
@@ -305,6 +308,12 @@ def test_a_bad_flag_value_names_the_flag(tmp_path, capsys, command, flag, value,
     elif command == "search":
         argv = ["search", "--out", str(out), "--lambdas", "1", "--epochs", "2",
                 "--stage2-iters", "2"]
+    elif command == "bev":
+        pts = tmp_path / "points.txt"
+        pts.write_text("0.0 0.0 1.5\n")
+        argv = ["bev", "--points", str(pts), "--box", "0,0,0,4,2,2,0", "--out", str(out)]
+    elif command == "assoc-debug":
+        argv = ["assoc-debug"]
     else:
         argv = ["profile-latency", "--out", str(out)]
     assert execute(argv + [flag, value]) == 1

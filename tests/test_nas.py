@@ -16,6 +16,7 @@ from paretotrack.nas.space import (
     one_hot_weights,
     weighted_latency,
 )
+from paretotrack.settings import SettingError
 
 
 def small_space(**overrides):
@@ -537,8 +538,9 @@ def test_pareto_sweep_logs_each_failing_lambda_in_order(caplog):
     assert [p.lambda_used for p in pts] == [1.0]
     assert [r.getMessage() for r in caplog.records] == [
         f"lambda={lam} failed, skipping" for lam in ("nan", "1e+308", "-1.0")]
+    # a bad lambda raises SettingError, a ValueError naming the setting
     assert [type(r.exc_info[1]) for r in caplog.records] == [
-        ValueError, nas.SearchDivergedError, ValueError]
+        SettingError, nas.SearchDivergedError, SettingError]
 
 
 def test_pareto_sweep_trains_each_distinct_architecture_once(monkeypatch):

@@ -25,7 +25,7 @@ _ROWS = _layout_rows()
 
 
 def test_layout_table_has_a_row_per_module():
-    assert len(_ROWS) == 10
+    assert len(_ROWS) == 11
 
 
 @pytest.mark.parametrize("module,names", _ROWS, ids=[module for module, _ in _ROWS])

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from conftest import boxes, make_label, slot_box
 from paretotrack.geometry import Box2D, iou_2d
-from paretotrack.kitti_io import Detection
 from paretotrack.scoring import (
     BaselineScorer,
     ScorerConfig,
@@ -101,7 +100,8 @@ def test_baseline_scorer_callable():
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
-_detections = st.builds(Detection, boxes(), st.floats(0.0, 1.0))
+_detections = st.builds(lambda box, score: make_label(0, 0, box, score=score).to_detection(),
+                        boxes(), st.floats(0.0, 1.0))
 
 
 @st.composite

@@ -156,6 +156,22 @@ def test_backwards_step_raises():
         apply_birth_death(state, 2)
 
 
+def test_a_backwards_frame_leaves_the_state_as_it_was():
+    # the ripe tentative comes first, so a loop that confirms as it goes
+    # would give it ID 1 before the confirmed tracklet raises
+    state = TrackerState(config=TrackerConfig(t_birth=1, t_death=3))
+    tentative = Tracklet(id=None, detections=[(1, _det(1, 1))])
+    confirmed = Tracklet(id=0, detections=[(5, _det(5, 0))])
+    state.active = [tentative, confirmed]
+    state.next_id = 1
+    with pytest.raises(ValueError, match="frame 1 is before"):
+        apply_birth_death(state, 1)
+    assert state.active == [tentative, confirmed]
+    assert [t.id for t in state.active] == [None, 0]
+    assert state.next_id == 1
+    assert state.retired == []
+
+
 def test_birth_death_twice_at_one_frame_changes_nothing():
     state = TrackerState(config=TrackerConfig(t_birth=2, t_death=2))
     step(state, 0, [_det(0, 0), _det(0, 1)], _matched_scores(0, 2, []))
