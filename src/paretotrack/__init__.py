@@ -24,9 +24,7 @@ from .geometry import (
 from .kitti_io import (
     Detection,
     KittiFormatError,
-    LabeledObject,
     SequenceDetections,
-    format_label_line,
     parse_label_line,
     parse_sequence,
     write_tracking_results,

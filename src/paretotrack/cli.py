@@ -504,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the one field whose flag is not its name with dashes
-_FLAG_OF_FIELD = {"iters": "stage2-iters"}
+# the fields whose flag is not their name with dashes
+_FLAG_OF_FIELD = {"iters": "stage2-iters", "thresh": "iou"}
 
 
 def execute(argv: Sequence[str]) -> int:

@@ -8,13 +8,14 @@ and the score must be finite to read or write; the other float fields may
 be inf or nan and are echoed as read.  Numbers are serialized with repr-level
 precision so parse(write(x)) reproduces every field bit-for-bit.
 
-`parse_label_line` is the grammar of one line.  `parse_sequence` reads a
-whole file into typed columns instead: each field column is converted in one
-pass with the same converter, and the checks run over whole columns.  Only
-when a check fails does it walk the lines with the one-line grammar, so the
-error names the first bad line and field exactly as that grammar does.
-Detections read this way carry a `KittiRecord` view of their line, not a
-`LabeledObject`.
+`parse_sequence` reads a whole file into typed columns: each field column is
+converted in one pass, and the checks run over whole columns.  Each
+`Detection` it makes carries a `KittiRecord`, the one record type: a view of
+its line in those columns.  `write_tracking_results` writes result lines from
+the same columns.  `parse_label_line` is the grammar of one line, as a list of
+field values.  The reader walks the lines of a chunk that fails the column
+checks with it, so the error names the first bad line and field exactly as
+that grammar does.
 """
 
 from __future__ import annotations
@@ -44,10 +45,7 @@ _FIELDS = (
 _BOX = slice(6, 10)
 _SCORE = 17
 _FINITE = (6, 7, 8, 9, _SCORE)  # the box and the score
-_FORMAT = {
-    n: " ".join({int: "%d", float: "%r", str: "%s"}[conv] for _, conv in _FIELDS[:n])
-    for n in (N_LABEL_FIELDS, N_DETECTION_FIELDS)
-}
+_FORMAT = " ".join({int: "%d", float: "%r", str: "%s"}[conv] for _, conv in _FIELDS)
 # lines converted per column pass; bounds the token lists alive at once
 _CHUNK = 2048
 
@@ -63,35 +61,6 @@ class KittiFormatError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class LabeledObject:
-    """One object record from a KITTI tracking file."""
-
-    frame: int
-    track_id: int
-    class_name: str
-    truncated: float
-    occluded: int
-    alpha: float
-    bbox: Box2D
-    dimensions: tuple[float, float, float]  # height, width, length (m)
-    location: tuple[float, float, float]  # x, y, z in camera frame (m)
-    rotation_y: float
-    score: float | None = None
-
-    def __post_init__(self):
-        if self.frame < 0:
-            raise ValueError(f"frame must be non-negative, got {self.frame}")
-
-    def to_detection(self) -> "Detection":
-        """View this record as a tracker-facing detection; absent score counts as 1.0."""
-        return Detection(
-            box=self.bbox,
-            confidence=1.0 if self.score is None else self.score,
-            source=self,
-        )
-
-
 def _field_view(k: int) -> property:
     return property(lambda self: self._columns[k][self._row])
 
@@ -101,10 +70,11 @@ def _fields_view(*ks: int) -> property:
 
 
 class KittiRecord:
-    """One line of a file read by `parse_sequence`, under `LabeledObject`'s field names.
+    """One line of a file read by `parse_sequence`, field by field.
 
     A view into the file's typed columns, so reading a file builds no object
-    per field; `lineno` is the 1-based line the record came from.
+    per field; `score` is None on a 17-field line, and `lineno` is the 1-based
+    line the record came from.  The line's box is its `Detection.box`.
     """
 
     __slots__ = ("_columns", "_row")
@@ -125,10 +95,6 @@ class KittiRecord:
     score = _field_view(_SCORE)
 
     @property
-    def bbox(self) -> Box2D:
-        return Box2D(*(column[self._row] for column in self._columns[_BOX]))
-
-    @property
     def lineno(self) -> int:
         return self._row + 1
 
@@ -142,7 +108,7 @@ class Detection:
 
     box: Box2D
     confidence: float
-    source: LabeledObject | KittiRecord
+    source: KittiRecord
 
 
 @dataclass
@@ -152,8 +118,9 @@ class SequenceDetections:
     frames: dict[int, list[Detection]] = field(default_factory=dict)
 
 
-def _line_values(line: str, lineno: int | None) -> list:
-    """The converted fields of one line; the first bad field raises."""
+def parse_label_line(line: str, lineno: int | None = None) -> list:
+    """The typed field values of one label (17 fields) or detection (18 fields,
+    trailing score) line, in line order; the first fault raises."""
     tokens = line.split()
     if len(tokens) not in (N_LABEL_FIELDS, N_DETECTION_FIELDS):
         raise KittiFormatError(
@@ -169,39 +136,17 @@ def _line_values(line: str, lineno: int | None) -> list:
         if k in _FINITE and not math.isfinite(value):
             raise KittiFormatError(f"field '{name}' is not finite: {token!r}", lineno)
         values.append(value)
+    try:
+        Box2D(*values[_BOX])
+    except ValueError as exc:
+        raise KittiFormatError(str(exc), lineno) from None
+    if values[0] < 0:
+        raise KittiFormatError(f"frame must be non-negative, got {values[0]}", lineno)
     return values
 
 
-def parse_label_line(line: str, lineno: int | None = None) -> LabeledObject:
-    """Decode one label (17 fields) or detection (18 fields, trailing score) line."""
-    v = _line_values(line, lineno)
-    try:
-        return LabeledObject(
-            frame=v[0],
-            track_id=v[1],
-            class_name=v[2],
-            truncated=v[3],
-            occluded=v[4],
-            alpha=v[5],
-            bbox=Box2D(*v[_BOX]),
-            dimensions=tuple(v[10:13]),
-            location=tuple(v[13:16]),
-            rotation_y=v[16],
-            score=v[_SCORE] if len(v) == N_DETECTION_FIELDS else None,
-        )
-    except ValueError as exc:
-        raise KittiFormatError(str(exc), lineno) from None
-
-
-def _fields_of(obj: LabeledObject) -> tuple:
-    head = (obj.frame, obj.track_id, obj.class_name, obj.truncated, obj.occluded,
-            obj.alpha, obj.bbox.left, obj.bbox.top, obj.bbox.right, obj.bbox.bottom,
-            *obj.dimensions, *obj.location, obj.rotation_y)
-    return head if obj.score is None else head + (obj.score,)
-
-
 def _format_lines(rows: Sequence[tuple]) -> list[str]:
-    """Lines for rows of field values, all 17 or all 18 long.
+    """Result lines for rows of 18 field values.
 
     Each field goes through its converter (`int` or `float`) before `%d` or
     `%r`, so a line reads `str(int(v))` and `repr(float(v))` field by field.
@@ -210,29 +155,12 @@ def _format_lines(rows: Sequence[tuple]) -> list[str]:
     if not rows:
         return []
     columns = [list(map(conv, column)) for (_, conv), column in zip(_FIELDS, zip(*rows))]
-    finite = [k for k in _FINITE if k < len(columns)]
-    if not all(map(math.isfinite, chain.from_iterable(columns[k] for k in finite))):
-        row, k = next((row, k) for row in range(len(rows)) for k in finite
+    if not all(map(math.isfinite, chain.from_iterable(columns[k] for k in _FINITE))):
+        row, k = next((row, k) for row in range(len(rows)) for k in _FINITE
                       if not math.isfinite(columns[k][row]))
         raise ValueError(f"cannot write frame {columns[0][row]}, track_id {columns[1][row]}: "
                          f"field '{_FIELDS[k][0]}' is not finite: {columns[k][row]!r}")
-    return list(map(_FORMAT[len(columns)].__mod__, zip(*columns)))
-
-
-def format_label_line(obj: LabeledObject) -> str:
-    """Serialize one record; floats use repr so the exact binary value round-trips."""
-    return _format_lines([_fields_of(obj)])[0]
-
-
-def parse_objects(source: Iterable[str] | IO[str]) -> list[LabeledObject]:
-    """Parse every line of a stream, propagating errors with their line number."""
-    out = []
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line:
-            raise KittiFormatError("blank line", lineno)
-        out.append(parse_label_line(line, lineno))
-    return out
+    return list(map(_FORMAT.__mod__, zip(*columns)))
 
 
 def _convert(lines: Sequence[str], columns: tuple[list, ...]) -> bool:
@@ -266,9 +194,14 @@ def parse_sequence(source: Iterable[str] | IO[str]) -> SequenceDetections:
     lines = list(source)
     columns = tuple([] for _ in _FIELDS)
     for start in range(0, len(lines), _CHUNK):
-        if not _convert(lines[start:start + _CHUNK], columns):
-            parse_objects(lines)  # raises at the first bad line
-            raise AssertionError("the column checks rejected a file the line grammar accepts")
+        chunk = lines[start:start + _CHUNK]
+        if not _convert(chunk, columns):
+            # earlier chunks passed, so the first bad line is in this one
+            for lineno, line in enumerate(chunk, start=start + 1):
+                if not line.strip():
+                    raise KittiFormatError("blank line", lineno)
+                parse_label_line(line, lineno)
+            raise AssertionError("the column checks rejected a chunk the line grammar accepts")
     seq = SequenceDetections()
     frames = seq.frames
     for row, (frame, left, top, right, bottom, score) in enumerate(
@@ -279,24 +212,14 @@ def parse_sequence(source: Iterable[str] | IO[str]) -> SequenceDetections:
     return seq
 
 
-def write_objects(objs: Iterable[LabeledObject], sink: IO[str]) -> None:
-    """Write one line per record; a record that cannot be written writes nothing."""
-    sink.write("".join(format_label_line(obj) + "\n" for obj in objs))
-
-
 def _result_row(frame: int, track_id: int, det: Detection) -> tuple:
     """The fields of one result line: box and score from the detection, the rest
-    from its source (read straight from the columns of a parsed file)."""
-    src, box = det.source, det.box
-    if type(src) is KittiRecord:
-        c, i = src._columns, src._row
-        return (frame, track_id, c[2][i], c[3][i], c[4][i], c[5][i],
-                box.left, box.top, box.right, box.bottom,
-                c[10][i], c[11][i], c[12][i], c[13][i], c[14][i], c[15][i], c[16][i],
-                det.confidence)
-    return (frame, track_id, src.class_name, src.truncated, src.occluded, src.alpha,
+    read straight from the columns of its source's file."""
+    c, i, box = det.source._columns, det.source._row, det.box
+    return (frame, track_id, c[2][i], c[3][i], c[4][i], c[5][i],
             box.left, box.top, box.right, box.bottom,
-            *src.dimensions, *src.location, src.rotation_y, det.confidence)
+            c[10][i], c[11][i], c[12][i], c[13][i], c[14][i], c[15][i], c[16][i],
+            det.confidence)
 
 
 def write_tracking_results(tracks: Iterable["Tracklet"], sink: IO[str]) -> None:

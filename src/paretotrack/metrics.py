@@ -15,6 +15,7 @@ import numpy as np
 
 from .geometry import Box2D, box_array, iou_2d, iou_matrix
 from .matching import positive_matching
+from .settings import UNIT_INTERVAL, check
 
 FrameObjects = Sequence[tuple[int, Box2D]]
 
@@ -37,8 +38,7 @@ def match_frame(
     thresh: float = 0.5,
 ) -> dict[int, int]:
     """Correspond one frame's ground truth to hypotheses; returns gt_id -> hyp_id."""
-    if not 0.0 < thresh <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {thresh}")
+    check("thresh", thresh, UNIT_INTERVAL)
     gt_map = dict(gt)
     hyp_map = dict(hyp)
     if len(gt_map) != len(gt):
@@ -74,8 +74,7 @@ def clear_mot(
     matched ground-truth object whose hypothesis ID differs from the last
     hypothesis it was ever matched to.  MOTA = 1 - (FP + FN + IDSW) / GT.
     """
-    if not 0.0 < thresh <= 1.0:  # checked here too, for sequences with no frames
-        raise ValueError(f"threshold must be in (0, 1], got {thresh}")
+    check("thresh", thresh, UNIT_INTERVAL)  # here too, for sequences with no frames
     frames = sorted(set(gt_frames) | set(hyp_frames))
     prev: dict[int, int] = {}
     last_hyp: dict[int, int] = {}

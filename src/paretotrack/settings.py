@@ -21,6 +21,7 @@ RATE = Rule("finite and >= 0", lambda x: 0.0 <= x < math.inf)
 AT_LEAST_0 = Rule(">= 0", lambda x: x >= 0)
 AT_LEAST_1 = Rule(">= 1", lambda x: x >= 1)
 AT_LEAST_2 = Rule(">= 2", lambda x: x >= 2)
+UNIT_INTERVAL = Rule("in (0, 1]", lambda x: 0 < x <= 1)
 
 
 class SettingError(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from paretotrack.geometry import Box2D
-from paretotrack.kitti_io import LabeledObject, SequenceDetections
+from paretotrack.kitti_io import parse_sequence
 from paretotrack.latency import (
     CANDIDATE_OPS,
     LatencyEntry,
@@ -17,20 +17,17 @@ from paretotrack.latency import (
 from paretotrack.scoring import ScoreSet
 
 
-def make_label(frame, track_id, box, score=0.9, class_name="Car"):
-    return LabeledObject(
-        frame=frame,
-        track_id=track_id,
-        class_name=class_name,
-        truncated=0.0,
-        occluded=0,
-        alpha=-1.2,
-        bbox=box,
-        dimensions=(1.5, 1.6, 3.9),
-        location=(2.0, 1.5, 30.0),
-        rotation_y=-1.5,
-        score=score,
-    )
+def label_line(frame, track_id, box, score=0.9, class_name="Car"):
+    """The canonical 18-field tracking line of one object, spelled as results are written."""
+    return "%d %d %s 0.0 0 -1.2 %r %r %r %r 1.5 1.6 3.9 2.0 1.5 30.0 -1.5 %r" % (
+        frame, track_id, class_name,
+        float(box.left), float(box.top), float(box.right), float(box.bottom), float(score))
+
+
+def make_detection(frame, track_id, box, score=0.9, class_name="Car"):
+    """The one detection that the reader makes of `label_line`'s line."""
+    (det,) = parse_sequence([label_line(frame, track_id, box, score, class_name)]).frames[frame]
+    return det
 
 
 def slot_box(slot: int, frame: int) -> Box2D:
@@ -59,20 +56,17 @@ def random_gt_sequence(rng, max_objects=10, max_frames=30):
     """
     n_objects = int(rng.integers(1, max_objects + 1))
     n_frames = int(rng.integers(3, max_frames + 1))
-    seq = SequenceDetections()
+    lines = []
     gt = {f: [] for f in range(n_frames)}
     for obj in range(n_objects):
         enter = int(rng.integers(0, max(1, n_frames - 1)))
         leave = int(rng.integers(enter, n_frames - 1))
         for f in range(enter, leave + 1):
             box = slot_box(obj, f)
-            seq.frames.setdefault(f, []).append(
-                make_label(f, obj, box).to_detection()
-            )
+            lines.append(label_line(f, obj, box))
             gt[f].append((obj, box))
-    seq.frames = {f: dets for f, dets in seq.frames.items() if dets}
     gt = {f: objs for f, objs in gt.items() if objs}
-    return seq, gt
+    return parse_sequence(lines), gt
 
 
 class IdentityScorer:

@@ -26,7 +26,7 @@ from paretotrack.assoc import (
     solve_exact,
 )
 from paretotrack.cli import execute
-from paretotrack.kitti_io import format_label_line, parse_objects
+from paretotrack.kitti_io import parse_sequence, write_tracking_results
 from paretotrack.latency import CANDIDATE_OPS, LatencyEntry, LatencyTable
 from paretotrack.metrics import check_report_identity, clear_mot
 from paretotrack.nas.search import arch_weights
@@ -37,7 +37,7 @@ from paretotrack.nas.space import (
     one_hot_weights,
     weighted_latency,
 )
-from paretotrack.tracker import TrackerConfig, TrackerState, run_sequence, step
+from paretotrack.tracker import TrackerConfig, TrackerState, Tracklet, run_sequence, step
 
 
 def _ok(num, name):
@@ -103,7 +103,7 @@ def test_c03_tracker_perfect_on_synthetic():
 @pytest.mark.parametrize("t_birth", [1, 2, 3, 4])
 @pytest.mark.parametrize("t_death", [1, 2, 3, 4])
 def test_c04_lifecycle_gating(t_birth, t_death):
-    from conftest import make_label, slot_box
+    from conftest import make_detection, slot_box
 
     present = t_birth + 2
     absent = t_death + 1
@@ -117,7 +117,7 @@ def test_c04_lifecycle_gating(t_birth, t_death):
     for frame in range(present + absent):
         dets = []
         if frame < present:
-            dets = [make_label(frame, 7, slot_box(0, frame)).to_detection()]
+            dets = [make_detection(frame, 7, slot_box(0, frame))]
         step(state, frame, dets, scorer(state.active, dets))
         hits = frame + 1 if frame < present else 0
         misses = 0 if frame < present else frame - present + 1
@@ -298,27 +298,30 @@ def test_c09_metrics_identities():
 
 
 def test_c10_io_roundtrip_and_cli_determinism(tmp_path):
-    from conftest import make_label, slot_box
+    from conftest import label_line, slot_box
 
     rng = np.random.default_rng(110)
     objs = []
     frame = 0
     while len(objs) < 500:
         for tid in range(int(rng.integers(1, 6))):
-            objs.append(make_label(frame, tid, slot_box(tid, frame),
-                                   score=float(rng.uniform(0, 1))))
+            objs.append((frame, tid, slot_box(tid, frame), float(rng.uniform(0, 1))))
             if len(objs) == 500:
                 break
         frame += 1
     fixture = tmp_path / "fixture.txt"
-    text = "".join(format_label_line(o) + "\n" for o in objs)
+    text = "".join(label_line(*o) + "\n" for o in objs)
     fixture.write_text(text)
 
-    parsed = parse_objects(io.StringIO(fixture.read_text()))
-    assert parsed == objs
-    rewritten = "".join(format_label_line(o) + "\n" for o in parsed)
+    with open(fixture) as source:
+        parsed = parse_sequence(source)
+    dets = [(f, d) for f, ds in parsed.frames.items() for d in ds]
+    assert [(f, d.source.track_id, d.box, d.confidence) for f, d in dets] == objs
+    sink = io.StringIO()
+    write_tracking_results([Tracklet(id=d.source.track_id, detections=[(f, d)])
+                            for f, d in dets], sink)
+    rewritten = sink.getvalue()
     assert rewritten == text
-    assert parse_objects(io.StringIO(rewritten)) == parsed
 
     # CLI determinism: identical runs produce byte-identical outputs
     outs = []

@@ -9,10 +9,9 @@ import warnings
 
 import pytest
 
-from conftest import make_label, slot_box
+from conftest import label_line, slot_box
 from paretotrack import cli
 from paretotrack.cli import build_parser, emit_plot_data, execute
-from paretotrack.kitti_io import format_label_line
 from paretotrack.nas.pareto import ParetoPoint
 from paretotrack.nas.space import DiscreteArch
 
@@ -21,8 +20,7 @@ def _write_detections(path, n_frames=6, n_objects=2, score=0.9):
     lines = []
     for f in range(n_frames):
         for tid in range(n_objects):
-            lines.append(format_label_line(make_label(f, tid, slot_box(tid, f),
-                                                      score=score)))
+            lines.append(label_line(f, tid, slot_box(tid, f), score=score))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -54,7 +52,7 @@ def test_evaluate_rejects_a_bad_threshold_on_empty_files(tmp_path, capsys, iou):
     empty.write_text("")
     code = execute(["evaluate", "--gt", str(empty), "--hyp", str(empty), "--iou", iou])
     assert code == 1
-    assert capsys.readouterr().err == f"error: threshold must be in (0, 1], got {float(iou)}\n"
+    assert capsys.readouterr().err == f"error: --iou {float(iou)} must be in (0, 1]\n"
 
 
 def test_track_then_evaluate_round(tmp_path, capsys):
@@ -579,7 +577,7 @@ def _kitti_argv(tmp_path, flag, bad_text):
 
 @pytest.mark.parametrize("flag", ["--dets", "--gt", "--hyp"])
 def test_kitti_format_errors_name_the_file_and_line(tmp_path, capsys, flag):
-    good_line = format_label_line(make_label(0, 1, slot_box(0, 0)))
+    good_line = label_line(0, 1, slot_box(0, 0))
     argv, bad = _kitti_argv(tmp_path, flag, f"{good_line}\n{good_line}\n0 1\n")
     assert execute(argv) == 1
     assert capsys.readouterr().err == f"error: {bad}:3: expected 17 or 18 fields, got 2\n"
@@ -593,9 +591,9 @@ def test_kitti_format_errors_name_the_file_and_line(tmp_path, capsys, flag):
 ])
 def test_non_finite_box_or_score_names_the_file_and_line(tmp_path, capsys, flag, field,
                                                           token):
-    fields = format_label_line(make_label(0, 1, slot_box(0, 0), score=0.5)).split()
+    fields = label_line(0, 1, slot_box(0, 0), score=0.5).split()
     fields[{"bbox_left": 6, "bbox_right": 8, "score": 17}[field]] = token
-    good_line = format_label_line(make_label(0, 2, slot_box(1, 0), score=0.5))
+    good_line = label_line(0, 2, slot_box(1, 0), score=0.5)
     argv, bad = _kitti_argv(tmp_path, flag, f"{good_line}\n{' '.join(fields)}\n")
     assert execute(argv) == 1
     assert capsys.readouterr().err == (
@@ -606,8 +604,7 @@ def test_non_finite_box_or_score_names_the_file_and_line(tmp_path, capsys, flag,
                                            ("-1e308", "1.0"), ("5.0", "1e308")])
 def test_track_names_a_detection_whose_weighted_score_overflows(tmp_path, capsys,
                                                                 score, w_det):
-    lines = [format_label_line(make_label(f, -1, slot_box(0, f), score=0.9))
-             for f in range(4)]
+    lines = [label_line(f, -1, slot_box(0, f), score=0.9) for f in range(4)]
     lines[2] = " ".join(lines[2].split()[:-1] + [score])
     lines[3] = " ".join(lines[3].split()[:-1] + [score])
     argv, bad = _kitti_argv(tmp_path, "--dets", "\n".join(lines) + "\n")
@@ -620,7 +617,7 @@ def test_track_names_a_detection_whose_weighted_score_overflows(tmp_path, capsys
 
 @pytest.mark.parametrize("flag", ["--gt", "--hyp"])
 def test_evaluate_names_a_repeated_record(tmp_path, capsys, flag):
-    lines = [format_label_line(make_label(f, tid, slot_box(tid, f)))
+    lines = [label_line(f, tid, slot_box(tid, f))
              for f, tid in [(0, 1), (0, 2), (1, 1), (2, 2), (1, 2), (1, 1), (0, 2)]]
     argv, bad = _kitti_argv(tmp_path, flag, "\n".join(lines) + "\n")
     assert execute(argv) == 1

@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_label, slot_box
+from conftest import label_line, make_detection, slot_box
 from paretotrack.geometry import Box2D
 from paretotrack.kitti_io import (
     N_DETECTION_FIELDS,
     N_LABEL_FIELDS,
+    Detection,
     KittiFormatError,
-    LabeledObject,
-    format_label_line,
+    KittiRecord,
     parse_label_line,
-    parse_objects,
     parse_sequence,
-    write_objects,
     write_tracking_results,
 )
 from paretotrack.tracker import Tracklet
@@ -27,28 +25,30 @@ DEVKIT_LINE = "0 2 Car 0 0 -1.57 100.0 150.0 200.0 250.0 1.5 1.6 3.9 2.0 1.5 30.
 
 
 def test_parse_label_line_devkit_fields():
-    obj = parse_label_line(DEVKIT_LINE)
-    assert obj.frame == 0
-    assert obj.track_id == 2
-    assert obj.class_name == "Car"
-    assert obj.truncated == 0.0
-    assert obj.occluded == 0
-    assert obj.alpha == -1.57
-    assert obj.bbox == Box2D(100.0, 150.0, 200.0, 250.0)
-    assert obj.dimensions == (1.5, 1.6, 3.9)
-    assert obj.location == (2.0, 1.5, 30.0)
-    assert obj.rotation_y == -1.5
-    assert obj.score is None
+    values = parse_label_line(DEVKIT_LINE)
+    assert values == [0, 2, "Car", 0.0, 0, -1.57, 100.0, 150.0, 200.0, 250.0,
+                      1.5, 1.6, 3.9, 2.0, 1.5, 30.0, -1.5]
+    assert [type(v) for v in values[:6]] == [int, int, str, float, int, float]
+    (det,) = parse_sequence([DEVKIT_LINE]).frames[0]
+    record = det.source
+    assert (record.frame, record.track_id, record.class_name) == (0, 2, "Car")
+    assert (record.truncated, record.occluded, record.alpha) == (0.0, 0, -1.57)
+    assert det.box == Box2D(100.0, 150.0, 200.0, 250.0)
+    assert record.dimensions == (1.5, 1.6, 3.9)
+    assert record.location == (2.0, 1.5, 30.0)
+    assert record.rotation_y == -1.5
+    assert record.score is None
 
 
 def test_parse_label_line_with_score():
-    obj = parse_label_line(DEVKIT_LINE + " 0.97")
-    assert obj.score == 0.97
-    assert obj.to_detection().confidence == 0.97
+    assert parse_label_line(DEVKIT_LINE + " 0.97")[-1] == 0.97
+    (det,) = parse_sequence([DEVKIT_LINE + " 0.97"]).frames[0]
+    assert det.source.score == det.confidence == 0.97
 
 
 def test_missing_score_means_full_confidence():
-    assert parse_label_line(DEVKIT_LINE).to_detection().confidence == 1.0
+    (det,) = parse_sequence([DEVKIT_LINE]).frames[0]
+    assert det.confidence == 1.0
 
 
 def test_parse_label_line_wrong_field_count():
@@ -65,7 +65,9 @@ def test_parse_label_line_names_bad_field():
 
 def test_unknown_class_carried_verbatim():
     line = DEVKIT_LINE.replace("Car", "HoverBike")
-    assert parse_label_line(line).class_name == "HoverBike"
+    assert parse_label_line(line)[2] == "HoverBike"
+    (det,) = parse_sequence([line]).frames[0]
+    assert det.source.class_name == "HoverBike"
 
 
 def test_parse_sequence_empty_stream():
@@ -75,9 +77,9 @@ def test_parse_sequence_empty_stream():
 
 def test_parse_sequence_grouping():
     lines = [
-        format_label_line(make_label(0, 1, slot_box(0, 0))),
-        format_label_line(make_label(0, 2, slot_box(1, 0))),
-        format_label_line(make_label(3, 1, slot_box(0, 3))),
+        label_line(0, 1, slot_box(0, 0)),
+        label_line(0, 2, slot_box(1, 0)),
+        label_line(3, 1, slot_box(0, 3)),
     ]
     seq = parse_sequence(iter(lines))
     assert sorted(seq.frames) == [0, 3]
@@ -101,12 +103,11 @@ def test_roundtrip_field_identical(rng):
             float(rng.uniform(0, 300)), float(rng.uniform(0, 100)),
             float(rng.uniform(300, 600)), float(rng.uniform(100, 400)),
         )
-        objs.append(make_label(frame, i % 7, box, score=float(rng.uniform(0, 1))))
-    text = "".join(format_label_line(o) + "\n" for o in objs)
-    parsed = parse_objects(io.StringIO(text))
-    assert parsed == objs
-    again = "".join(format_label_line(o) + "\n" for o in parsed)
-    assert again == text
+        objs.append((frame, i % 7, box, float(rng.uniform(0, 1))))
+    seq = parse_sequence(io.StringIO("".join(label_line(*o) + "\n" for o in objs)))
+    by_line = {d.source.lineno: (f, d.source.track_id, d.box, d.confidence)
+               for f, dets in seq.frames.items() for d in dets}
+    assert [by_line[lineno] for lineno in range(1, len(objs) + 1)] == objs
 
 
 def test_write_tracking_results_empty():
@@ -116,8 +117,8 @@ def test_write_tracking_results_empty():
 
 
 def test_write_tracking_results_two_frames_same_id():
-    det0 = make_label(0, -1, slot_box(0, 0)).to_detection()
-    det1 = make_label(1, -1, slot_box(0, 1)).to_detection()
+    det0 = make_detection(0, -1, slot_box(0, 0))
+    det1 = make_detection(1, -1, slot_box(0, 1))
     track = Tracklet(id=4, detections=[(0, det0), (1, det1)])
     sink = io.StringIO()
     write_tracking_results([track], sink)
@@ -128,18 +129,16 @@ def test_write_tracking_results_two_frames_same_id():
 
 
 def test_integer_valued_fields_are_written_as_their_types():
-    obj = LabeledObject(frame=3.0, track_id=True, class_name="Car", truncated=0, occluded=1.0,
-                        alpha=-1, bbox=Box2D(1, 2, 3, 4), dimensions=(1, 2, 3),
-                        location=(4, 5, 6), rotation_y=0, score=1)
-    expected = "3 1 Car 0.0 1 -1.0 1.0 2.0 3.0 4.0 1.0 2.0 3.0 4.0 5.0 6.0 0.0 1.0"
-    assert format_label_line(obj) == expected
+    record = make_detection(0, 1, slot_box(0, 0)).source
+    det = Detection(box=Box2D(1, 2, 3, 4), confidence=1, source=record)
     sink = io.StringIO()
-    write_tracking_results([Tracklet(id=2, detections=[(3, obj.to_detection())])], sink)
-    assert sink.getvalue() == expected.replace("3 1 Car", "3 2 Car", 1) + "\n"
+    write_tracking_results([Tracklet(id=True, detections=[(3.0, det)])], sink)
+    expected = "3 1 Car 0.0 0 -1.2 1.0 2.0 3.0 4.0 1.5 1.6 3.9 2.0 1.5 30.0 -1.5 1.0\n"
+    assert sink.getvalue() == expected
 
 
 def test_write_tracking_results_requires_ids():
-    det = make_label(0, -1, slot_box(0, 0)).to_detection()
+    det = make_detection(0, -1, slot_box(0, 0))
     with pytest.raises(ValueError):
         write_tracking_results([Tracklet(id=None, detections=[(0, det)])], io.StringIO())
 
@@ -147,7 +146,7 @@ def test_write_tracking_results_requires_ids():
 def test_write_tracking_results_sorted_by_frame_then_id():
     tracks = []
     for tid in (3, 1):
-        dets = [(f, make_label(f, -1, slot_box(tid, f)).to_detection()) for f in (0, 1)]
+        dets = [(f, make_detection(f, -1, slot_box(tid, f))) for f in (0, 1)]
         tracks.append(Tracklet(id=tid, detections=dets))
     sink = io.StringIO()
     write_tracking_results(tracks, sink)
@@ -161,20 +160,12 @@ def test_write_tracking_results_sorted_by_frame_then_id():
     (Box2D(-math.inf, 0.0, 60.0, 30.0), math.nan, "bbox_left", "-inf"),
 ])
 def test_writers_refuse_a_non_finite_box_or_score(box, score, name, value):
-    good = make_label(0, 1, slot_box(0, 0))
-    bad = make_label(4, 9, box, score=score)
-
-    def names(track_id):
-        return re.escape(f"frame 4, track_id {track_id}: field '{name}' is not finite: {value}")
-
-    with pytest.raises(ValueError, match=names(9)):
-        format_label_line(bad)
+    good = make_detection(0, 1, slot_box(0, 0))
+    bad = Detection(box, score, make_detection(4, 9, slot_box(0, 4)).source)
+    tracks = [Tracklet(id=1, detections=[(0, good)]), Tracklet(id=2, detections=[(4, bad)])]
     sink = io.StringIO()
-    with pytest.raises(ValueError, match=names(9)):
-        write_objects([good, bad], sink)
-    tracks = [Tracklet(id=1, detections=[(0, good.to_detection())]),
-              Tracklet(id=2, detections=[(4, bad.to_detection())])]
-    with pytest.raises(ValueError, match=names(2)):
+    with pytest.raises(ValueError, match=re.escape(
+            f"frame 4, track_id 2: field '{name}' is not finite: {value}")):
         write_tracking_results(tracks, sink)
     assert sink.getvalue() == ""
 
@@ -182,46 +173,78 @@ def test_writers_refuse_a_non_finite_box_or_score(box, score, name, value):
 def test_blank_interior_line_rejected():
     text = DEVKIT_LINE + "\n\n" + DEVKIT_LINE + "\n"
     with pytest.raises(KittiFormatError, match="line 2"):
-        parse_objects(io.StringIO(text))
+        parse_sequence(io.StringIO(text))
 
 
 def test_write_objects_roundtrip_through_file(tmp_path):
-    objs = [make_label(f, f % 3, slot_box(f % 3, f), score=0.5) for f in range(10)]
-    path = tmp_path / "labels.txt"
+    dets = [make_detection(f, f % 3, slot_box(f % 3, f), score=0.5) for f in range(10)]
+    tracks = [Tracklet(id=d.source.track_id, detections=[(d.source.frame, d)]) for d in dets]
+    path = tmp_path / "results.txt"
     with open(path, "w") as sink:
-        write_objects(objs, sink)
+        write_tracking_results(tracks, sink)
     with open(path) as source:
-        assert parse_objects(source) == objs
+        seq = parse_sequence(source)
+    assert sorted(seq.frames) == list(range(10))
+    for det in dets:
+        (back,) = seq.frames[det.source.frame]
+        assert back.source.track_id == det.source.track_id
+        assert (back.box, back.confidence) == (det.box, det.confidence)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
+_any_float = st.floats(allow_nan=True, allow_infinity=True)
 
 
 @st.composite
-def _labeled_objects(draw):
-    left, right = sorted((draw(_finite), draw(_finite)))
-    top, bottom = sorted((draw(_finite), draw(_finite)))
-    return LabeledObject(
-        frame=draw(st.integers(0, 2 ** 40)),
-        track_id=draw(st.integers(-1, 2 ** 40)),
-        class_name=draw(st.text(string.ascii_letters + "_-", min_size=1, max_size=12)),
-        truncated=draw(_finite),
-        occluded=draw(st.integers(-1, 3)),
-        alpha=draw(_finite),
-        bbox=Box2D(left, top, right, bottom),
-        dimensions=(draw(_finite), draw(_finite), draw(_finite)),
-        location=(draw(_finite), draw(_finite), draw(_finite)),
-        rotation_y=draw(_finite),
-        score=draw(st.none() | _finite),  # None: 17 fields, else 18
-    )
+def _canonical_lines(draw):
+    """18-field lines spelled as results are written, sorted by frame then by ID >= 0."""
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        left, right = sorted((draw(_finite), draw(_finite)))
+        top, bottom = sorted((draw(_finite), draw(_finite)))
+        rows.append((draw(st.integers(0, 2 ** 40)), draw(st.integers(0, 2 ** 40)),
+                     draw(st.text(string.ascii_letters + "_-", min_size=1, max_size=12)),
+                     draw(_any_float), draw(st.integers(-1, 3)), draw(_any_float),
+                     left, top, right, bottom,
+                     *(draw(_any_float) for _ in range(7)), draw(_finite)))
+    rows.sort(key=lambda row: row[:2])
+    return ["%d %d %s %r %r %r %r %r %r %r %r %r %r %r %r %r %r %r" % row for row in rows]
 
 
 @settings(max_examples=300, deadline=None)
-@given(_labeled_objects())
-def test_parse_inverts_format(obj):
-    line = format_label_line(obj)
-    assert len(line.split()) == (N_LABEL_FIELDS if obj.score is None else N_DETECTION_FIELDS)
-    assert parse_label_line(line) == obj
+@given(_canonical_lines())
+def test_write_tracking_results_inverts_parse_sequence(lines):
+    text = "".join(line + "\n" for line in lines)
+    seq = parse_sequence(io.StringIO(text))
+    tracks = [Tracklet(id=d.source.track_id, detections=[(f, d)])
+              for f, dets in seq.frames.items() for d in dets]
+    sink = io.StringIO()
+    write_tracking_results(tracks, sink)
+    assert sink.getvalue() == text
+
+
+@st.composite
+def _field_values(draw):
+    """The typed values of one 18-field result line; the score is None for a label line."""
+    left, right = sorted((draw(_finite), draw(_finite)))
+    top, bottom = sorted((draw(_finite), draw(_finite)))
+    return [draw(st.integers(0, 2 ** 40)), draw(st.integers(0, 2 ** 40)),
+            draw(st.text(string.ascii_letters + "_-", min_size=1, max_size=12)),
+            draw(_finite), draw(st.integers(-1, 3)), draw(_finite),
+            left, top, right, bottom, *(draw(_finite) for _ in range(7)),
+            draw(st.none() | _finite)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_values())
+def test_parse_inverts_format(values):
+    confidence = 1.0 if values[-1] is None else values[-1]
+    det = Detection(Box2D(*values[6:10]), confidence, KittiRecord(tuple([v] for v in values), 0))
+    sink = io.StringIO()
+    write_tracking_results([Tracklet(id=values[1], detections=[(values[0], det)])], sink)
+    (line,) = sink.getvalue().splitlines()
+    assert len(line.split()) == N_DETECTION_FIELDS
+    assert parse_label_line(line) == values[:-1] + [confidence]
 
 
 _FIELD_NAMES = ("frame", "track_id", "type", "truncated", "occluded", "alpha",
@@ -262,15 +285,17 @@ def test_bad_record_names_its_line(edit, reason):
     fields = DEVKIT_LINE.split()
     fields[edit[0]] = edit[1]
     with pytest.raises(KittiFormatError, match=f"^line 4: {reason}") as info:
-        parse_objects(io.StringIO((DEVKIT_LINE + "\n") * 3 + " ".join(fields) + "\n"))
+        parse_sequence(io.StringIO((DEVKIT_LINE + "\n") * 3 + " ".join(fields) + "\n"))
     assert info.value.lineno == 4
+    with pytest.raises(KittiFormatError, match=f"^line 4: {reason}"):
+        parse_label_line(" ".join(fields), lineno=4)
 
 
 # ---------------------------------------------------------------- columnar reader
 
-def _record_fields(src, box=None) -> tuple:
-    """A record's 17 or 18 field values in line order, read by field name."""
-    box = src.bbox if box is None else box
+def _record_fields(det) -> tuple:
+    """A detection's 17 or 18 field values in line order, read by field name."""
+    src, box = det.source, det.box
     values = (src.frame, src.track_id, src.class_name, src.truncated, src.occluded,
               src.alpha, box.left, box.top, box.right, box.bottom,
               *src.dimensions, *src.location, src.rotation_y)
@@ -284,11 +309,21 @@ def _same_bits(a: tuple, b: tuple) -> bool:
     return len(a) == len(b) and all(key(x) == key(y) for x, y in zip(a, b))
 
 
+def _grammar_walk(lines) -> list[list]:
+    """Every line's field values by the one-line grammar; the first bad line raises."""
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            raise KittiFormatError("blank line", lineno)
+        out.append(parse_label_line(line, lineno))
+    return out
+
+
 def _oracle(lines):
     """parse_sequence's answer from the one-line grammar: per frame, in file order."""
     frames = {}
-    for obj in parse_objects(lines):
-        frames.setdefault(obj.frame, []).append(obj.to_detection())
+    for values in _grammar_walk(lines):
+        frames.setdefault(values[0], []).append(values)
     return frames
 
 
@@ -296,16 +331,14 @@ def _assert_matches_oracle(lines):
     seq = parse_sequence(lines)
     expected = _oracle(lines)
     assert list(seq.frames) == list(expected)
-    for frame, dets in expected.items():
+    for frame, rows in expected.items():
         got = seq.frames[frame]
-        assert len(got) == len(dets)
-        for d, e in zip(got, dets):
-            assert type(d.source.frame) is int and d.source.frame == e.source.frame == frame
-            assert _same_bits((d.box.left, d.box.top, d.box.right, d.box.bottom),
-                              (e.box.left, e.box.top, e.box.right, e.box.bottom))
-            assert _same_bits((d.confidence,), (e.confidence,))
-            assert _same_bits(_record_fields(d.source), _record_fields(e.source))
-            assert d.source.score is None or _same_bits((d.source.score,), (d.confidence,))
+        assert len(got) == len(rows)
+        for d, values in zip(got, rows):
+            assert type(d.source.frame) is int and d.source.frame == frame
+            assert _same_bits(_record_fields(d), tuple(values))
+            score = values[-1] if len(values) == N_DETECTION_FIELDS else 1.0
+            assert _same_bits((d.confidence,), (score,))
     return seq
 
 
@@ -343,7 +376,7 @@ def test_token_handling_is_pinned_per_field(idx, token):
             assert str(info.value) == f"line 1: {message}"
         return
     (det,) = [d for dets in _assert_matches_oracle([line]).frames.values() for d in dets]
-    value = _record_fields(det.source, det.box)[idx]
+    value = _record_fields(det)[idx]
     if idx in _INT_FIELDS:
         assert type(value) is int and value == expected
     else:
@@ -359,7 +392,10 @@ def test_frames_and_ids_beyond_int64_stay_python_ints():
     for value in (det.source.frame, det.source.track_id, det.source.occluded):
         assert type(value) is int
     assert (det.source.frame, det.source.track_id) == (big, -big)
-    assert format_label_line(parse_label_line(line)).startswith(f"{big} {-big} Car ")
+    assert parse_label_line(line)[:2] == [big, -big]
+    sink = io.StringIO()
+    write_tracking_results([Tracklet(id=big, detections=[(big, det)])], sink)
+    assert sink.getvalue().startswith(f"{big} {big} Car ")
 
 
 def test_non_finite_echo_fields_are_kept_and_written_back():
@@ -443,7 +479,7 @@ def test_a_bad_line_raises_what_the_line_grammar_raises(lines, data):
         fault = data.draw(st.sampled_from(_FAULTS))
         lines[at] = _inject(lines[at].split(), fault, data.draw(st.integers(0, 50)))
     with pytest.raises(KittiFormatError) as expected:
-        parse_objects(lines)
+        _grammar_walk(lines)
     with pytest.raises(KittiFormatError) as got:
         parse_sequence(lines)
     assert str(got.value) == str(expected.value)
@@ -463,35 +499,19 @@ def test_long_files_are_read_in_pieces_with_the_right_line_numbers():
             parse_sequence(broken)
 
 
-def test_reading_and_writing_build_no_labeled_object_per_line(monkeypatch):
+def test_a_bad_line_walks_only_its_own_chunk(monkeypatch):
     import paretotrack.kitti_io as kitti_io
 
-    lines = [f"{f} -1 Car 0.0 0 -1.2 {10.0 * f} 5.0 {10.0 * f + 4.0} 9.0 "
-             f"1.5 1.6 3.9 2.0 1.5 30.0 -1.5 0.9" for f in range(6)]
-    expected = io.StringIO()
-    dets = [(f, d) for f, ds in _oracle(lines).items() for d in ds]
-    write_tracking_results([Tracklet(id=2, detections=dets)], expected)
+    walked = []
 
-    def no_objects(*_args, **_kwargs):
-        raise AssertionError("a LabeledObject was built")
+    def counting(line, lineno=None):
+        walked.append(lineno)
+        return parse_label_line(line, lineno)
 
-    monkeypatch.setattr(kitti_io, "LabeledObject", no_objects)
-    seq = parse_sequence(lines)
-    dets = [(f, d) for f, ds in seq.frames.items() for d in ds]
-    sink = io.StringIO()
-    write_tracking_results([Tracklet(id=2, detections=dets)], sink)
-    assert sink.getvalue() == expected.getvalue()
-
-
-@settings(max_examples=50, deadline=None)
-@given(_kitti_lines())
-def test_results_write_the_same_from_either_kind_of_source(lines):
-    columnar = [d for ds in parse_sequence(lines).frames.values() for d in ds]
-    objects = [d for ds in _oracle(lines).values() for d in ds]
-    texts = []
-    for dets in (columnar, objects):
-        tracks = [Tracklet(id=i % 5, detections=[(d.source.frame, d)]) for i, d in enumerate(dets)]
-        sink = io.StringIO()
-        write_tracking_results(tracks, sink)
-        texts.append(sink.getvalue())
-    assert texts[0] == texts[1]
+    monkeypatch.setattr(kitti_io, "parse_label_line", counting)
+    lines = [DEVKIT_LINE] * 5000
+    lines[4500 - 1] = DEVKIT_LINE.replace("100.0", "nan")
+    with pytest.raises(KittiFormatError,
+                       match="^line 4500: field 'bbox_left' is not finite: 'nan'$"):
+        parse_sequence(lines)
+    assert walked == list(range(4097, 4501))

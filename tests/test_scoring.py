@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import boxes, make_label, slot_box
+from conftest import boxes, make_detection, slot_box
 from paretotrack.geometry import Box2D, iou_2d
 from paretotrack.scoring import (
     BaselineScorer,
@@ -15,7 +15,7 @@ from paretotrack.tracker import Tracklet
 
 
 def _tracklet(slot, frame=0, score=0.9):
-    det = make_label(frame, slot, slot_box(slot, frame), score=score).to_detection()
+    det = make_detection(frame, slot, slot_box(slot, frame), score=score)
     return Tracklet(id=slot, detections=[(frame, det)])
 
 
@@ -38,20 +38,20 @@ def test_baseline_identical_box_max_affinity():
 
 def test_baseline_disjoint_boxes():
     track = _tracklet(0)
-    far = make_label(1, 9, slot_box(3, 1)).to_detection()
+    far = make_detection(1, 9, slot_box(3, 1))
     scores = baseline_scores([track], [far], cfg=ScorerConfig(w_iou=1.0))
     assert scores.s_link[0, 0] == -1.0
 
 
 def test_baseline_confidence_mapping():
-    det = make_label(0, 0, slot_box(0, 0), score=1.0).to_detection()
+    det = make_detection(0, 0, slot_box(0, 0), score=1.0)
     scores = baseline_scores([], [det], cfg=ScorerConfig(w_det=1.0))
     assert scores.s_det_curr[0] == 1.0
 
 
 def test_baseline_terminal_scores_constant():
     tracks = [_tracklet(0), _tracklet(1)]
-    dets = [make_label(1, 0, slot_box(0, 1)).to_detection()]
+    dets = [make_detection(1, 0, slot_box(0, 1))]
     scores = baseline_scores(tracks, dets, cfg=ScorerConfig(terminal_score=-0.2))
     assert scores.s_in.tolist() == [-0.2]
     assert scores.s_out.tolist() == [-0.2, -0.2]
@@ -60,7 +60,7 @@ def test_baseline_terminal_scores_constant():
 def test_baseline_shapes_match_inputs(rng):
     for n, m in [(0, 0), (0, 3), (2, 0), (3, 4)]:
         tracks = [_tracklet(i) for i in range(n)]
-        dets = [make_label(1, j, slot_box(j, 1)).to_detection() for j in range(m)]
+        dets = [make_detection(1, j, slot_box(j, 1)) for j in range(m)]
         s = baseline_scores(tracks, dets)
         assert (s.n_prev, s.n_curr) == (n, m)
         assert s.s_link.shape == (n, m)
@@ -68,7 +68,7 @@ def test_baseline_shapes_match_inputs(rng):
 
 def test_baseline_deterministic():
     tracks = [_tracklet(0), _tracklet(1)]
-    dets = [make_label(1, j, slot_box(j, 1), score=0.7).to_detection() for j in range(3)]
+    dets = [make_detection(1, j, slot_box(j, 1), score=0.7) for j in range(3)]
     a = baseline_scores(tracks, dets)
     b = baseline_scores(tracks, dets)
     assert np.array_equal(a.s_link, b.s_link)
@@ -82,7 +82,7 @@ def test_baseline_monotone_in_iou():
     for shift in range(0, 60, 10):
         base = slot_box(0, 0)
         det_box = Box2D(base.left + shift, base.top, base.right + shift, base.bottom)
-        det = make_label(1, 0, det_box).to_detection()
+        det = make_detection(1, 0, det_box)
         val = baseline_scores([track], [det]).s_link[0, 0]
         if prev is not None:
             assert val <= prev
@@ -100,7 +100,7 @@ def test_baseline_scorer_callable():
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
-_detections = st.builds(lambda box, score: make_label(0, 0, box, score=score).to_detection(),
+_detections = st.builds(lambda box, score: make_detection(0, 0, box, score=score),
                         boxes(), st.floats(0.0, 1.0))
 
 

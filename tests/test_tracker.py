@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import IdentityScorer, make_label, random_gt_sequence, slot_box
+from conftest import IdentityScorer, make_detection, random_gt_sequence, slot_box
 from paretotrack.kitti_io import SequenceDetections
 from paretotrack.scoring import BaselineScorer, ScorerConfig, ScoreSet
 from paretotrack.tracker import (
@@ -20,7 +20,7 @@ from paretotrack.tracker import (
 
 
 def _det(frame, tid, slot=None):
-    return make_label(frame, tid, slot_box(tid if slot is None else slot, frame)).to_detection()
+    return make_detection(frame, tid, slot_box(tid if slot is None else slot, frame))
 
 
 def _matched_scores(n, m, pairs):
@@ -305,7 +305,7 @@ _frames = st.dictionaries(
 def test_run_sequence_invariants(frames, t_birth, t_death, scorer):
     seq = SequenceDetections()
     for f, slots in frames.items():
-        seq.frames[f] = [make_label(f, slot, slot_box(slot, f), score=conf).to_detection()
+        seq.frames[f] = [make_detection(f, slot, slot_box(slot, f), score=conf)
                          for slot, conf in sorted(slots.items())]
     tracks = run_sequence(seq, scorer, TrackerConfig(t_birth=t_birth, t_death=t_death))
 
@@ -387,8 +387,7 @@ def test_lifecycle_matches_hit_and_miss_counters(t_birth, t_death, presence):
     for f in range(n_frames):
         objs = [obj for obj, row in enumerate(presence) if row[f]]
         if objs:
-            seq.frames[f] = [make_label(f, obj, slot_box(obj, f)).to_detection()
-                             for obj in objs]
+            seq.frames[f] = [make_detection(f, obj, slot_box(obj, f)) for obj in objs]
     cfg = TrackerConfig(t_birth=t_birth, t_death=t_death)
 
     reference = _CounterLifecycle(t_birth, t_death)
