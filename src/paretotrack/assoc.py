@@ -22,15 +22,17 @@ adjusted gains w' = w - u - v (keeping only w' > 0 edges) is optimal and
 polynomial, so no external MIP solver is needed.
 
 A ScoreSet is the whole problem: solve_exact and solve_bruteforce take one and
-return the flags plus the (row, col) link pairs they chose.  A solution does
-not carry its objective; objective_value(scores, solution) prices it on demand.
+return the node flags f_in and f_out plus the (row, col) link pairs they chose.
+A solution stores only those three; f_link, f_det_prev and f_det_curr follow
+from them and are built on first read.  Nor does a solution carry its
+objective: objective_value(scores, solution) prices it on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -45,14 +47,31 @@ BRUTEFORCE_FLAG_LIMIT = 25
 
 @dataclass
 class AssociationSolution:
-    """Binary flow flags plus the (row, col) pairs set in f_link, in row order."""
+    """The node flags f_in and f_out plus the (row, col) links, in row order.
+
+    f_link, f_det_prev and f_det_curr are derived from those on first read
+    and then kept, so a caller that reads only the links and f_in never
+    builds them.
+    """
 
     f_in: np.ndarray
     f_out: np.ndarray
-    f_det_prev: np.ndarray
-    f_det_curr: np.ndarray
-    f_link: np.ndarray
     link_pairs: list[tuple[int, int]]
+
+    @cached_property
+    def f_link(self) -> np.ndarray:
+        f_link = np.zeros((len(self.f_out), len(self.f_in)), dtype=np.int64)
+        for i, j in self.link_pairs:
+            f_link[i, j] = 1
+        return f_link
+
+    @cached_property
+    def f_det_prev(self) -> np.ndarray:
+        return self.f_link.sum(axis=1) + self.f_out
+
+    @cached_property
+    def f_det_curr(self) -> np.ndarray:
+        return self.f_link.sum(axis=0) + self.f_in
 
     def flag_vector(self) -> tuple[int, ...]:
         """Row-major f_link, then f_in, then f_out; the tie-break sort key."""
@@ -66,20 +85,10 @@ class AssociationSolution:
 
 def make_solution(scores: ScoreSet, link_pairs, f_in, f_out) -> AssociationSolution:
     """Assemble a solution from its links and node flags; f_det follows from the constraints."""
-    n, m = scores.n_prev, scores.n_curr
-    link_pairs = list(link_pairs)
-    f_link = np.zeros((n, m), dtype=np.int64)
-    for i, j in link_pairs:
-        f_link[i, j] = 1
-    f_in = np.asarray(f_in, dtype=np.int64).reshape(m)
-    f_out = np.asarray(f_out, dtype=np.int64).reshape(n)
     return AssociationSolution(
-        f_in=f_in,
-        f_out=f_out,
-        f_det_prev=f_link.sum(axis=1) + f_out,
-        f_det_curr=f_link.sum(axis=0) + f_in,
-        f_link=f_link,
-        link_pairs=link_pairs,
+        f_in=np.asarray(f_in, dtype=np.int64).reshape(scores.n_curr),
+        f_out=np.asarray(f_out, dtype=np.int64).reshape(scores.n_prev),
+        link_pairs=list(link_pairs),
     )
 
 
@@ -118,10 +127,14 @@ def check_feasible(sol: AssociationSolution) -> bool:
 
 
 def _node_gains(scores: ScoreSet):
+    """Unmatched prizes u, v and the adjusted gains ((prev + curr) + link) - u - v."""
     u = np.maximum(0.0, scores.s_det_prev + scores.s_out)
     v = np.maximum(0.0, scores.s_det_curr + scores.s_in)
-    w = scores.s_det_prev[:, None] + scores.s_det_curr[None, :] + scores.s_link
-    return u, v, w - u[:, None] - v[None, :]
+    w = np.add.outer(scores.s_det_prev, scores.s_det_curr)
+    w += scores.s_link
+    w -= u[:, None]
+    w -= v
+    return u, v, w
 
 
 def _lex_refine(adjusted: np.ndarray, target: float) -> list[tuple[int, int]]:
@@ -188,8 +201,8 @@ def solve_exact(scores: ScoreSet) -> AssociationSolution:
 
     # Unmatched nodes activate only when strictly profitable, so exact zero
     # prizes stay inactive (the lexicographically smaller choice).
-    f_out = scores.s_det_prev + scores.s_out > 0.0
-    f_in = scores.s_det_curr + scores.s_in > 0.0
+    f_out = u > 0.0
+    f_in = v > 0.0
     for i, j in pairs:
         f_out[i] = f_in[j] = False
     return make_solution(scores, pairs, f_in, f_out)

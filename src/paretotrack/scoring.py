@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geometry import box_array, iou_matrix
+from .geometry import iou_matrix
 from .kitti_io import Detection
 from .settings import FINITE, check
 
@@ -50,9 +50,13 @@ class ScoreSet:
         self.s_link = np.asarray(s_link, dtype=np.float64).reshape(n, m)
         if self.s_det_prev.shape[0] != n or self.s_det_curr.shape[0] != m:
             raise ValueError("score array lengths do not agree on (N, M)")
-        for name in ("s_in", "s_out", "s_det_prev", "s_det_curr", "s_link"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} contains non-finite values")
+        families = (self.s_in, self.s_out, self.s_det_prev, self.s_det_curr, self.s_link)
+        # one check over all five; the walk only names the first bad family
+        if not np.isfinite(np.concatenate(families, axis=None)).all():
+            names = ("s_in", "s_out", "s_det_prev", "s_det_curr", "s_link")
+            for name, values in zip(names, families):
+                if not np.isfinite(values).all():
+                    raise ValueError(f"{name} contains non-finite values")
 
     @property
     def n_prev(self) -> int:
@@ -61,10 +65,6 @@ class ScoreSet:
     @property
     def n_curr(self) -> int:
         return self.s_in.shape[0]
-
-
-def _confidences(detections: Sequence[Detection]) -> np.ndarray:
-    return np.array([d.confidence for d in detections], dtype=np.float64)
 
 
 def baseline_scores(
@@ -80,15 +80,18 @@ def baseline_scores(
     Affinities live in a signed range so "no evidence" sits at 0, the
     implicit value of an inactive flow flag.
     """
-    prev_dets = [track.detections[-1][1] for track in tracklets]
-    iou = iou_matrix(box_array(d.box for d in prev_dets),
-                     box_array(d.box for d in detections))
-    s_link = cfg.w_iou * (2.0 * iou - 1.0)
-    s_det_prev = cfg.w_det * (2.0 * _confidences(prev_dets) - 1.0)
-    s_det_curr = cfg.w_det * (2.0 * _confidences(detections) - 1.0)
-    s_in = np.full(len(detections), cfg.terminal_score)
-    s_out = np.full(len(tracklets), cfg.terminal_score)
-    return ScoreSet(s_in, s_out, s_det_prev, s_det_curr, s_link)
+    n = len(tracklets)
+    # one (N + M, 5) array: the tracklets' last boxes and confidences, then
+    # the detections'; rows are (left, top, right, bottom, confidence)
+    rows = np.array(
+        [(d.box.left, d.box.top, d.box.right, d.box.bottom, d.confidence)
+         for d in [track.detections[-1][1] for track in tracklets] + list(detections)],
+        dtype=np.float64,
+    ).reshape(-1, 5)
+    s_link = cfg.w_iou * (2.0 * iou_matrix(rows[:n, :4], rows[n:, :4]) - 1.0)
+    s_det = cfg.w_det * (2.0 * rows[:, 4] - 1.0)
+    terminal = np.full(len(rows), cfg.terminal_score)
+    return ScoreSet(terminal[n:], terminal[:n], s_det[:n], s_det[n:], s_link)
 
 
 class BaselineScorer:

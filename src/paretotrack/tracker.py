@@ -81,13 +81,18 @@ def step(
     Matched pairs extend their tracklet; unmatched detections flagged as
     trajectory starts (or true positives) spawn tentative tracklets.  The
     lifecycle rules then run at this frame, where an unmatched tracklet has
-    one more miss.
+    one more miss.  A frame that is not after every active tracklet's last
+    frame raises ValueError and leaves the state as it was.
     """
     if scores.n_prev != len(state.active) or scores.n_curr != len(detections):
         raise ValueError(
             f"score set shaped ({scores.n_prev}, {scores.n_curr}) does not match "
             f"{len(state.active)} tracklets x {len(detections)} detections"
         )
+    last = max((track.detections[-1][0] for track in state.active), default=frame - 1)
+    if frame <= last:
+        where = "before" if frame < last else "at"
+        raise ValueError(f"frame {frame} is {where} a tracklet's last frame {last}")
     solution = solve_exact(scores)
     for i, j in solution.link_pairs:
         state.active[i].append(frame, detections[j])

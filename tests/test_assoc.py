@@ -288,3 +288,42 @@ def test_refine_runs_when_a_pair_is_invisible_to_fsum():
     assert refine.called
     assert e.link_pairs == [(0, 0)]
     assert e.flag_vector() == solve_bruteforce(p).flag_vector()
+
+
+@st.composite
+def _grid_scoresets(draw):
+    """Score sets of 0-4 by 0-4 nodes with scores on a 0.5 grid, so ties are common."""
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    score = st.integers(-4, 4).map(lambda k: k / 2)
+
+    def family(*shape):
+        return np.array([draw(score) for _ in range(math.prod(shape))]).reshape(shape)
+
+    return ScoreSet(family(m), family(n), family(n), family(m), family(n, m))
+
+
+@st.composite
+def _matchings_with_node_flags(draw, scores):
+    """make_solution's inputs: a matching, then 0/1 node flags on unmatched nodes."""
+    n, m = scores.n_prev, scores.n_curr
+    k = draw(st.integers(0, min(n, m)))
+    rows = sorted(draw(st.permutations(range(n)))[:k])
+    cols = draw(st.permutations(range(m)))[:k]
+    f_in = [0 if j in cols else draw(st.integers(0, 1)) for j in range(m)]
+    f_out = [0 if i in rows else draw(st.integers(0, 1)) for i in range(n)]
+    return list(zip(rows, cols)), f_in, f_out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_derived_flags_follow_the_links_and_node_flags(data):
+    scores = data.draw(_grid_scoresets())
+    built = make_solution(scores, *data.draw(_matchings_with_node_flags(scores)))
+    for sol in (solve_exact(scores), solve_bruteforce(scores), built):
+        link = np.zeros((scores.n_prev, scores.n_curr), dtype=np.int64)
+        for i, j in sol.link_pairs:
+            link[i, j] = 1
+        assert sol.f_link.tolist() == link.tolist()
+        assert sol.f_det_prev.tolist() == (link.sum(1) + sol.f_out).tolist()
+        assert sol.f_det_curr.tolist() == (link.sum(0) + sol.f_in).tolist()
+        assert check_feasible(sol)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,33 @@ def test_scoreset_shape_validation():
 def test_scoreset_rejects_nan():
     with pytest.raises(ValueError):
         ScoreSet([np.nan], [], [], [0.0], np.zeros((0, 1)))
+
+
+_FAMILIES = ("s_in", "s_out", "s_det_prev", "s_det_curr", "s_link")
+
+
+def _finite_families():
+    """Two tracklets by three detections, every score finite."""
+    return {"s_in": np.zeros(3), "s_out": np.zeros(2), "s_det_prev": np.zeros(2),
+            "s_det_curr": np.zeros(3), "s_link": np.zeros((2, 3))}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", _FAMILIES)
+def test_scoreset_names_the_non_finite_family(name, value):
+    families = _finite_families()
+    families[name].flat[-1] = value
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite values$"):
+        ScoreSet(**families)
+
+
+@pytest.mark.parametrize("first, second", itertools.combinations(_FAMILIES, 2))
+def test_scoreset_names_the_first_of_two_non_finite_families(first, second):
+    families = _finite_families()
+    families[first].flat[0] = np.inf
+    families[second].flat[0] = np.nan
+    with pytest.raises(ValueError, match=f"^{first} contains non-finite values$"):
+        ScoreSet(**families)
 
 
 def test_baseline_identical_box_max_affinity():

@@ -172,6 +172,36 @@ def test_a_backwards_frame_leaves_the_state_as_it_was():
     assert state.retired == []
 
 
+def _snapshot(state):
+    """Everything a step may change: each tracklet's ID and detections, and next_id."""
+    def tracks(ts):
+        return [(id(t), t.id, list(t.detections)) for t in ts]
+    return tracks(state.active), tracks(state.retired), state.next_id
+
+
+def test_a_repeated_frame_raises_and_leaves_the_state_as_it_was():
+    # the tentative would count no miss at its own frame and stay alive
+    state = TrackerState(config=TrackerConfig(t_birth=3, t_death=5))
+    step(state, 0, [_det(0, 0)], _matched_scores(0, 1, []))
+    before = _snapshot(state)
+    with pytest.raises(ValueError, match="frame 0 is at a tracklet's last frame 0"):
+        step(state, 0, [], _matched_scores(1, 0, []))
+    assert _snapshot(state) == before
+
+
+def test_a_backwards_step_with_a_link_leaves_the_state_as_it_was():
+    # tracklet 0 would take the detection at frame 3 before tracklet 1,
+    # last seen at frame 5, makes the frame fail
+    state = TrackerState(config=TrackerConfig(t_birth=1, t_death=5))
+    state.active = [Tracklet(id=0, detections=[(1, _det(1, 0))]),
+                    Tracklet(id=1, detections=[(5, _det(5, 1))])]
+    state.next_id = 2
+    before = _snapshot(state)
+    with pytest.raises(ValueError, match="frame 3 is before a tracklet's last frame 5"):
+        step(state, 3, [_det(3, 0)], _matched_scores(2, 1, [(0, 0)]))
+    assert _snapshot(state) == before
+
+
 def test_birth_death_twice_at_one_frame_changes_nothing():
     state = TrackerState(config=TrackerConfig(t_birth=2, t_death=2))
     step(state, 0, [_det(0, 0), _det(0, 1)], _matched_scores(0, 2, []))
