@@ -32,7 +32,7 @@ class ScorerConfig:
 
 
 class ScoreSet:
-    """The four score families for one adjacent frame pair (N tracklets, M detections).
+    """The five score families for one adjacent frame pair (N tracklets, M detections).
 
     s_in(j):       gain for starting a trajectory at current detection j
     s_out(i):      gain for ending a trajectory at previous object i

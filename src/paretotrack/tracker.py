@@ -89,10 +89,11 @@ def step(
             f"score set shaped ({scores.n_prev}, {scores.n_curr}) does not match "
             f"{len(state.active)} tracklets x {len(detections)} detections"
         )
-    last = max((track.detections[-1][0] for track in state.active), default=frame - 1)
-    if frame <= last:
-        where = "before" if frame < last else "at"
-        raise ValueError(f"frame {frame} is {where} a tracklet's last frame {last}")
+    for track in state.active:
+        last = track.detections[-1][0]
+        if frame <= last:
+            where = "before" if frame < last else "at"
+            raise ValueError(f"frame {frame} is {where} a tracklet's last frame {last}")
     solution = solve_exact(scores)
     for i, j in solution.link_pairs:
         state.active[i].append(frame, detections[j])
