@@ -22,8 +22,8 @@ from .geometry import (
     rasterize_bev,
 )
 from .kitti_io import (
-    Detection,
     KittiFormatError,
+    KittiRecord,
     SequenceDetections,
     parse_label_line,
     parse_sequence,

@@ -37,7 +37,7 @@ from .latency import (
 from .metrics import clear_mot, format_report_kv, format_report_table
 from .nas.search import max_latency_ms
 from .scoring import BaselineScorer, ScorerConfig, ScoreSet
-from .settings import AT_LEAST_0, RATE, SettingError
+from .settings import AT_LEAST_0, BOUNDED, RATE, SettingError
 from .tracker import TrackerConfig, run_sequence
 
 CONFIG_ENV_VAR = "PARETOTRACK_CONFIG"
@@ -154,8 +154,8 @@ def _cmd_track(args: argparse.Namespace) -> int:
     overflows = [d for dets in seq.frames.values() for d in dets
                  if not math.isfinite(args.w_det * (2.0 * d.confidence - 1.0))]
     if overflows:
-        first = min(overflows, key=lambda d: d.source.lineno)
-        raise CliError(f"{args.dets}:{first.source.lineno}: score {first.confidence!r} "
+        first = min(overflows, key=lambda d: d.lineno)
+        raise CliError(f"{args.dets}:{first.lineno}: score {first.confidence!r} "
                        f"weighted by --w-det {args.w_det!r} is not finite")
     tracks = run_sequence(seq, scorer, cfg)
     buf = io.StringIO()
@@ -172,13 +172,13 @@ def _frames_of(path: str):
     frames = {}
     repeats = []
     for frame, dets in _read_sequence(path).frames.items():
-        objs = frames[frame] = [(d.source.track_id, d.box) for d in dets]
+        objs = frames[frame] = [(d.track_id, d.box) for d in dets]
         if len(dict(objs)) != len(objs):
             seen = set()
             for d in dets:
-                if d.source.track_id in seen:
-                    repeats.append(d.source)
-                seen.add(d.source.track_id)
+                if d.track_id in seen:
+                    repeats.append(d)
+                seen.add(d.track_id)
     if repeats:
         first = min(repeats, key=lambda record: record.lineno)
         raise CliError(f"{path}:{first.lineno}: duplicate track_id {first.track_id} "
@@ -334,11 +334,12 @@ def _read_scoreset(path: str) -> ScoreSet:
     n, m = (int(size) for size in sizes)
 
     def row(i: int, name: str, size: int) -> list[float]:
-        what = f"{size} finite {name} values"
+        # bounded scores keep every sum that solve_exact and objective_value form finite
+        what = f"{size} {name} values, each {BOUNDED.text}"
         lineno, text = take(i, what)
         try:  # vector rows carry a 'name:' label, link rows do not
             parsed = [float(x) for x in text.rpartition(":")[2].split()]
-            ok = len(parsed) == size and all(map(math.isfinite, parsed))
+            ok = len(parsed) == size and all(map(BOUNDED.holds, parsed))
         except ValueError:
             ok = False
         if not ok:

@@ -4,18 +4,20 @@ One object per line, whitespace separated:
 frame track_id type truncated occluded alpha bbox(4) dimensions(3) location(3) rotation_y [score]
 
 17 fields for label files, 18 when a detection score is appended.  The box
-and the score must be finite to read or write; the other float fields may
-be inf or nan and are echoed as read.  Numbers are serialized with repr-level
-precision so parse(write(x)) reproduces every field bit-for-bit.
+and the score must be finite, and each box coordinate `settings.BOUNDED`, so
+that no width, height, area or sum of two areas overflows; the other float
+fields may be inf or nan.
 
-`parse_sequence` reads a whole file into typed columns: each field column is
-converted in one pass, and the checks run over whole columns.  Each
-`Detection` it makes carries a `KittiRecord`, the one record type: a view of
-its line in those columns.  `write_tracking_results` writes result lines from
-the same columns.  `parse_label_line` is the grammar of one line, as a list of
-field values.  The reader walks the lines of a chunk that fails the column
-checks with it, so the error names the first bad line and field exactly as
-that grammar does.
+`parse_sequence` reads a whole file into typed columns, converting each
+field column in one pass and checking whole columns, and makes one
+`KittiRecord` per line: a view of its line in those columns.
+`write_tracking_results` writes a result line as the frame, the track ID and
+the line's tokens after its track ID as they were read, joined by single
+spaces; so a number is written as it was spelled, and parse(write(x))
+reproduces every field bit for bit.  `parse_label_line` is the grammar of one
+line, as a list of field values.  The reader walks the lines of a chunk that
+fails the column checks with it, so the error names the first bad line and
+field exactly as that grammar does.
 """
 
 from __future__ import annotations
@@ -26,7 +28,10 @@ from itertools import chain
 from operator import itemgetter, le
 from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
+import numpy as np
+
 from .geometry import Box2D
+from .settings import BOUNDED, MAGNITUDE_LIMIT
 
 if TYPE_CHECKING:  # pragma: no cover
     from .tracker import Tracklet
@@ -34,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover
 N_LABEL_FIELDS = 17
 N_DETECTION_FIELDS = 18
 
-# (name, converter) per field, in line order; one table for reading and writing
+# (name, converter) per field, in line order
 _FIELDS = (
     ("frame", int), ("track_id", int), ("type", str), ("truncated", float),
     ("occluded", int), ("alpha", float),
@@ -44,8 +49,8 @@ _FIELDS = (
 )
 _BOX = slice(6, 10)
 _SCORE = 17
-_FINITE = (6, 7, 8, 9, _SCORE)  # the box and the score
-_FORMAT = " ".join({int: "%d", float: "%r", str: "%s"}[conv] for _, conv in _FIELDS)
+_COORDS = (6, 7, 8, 9)
+_FINITE = (*_COORDS, _SCORE)  # the box and the score
 # lines converted per column pass; bounds the token lists alive at once
 _CHUNK = 2048
 
@@ -61,26 +66,36 @@ class KittiFormatError(ValueError):
         self.lineno = lineno
 
 
+class _Table:
+    """One file as read: typed field columns, each line's result tail (its
+    tokens after the track ID) and a (rows, 5) array of box and confidence."""
+
+    __slots__ = ("columns", "tails", "numbers")
+
+    def __init__(self):
+        self.columns = tuple([] for _ in _FIELDS)
+        self.tails: list[str] = []
+
+
 def _field_view(k: int) -> property:
-    return property(lambda self: self._columns[k][self._row])
+    return property(lambda self: self._table.columns[k][self._row])
 
 
 def _fields_view(*ks: int) -> property:
-    return property(lambda self: tuple(self._columns[k][self._row] for k in ks))
+    return property(lambda self: tuple(self._table.columns[k][self._row] for k in ks))
 
 
 class KittiRecord:
-    """One line of a file read by `parse_sequence`, field by field.
+    """One line of a file read by `parse_sequence`, as a view into its columns.
 
-    A view into the file's typed columns, so reading a file builds no object
-    per field; `score` is None on a 17-field line, and `lineno` is the 1-based
-    line the record came from.  The line's box is its `Detection.box`.
+    `score` is None on a 17-field line, whose `confidence` is 1.0; `box` is
+    built when it is read; `lineno` is the 1-based line the record came from.
     """
 
-    __slots__ = ("_columns", "_row")
+    __slots__ = ("_table", "_row")
 
-    def __init__(self, columns: tuple[list, ...], row: int):
-        self._columns = columns
+    def __init__(self, table: _Table, row: int):
+        self._table = table
         self._row = row
 
     frame = _field_view(0)
@@ -95,27 +110,32 @@ class KittiRecord:
     score = _field_view(_SCORE)
 
     @property
+    def confidence(self) -> float:
+        score = self._table.columns[_SCORE][self._row]
+        return 1.0 if score is None else score
+
+    @property
+    def box(self) -> Box2D:
+        c, i = self._table.columns, self._row
+        return Box2D(c[6][i], c[7][i], c[8][i], c[9][i])
+
+    @property
     def lineno(self) -> int:
         return self._row + 1
 
 
-@dataclass(frozen=True)
-class Detection:
-    """A detected object in one frame, as consumed by the tracker.
-
-    Its frame is the key it is filed under in `SequenceDetections.frames`.
-    """
-
-    box: Box2D
-    confidence: float
-    source: KittiRecord
+def number_rows(records: Sequence[KittiRecord]) -> np.ndarray:
+    """The records' (left, top, right, bottom, confidence) rows, shape (len, 5)."""
+    if records and all(r._table is records[0]._table for r in records):
+        return records[0]._table.numbers[[r._row for r in records]]
+    return np.array([r._table.numbers[r._row] for r in records]).reshape(-1, 5)
 
 
 @dataclass
 class SequenceDetections:
-    """Per-frame detections of one sequence, keyed by frame index."""
+    """Per-frame records of one sequence, keyed by frame index."""
 
-    frames: dict[int, list[Detection]] = field(default_factory=dict)
+    frames: dict[int, list[KittiRecord]] = field(default_factory=dict)
 
 
 def parse_label_line(line: str, lineno: int | None = None) -> list:
@@ -123,10 +143,8 @@ def parse_label_line(line: str, lineno: int | None = None) -> list:
     trailing score) line, in line order; the first fault raises."""
     tokens = line.split()
     if len(tokens) not in (N_LABEL_FIELDS, N_DETECTION_FIELDS):
-        raise KittiFormatError(
-            f"expected {N_LABEL_FIELDS} or {N_DETECTION_FIELDS} fields, got {len(tokens)}",
-            lineno,
-        )
+        raise KittiFormatError(f"expected {N_LABEL_FIELDS} or {N_DETECTION_FIELDS} fields, "
+                               f"got {len(tokens)}", lineno)
     values = []
     for k, ((name, conv), token) in enumerate(zip(_FIELDS, tokens)):
         try:
@@ -135,6 +153,8 @@ def parse_label_line(line: str, lineno: int | None = None) -> list:
             raise KittiFormatError(f"field '{name}' is not numeric: {token!r}", lineno) from None
         if k in _FINITE and not math.isfinite(value):
             raise KittiFormatError(f"field '{name}' is not finite: {token!r}", lineno)
+        if k in _COORDS and not BOUNDED.holds(value):
+            raise KittiFormatError(f"field '{name}' must be {BOUNDED.text}: {token!r}", lineno)
         values.append(value)
     try:
         Box2D(*values[_BOX])
@@ -145,26 +165,8 @@ def parse_label_line(line: str, lineno: int | None = None) -> list:
     return values
 
 
-def _format_lines(rows: Sequence[tuple]) -> list[str]:
-    """Result lines for rows of 18 field values.
-
-    Each field goes through its converter (`int` or `float`) before `%d` or
-    `%r`, so a line reads `str(int(v))` and `repr(float(v))` field by field.
-    The first non-finite box coordinate or score raises `ValueError`.
-    """
-    if not rows:
-        return []
-    columns = [list(map(conv, column)) for (_, conv), column in zip(_FIELDS, zip(*rows))]
-    if not all(map(math.isfinite, chain.from_iterable(columns[k] for k in _FINITE))):
-        row, k = next((row, k) for row in range(len(rows)) for k in _FINITE
-                      if not math.isfinite(columns[k][row]))
-        raise ValueError(f"cannot write frame {columns[0][row]}, track_id {columns[1][row]}: "
-                         f"field '{_FIELDS[k][0]}' is not finite: {columns[k][row]!r}")
-    return list(map(_FORMAT.__mod__, zip(*columns)))
-
-
-def _convert(lines: Sequence[str], columns: tuple[list, ...]) -> bool:
-    """Append the typed fields of ``lines`` to ``columns``; False if any line is bad."""
+def _convert(lines: Sequence[str], table: _Table) -> bool:
+    """Append the typed fields and tails of ``lines`` to ``table``; False if any line is bad."""
     rows = [line.split() for line in lines]
     widths = set(map(len, rows))
     if not widths <= {N_LABEL_FIELDS, N_DETECTION_FIELDS}:
@@ -180,54 +182,50 @@ def _convert(lines: Sequence[str], columns: tuple[list, ...]) -> bool:
     frame, (left, top, right, bottom), score = typed[0], typed[_BOX], typed[_SCORE]
     if widths != {N_DETECTION_FIELDS}:
         score = [s for s in score if s is not None]
+    # abs(x) <= limit is False for inf and nan too
     if not (min(frame) >= 0
-            and all(map(math.isfinite, chain(left, top, right, bottom, score)))
+            and all(map(MAGNITUDE_LIMIT.__ge__, map(abs, chain(left, top, right, bottom))))
+            and all(map(math.isfinite, score))
             and all(map(le, left, right)) and all(map(le, top, bottom))):
         return False
-    for column, values in zip(columns, typed):
+    for column, values in zip(table.columns, typed):
         column.extend(values)
+    # a 17-field line is written with the score 1.0 it is read with
+    table.tails += [" ".join(r[2:] if len(r) == N_DETECTION_FIELDS else r[2:] + ["1.0"])
+                    for r in rows]
     return True
 
 
 def parse_sequence(source: Iterable[str] | IO[str]) -> SequenceDetections:
-    """Group a stream of records into per-frame detections, keeping per-frame order."""
+    """Group a stream of records into per-frame records, keeping per-frame order."""
     lines = list(source)
-    columns = tuple([] for _ in _FIELDS)
+    table = _Table()
     for start in range(0, len(lines), _CHUNK):
         chunk = lines[start:start + _CHUNK]
-        if not _convert(chunk, columns):
+        if not _convert(chunk, table):
             # earlier chunks passed, so the first bad line is in this one
             for lineno, line in enumerate(chunk, start=start + 1):
                 if not line.strip():
                     raise KittiFormatError("blank line", lineno)
                 parse_label_line(line, lineno)
             raise AssertionError("the column checks rejected a chunk the line grammar accepts")
+    columns = table.columns
+    confidence = [1.0 if s is None else s for s in columns[_SCORE]]
+    table.numbers = np.array([*columns[_BOX], confidence], dtype=np.float64).T
     seq = SequenceDetections()
     frames = seq.frames
-    for row, (frame, left, top, right, bottom, score) in enumerate(
-            zip(columns[0], *columns[_BOX], columns[_SCORE])):
-        det = Detection(Box2D(left, top, right, bottom),
-                        1.0 if score is None else score, KittiRecord(columns, row))
-        frames.setdefault(frame, []).append(det)
+    for row, frame in enumerate(columns[0]):
+        frames.setdefault(frame, []).append(KittiRecord(table, row))
     return seq
 
 
-def _result_row(frame: int, track_id: int, det: Detection) -> tuple:
-    """The fields of one result line: box and score from the detection, the rest
-    read straight from the columns of its source's file."""
-    c, i, box = det.source._columns, det.source._row, det.box
-    return (frame, track_id, c[2][i], c[3][i], c[4][i], c[5][i],
-            box.left, box.top, box.right, box.bottom,
-            c[10][i], c[11][i], c[12][i], c[13][i], c[14][i], c[15][i], c[16][i],
-            det.confidence)
-
-
 def write_tracking_results(tracks: Iterable["Tracklet"], sink: IO[str]) -> None:
-    """Write one line per (tracklet, frame) membership, sorted by frame then track id."""
+    """Write one line per (tracklet, frame) membership, sorted by frame then track id:
+    the frame, the track ID and the record's tokens after its track ID."""
     rows = []
     for track in tracks:
         if track.id is None or track.id < 0:
             raise ValueError("every tracklet must carry an assigned non-negative ID")
-        rows += [_result_row(frame, track.id, det) for frame, det in track.detections]
+        rows += [(frame, track.id, det._table.tails[det._row]) for frame, det in track.detections]
     rows.sort(key=itemgetter(0, 1))
-    sink.write("".join(line + "\n" for line in _format_lines(rows)))
+    sink.write("".join(map("%d %d %s\n".__mod__, rows)))

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .geometry import iou_matrix
-from .kitti_io import Detection
+from .kitti_io import KittiRecord, number_rows
 from .settings import FINITE, check
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,7 +69,7 @@ class ScoreSet:
 
 def baseline_scores(
     tracklets: Sequence["Tracklet"],
-    detections: Sequence[Detection],
+    detections: Sequence[KittiRecord],
     cfg: ScorerConfig = ScorerConfig(),
 ) -> ScoreSet:
     """Deterministic stand-in for a learned adjacency estimator.
@@ -83,11 +83,7 @@ def baseline_scores(
     n = len(tracklets)
     # one (N + M, 5) array: the tracklets' last boxes and confidences, then
     # the detections'; rows are (left, top, right, bottom, confidence)
-    rows = np.array(
-        [(d.box.left, d.box.top, d.box.right, d.box.bottom, d.confidence)
-         for d in [track.detections[-1][1] for track in tracklets] + list(detections)],
-        dtype=np.float64,
-    ).reshape(-1, 5)
+    rows = number_rows([track.detections[-1][1] for track in tracklets] + list(detections))
     s_link = cfg.w_iou * (2.0 * iou_matrix(rows[:n, :4], rows[n:, :4]) - 1.0)
     s_det = cfg.w_det * (2.0 * rows[:, 4] - 1.0)
     terminal = np.full(len(rows), cfg.terminal_score)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .assoc import AssociationSolution, solve_exact
-from .kitti_io import Detection, SequenceDetections
+from .kitti_io import KittiRecord, SequenceDetections
 from .scoring import ScoreSet
 from .settings import AT_LEAST_1, check
 
@@ -39,17 +39,17 @@ class Tracklet:
     """One identity: its public ID (None while tentative) and its detections in frame order."""
 
     id: int | None
-    detections: list[tuple[int, Detection]]
+    detections: list[tuple[int, KittiRecord]]
 
     @property
     def last_frame(self) -> int:
         return self.detections[-1][0]
 
     @property
-    def last_detection(self) -> Detection:
+    def last_detection(self) -> KittiRecord:
         return self.detections[-1][1]
 
-    def append(self, frame: int, det: Detection) -> None:
+    def append(self, frame: int, det: KittiRecord) -> None:
         if self.detections and frame <= self.last_frame:
             raise ValueError(
                 f"detection frames must strictly increase ({frame} after {self.last_frame})"
@@ -67,13 +67,13 @@ class TrackerState:
     next_id: int = 0
 
 
-Scorer = Callable[[Sequence[Tracklet], Sequence[Detection]], ScoreSet]
+Scorer = Callable[[Sequence[Tracklet], Sequence[KittiRecord]], ScoreSet]
 
 
 def step(
     state: TrackerState,
     frame: int,
-    detections: Sequence[Detection],
+    detections: Sequence[KittiRecord],
     scores: ScoreSet,
 ) -> tuple[TrackerState, AssociationSolution]:
     """Associate one frame of detections against the active tracklets.

@@ -25,7 +25,7 @@ def label_line(frame, track_id, box, score=0.9, class_name="Car"):
 
 
 def make_detection(frame, track_id, box, score=0.9, class_name="Car"):
-    """The one detection that the reader makes of `label_line`'s line."""
+    """The one record that the reader makes of `label_line`'s line."""
     (det,) = parse_sequence([label_line(frame, track_id, box, score, class_name)]).frames[frame]
     return det
 
@@ -76,9 +76,9 @@ class IdentityScorer:
         n, m = len(tracklets), len(detections)
         link = np.full((n, m), -2.0)
         for i, track in enumerate(tracklets):
-            tid = track.last_detection.source.track_id
+            tid = track.last_detection.track_id
             for j, det in enumerate(detections):
-                if det.source.track_id == tid:
+                if det.track_id == tid:
                     link[i, j] = 2.0
         return ScoreSet(
             np.full(m, -0.5), np.full(n, -0.5), np.ones(n), np.ones(m), link

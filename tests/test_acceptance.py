@@ -316,9 +316,9 @@ def test_c10_io_roundtrip_and_cli_determinism(tmp_path):
     with open(fixture) as source:
         parsed = parse_sequence(source)
     dets = [(f, d) for f, ds in parsed.frames.items() for d in ds]
-    assert [(f, d.source.track_id, d.box, d.confidence) for f, d in dets] == objs
+    assert [(f, d.track_id, d.box, d.confidence) for f, d in dets] == objs
     sink = io.StringIO()
-    write_tracking_results([Tracklet(id=d.source.track_id, detections=[(f, d)])
+    write_tracking_results([Tracklet(id=d.track_id, detections=[(f, d)])
                             for f, d in dets], sink)
     rewritten = sink.getvalue()
     assert rewritten == text

@@ -8,6 +8,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import label_line, slot_box
 from paretotrack import cli
@@ -560,6 +562,56 @@ def test_assoc_debug_bad_scoreset_rows_name_the_line(tmp_path, capsys, body, lin
     scores.write_text("scoreset v1\nn_prev=1 n_curr=1\n" + body)
     assert execute(["assoc-debug", "--scores", str(scores)]) == 1
     assert f"error: {scores}:{lineno}: expected " in capsys.readouterr().err
+
+
+# finite scores around the bound, and far beyond it
+_huge_scores = st.one_of(
+    st.sampled_from([1e308, -1e308, 2.0 ** 510, -(2.0 ** 510), 2.0 ** 511, 1.0, 0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+def test_assoc_debug_on_huge_finite_scores_exits_cleanly(tmp_path_factory, n, m, data):
+    def row(size):
+        return " ".join(map(repr, data.draw(st.lists(_huge_scores, min_size=size,
+                                                     max_size=size))))
+
+    lines = ["scoreset v1", f"n_prev={n} n_curr={m}", f"s_in: {row(m)}", f"s_out: {row(n)}",
+             f"s_det_prev: {row(n)}", f"s_det_curr: {row(m)}", *(row(m) for _ in range(n))]
+    scores = tmp_path_factory.mktemp("scores") / "scores.txt"
+    scores.write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = execute(["assoc-debug", "--scores", str(scores)])
+    assert code in (0, 1)
+    assert not caught
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    if code == 1:
+        assert re.fullmatch(rf"error: {re.escape(str(scores))}:\d+: expected .*\n",
+                            err.getvalue())
+
+
+@pytest.mark.parametrize("flag", ["--dets", "--gt", "--hyp"])
+@pytest.mark.parametrize("box, field, token", [
+    (("-1e308", "-1e308", "1e308", "1e308"), "bbox_left", "-1e308"),
+    (("0.0", "0.0", "3.4e153", "30.0"), "bbox_right", "3.4e153"),
+])
+def test_a_box_whose_area_could_overflow_names_the_file_and_line(tmp_path, capsys, flag,
+                                                                 box, field, token):
+    fields = label_line(0, 1, slot_box(0, 0)).split()
+    fields[6:10] = box
+    good_line = label_line(0, 2, slot_box(1, 0))
+    argv, bad = _kitti_argv(tmp_path, flag, f"{good_line}\n{' '.join(fields)}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert execute(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}:2: field '{field}' must be at most 2**510 in magnitude: '{token}'\n")
+    assert not (tmp_path / "res.txt").exists()
 
 
 def _kitti_argv(tmp_path, flag, bad_text):

@@ -2,19 +2,19 @@ import io
 import math
 import re
 import string
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import label_line, make_detection, slot_box
-from paretotrack.geometry import Box2D
+from paretotrack.geometry import Box2D, iou_matrix
 from paretotrack.kitti_io import (
     N_DETECTION_FIELDS,
     N_LABEL_FIELDS,
-    Detection,
     KittiFormatError,
-    KittiRecord,
+    number_rows,
     parse_label_line,
     parse_sequence,
     write_tracking_results,
@@ -29,11 +29,10 @@ def test_parse_label_line_devkit_fields():
     assert values == [0, 2, "Car", 0.0, 0, -1.57, 100.0, 150.0, 200.0, 250.0,
                       1.5, 1.6, 3.9, 2.0, 1.5, 30.0, -1.5]
     assert [type(v) for v in values[:6]] == [int, int, str, float, int, float]
-    (det,) = parse_sequence([DEVKIT_LINE]).frames[0]
-    record = det.source
+    (record,) = parse_sequence([DEVKIT_LINE]).frames[0]
     assert (record.frame, record.track_id, record.class_name) == (0, 2, "Car")
     assert (record.truncated, record.occluded, record.alpha) == (0.0, 0, -1.57)
-    assert det.box == Box2D(100.0, 150.0, 200.0, 250.0)
+    assert record.box == Box2D(100.0, 150.0, 200.0, 250.0)
     assert record.dimensions == (1.5, 1.6, 3.9)
     assert record.location == (2.0, 1.5, 30.0)
     assert record.rotation_y == -1.5
@@ -43,7 +42,7 @@ def test_parse_label_line_devkit_fields():
 def test_parse_label_line_with_score():
     assert parse_label_line(DEVKIT_LINE + " 0.97")[-1] == 0.97
     (det,) = parse_sequence([DEVKIT_LINE + " 0.97"]).frames[0]
-    assert det.source.score == det.confidence == 0.97
+    assert det.score == det.confidence == 0.97
 
 
 def test_missing_score_means_full_confidence():
@@ -67,7 +66,7 @@ def test_unknown_class_carried_verbatim():
     line = DEVKIT_LINE.replace("Car", "HoverBike")
     assert parse_label_line(line)[2] == "HoverBike"
     (det,) = parse_sequence([line]).frames[0]
-    assert det.source.class_name == "HoverBike"
+    assert det.class_name == "HoverBike"
 
 
 def test_parse_sequence_empty_stream():
@@ -86,7 +85,7 @@ def test_parse_sequence_grouping():
     assert len(seq.frames[0]) == 2
     assert len(seq.frames[3]) == 1
     # per-frame order preserved
-    assert [d.source.track_id for d in seq.frames[0]] == [1, 2]
+    assert [d.track_id for d in seq.frames[0]] == [1, 2]
 
 
 def test_parse_sequence_error_cites_line():
@@ -105,7 +104,7 @@ def test_roundtrip_field_identical(rng):
         )
         objs.append((frame, i % 7, box, float(rng.uniform(0, 1))))
     seq = parse_sequence(io.StringIO("".join(label_line(*o) + "\n" for o in objs)))
-    by_line = {d.source.lineno: (f, d.source.track_id, d.box, d.confidence)
+    by_line = {d.lineno: (f, d.track_id, d.box, d.confidence)
                for f, dets in seq.frames.items() for d in dets}
     assert [by_line[lineno] for lineno in range(1, len(objs) + 1)] == objs
 
@@ -129,11 +128,14 @@ def test_write_tracking_results_two_frames_same_id():
 
 
 def test_integer_valued_fields_are_written_as_their_types():
-    record = make_detection(0, 1, slot_box(0, 0)).source
-    det = Detection(box=Box2D(1, 2, 3, 4), confidence=1, source=record)
+    # the frame and the ID as integers; a box and a score spelled as integers
+    # are read as floats and written back as they were spelled
+    (det,) = parse_sequence([DEVKIT_LINE.replace("100.0 150.0 200.0 250.0", "1 2 3 4")
+                             + " 1"]).frames[0]
+    assert det.box == Box2D(1.0, 2.0, 3.0, 4.0) and type(det.confidence) is float
     sink = io.StringIO()
     write_tracking_results([Tracklet(id=True, detections=[(3.0, det)])], sink)
-    expected = "3 1 Car 0.0 0 -1.2 1.0 2.0 3.0 4.0 1.5 1.6 3.9 2.0 1.5 30.0 -1.5 1.0\n"
+    expected = "3 1 Car 0 0 -1.57 1 2 3 4 1.5 1.6 3.9 2.0 1.5 30.0 -1.5 1\n"
     assert sink.getvalue() == expected
 
 
@@ -159,15 +161,13 @@ def test_write_tracking_results_sorted_by_frame_then_id():
     (Box2D(0.0, 0.0, math.inf, 30.0), 0.5, "bbox_right", "inf"),
     (Box2D(-math.inf, 0.0, 60.0, 30.0), math.nan, "bbox_left", "-inf"),
 ])
-def test_writers_refuse_a_non_finite_box_or_score(box, score, name, value):
-    good = make_detection(0, 1, slot_box(0, 0))
-    bad = Detection(box, score, make_detection(4, 9, slot_box(0, 4)).source)
-    tracks = [Tracklet(id=1, detections=[(0, good)]), Tracklet(id=2, detections=[(4, bad)])]
-    sink = io.StringIO()
-    with pytest.raises(ValueError, match=re.escape(
-            f"frame 4, track_id 2: field '{name}' is not finite: {value}")):
-        write_tracking_results(tracks, sink)
-    assert sink.getvalue() == ""
+def test_the_reader_refuses_a_box_or_score_it_could_not_write(box, score, name, value):
+    # every record comes from the reader, so a non-finite box or score never
+    # reaches the writer: the reader names it
+    lines = [label_line(0, 1, slot_box(0, 0)), label_line(4, 9, box, score)]
+    with pytest.raises(KittiFormatError, match=re.escape(
+            f"line 2: field '{name}' is not finite: '{value}'")):
+        parse_sequence(lines)
 
 
 def test_blank_interior_line_rejected():
@@ -178,7 +178,7 @@ def test_blank_interior_line_rejected():
 
 def test_write_objects_roundtrip_through_file(tmp_path):
     dets = [make_detection(f, f % 3, slot_box(f % 3, f), score=0.5) for f in range(10)]
-    tracks = [Tracklet(id=d.source.track_id, detections=[(d.source.frame, d)]) for d in dets]
+    tracks = [Tracklet(id=d.track_id, detections=[(d.frame, d)]) for d in dets]
     path = tmp_path / "results.txt"
     with open(path, "w") as sink:
         write_tracking_results(tracks, sink)
@@ -186,12 +186,13 @@ def test_write_objects_roundtrip_through_file(tmp_path):
         seq = parse_sequence(source)
     assert sorted(seq.frames) == list(range(10))
     for det in dets:
-        (back,) = seq.frames[det.source.frame]
-        assert back.source.track_id == det.source.track_id
+        (back,) = seq.frames[det.frame]
+        assert back.track_id == det.track_id
         assert (back.box, back.confidence) == (det.box, det.confidence)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
+_coord = st.floats(-2.0 ** 510, 2.0 ** 510)  # the reader's box bound
 _any_float = st.floats(allow_nan=True, allow_infinity=True)
 
 
@@ -200,8 +201,8 @@ def _canonical_lines(draw):
     """18-field lines spelled as results are written, sorted by frame then by ID >= 0."""
     rows = []
     for _ in range(draw(st.integers(0, 12))):
-        left, right = sorted((draw(_finite), draw(_finite)))
-        top, bottom = sorted((draw(_finite), draw(_finite)))
+        left, right = sorted((draw(_coord), draw(_coord)))
+        top, bottom = sorted((draw(_coord), draw(_coord)))
         rows.append((draw(st.integers(0, 2 ** 40)), draw(st.integers(0, 2 ** 40)),
                      draw(st.text(string.ascii_letters + "_-", min_size=1, max_size=12)),
                      draw(_any_float), draw(st.integers(-1, 3)), draw(_any_float),
@@ -216,7 +217,7 @@ def _canonical_lines(draw):
 def test_write_tracking_results_inverts_parse_sequence(lines):
     text = "".join(line + "\n" for line in lines)
     seq = parse_sequence(io.StringIO(text))
-    tracks = [Tracklet(id=d.source.track_id, detections=[(f, d)])
+    tracks = [Tracklet(id=d.track_id, detections=[(f, d)])
               for f, dets in seq.frames.items() for d in dets]
     sink = io.StringIO()
     write_tracking_results(tracks, sink)
@@ -226,8 +227,8 @@ def test_write_tracking_results_inverts_parse_sequence(lines):
 @st.composite
 def _field_values(draw):
     """The typed values of one 18-field result line; the score is None for a label line."""
-    left, right = sorted((draw(_finite), draw(_finite)))
-    top, bottom = sorted((draw(_finite), draw(_finite)))
+    left, right = sorted((draw(_coord), draw(_coord)))
+    top, bottom = sorted((draw(_coord), draw(_coord)))
     return [draw(st.integers(0, 2 ** 40)), draw(st.integers(0, 2 ** 40)),
             draw(st.text(string.ascii_letters + "_-", min_size=1, max_size=12)),
             draw(_finite), draw(st.integers(-1, 3)), draw(_finite),
@@ -239,7 +240,9 @@ def _field_values(draw):
 @given(_field_values())
 def test_parse_inverts_format(values):
     confidence = 1.0 if values[-1] is None else values[-1]
-    det = Detection(Box2D(*values[6:10]), confidence, KittiRecord(tuple([v] for v in values), 0))
+    line = "%d %d %s %r %d %r %r %r %r %r %r %r %r %r %r %r %r" % tuple(values[:-1])
+    (det,) = parse_sequence([line if values[-1] is None else f"{line} {values[-1]!r}"]).frames[
+        values[0]]
     sink = io.StringIO()
     write_tracking_results([Tracklet(id=values[1], detections=[(values[0], det)])], sink)
     (line,) = sink.getvalue().splitlines()
@@ -295,11 +298,11 @@ def test_bad_record_names_its_line(edit, reason):
 
 def _record_fields(det) -> tuple:
     """A detection's 17 or 18 field values in line order, read by field name."""
-    src, box = det.source, det.box
-    values = (src.frame, src.track_id, src.class_name, src.truncated, src.occluded,
-              src.alpha, box.left, box.top, box.right, box.bottom,
-              *src.dimensions, *src.location, src.rotation_y)
-    return values if src.score is None else values + (src.score,)
+    box = det.box
+    values = (det.frame, det.track_id, det.class_name, det.truncated, det.occluded,
+              det.alpha, box.left, box.top, box.right, box.bottom,
+              *det.dimensions, *det.location, det.rotation_y)
+    return values if det.score is None else values + (det.score,)
 
 
 def _same_bits(a: tuple, b: tuple) -> bool:
@@ -335,7 +338,7 @@ def _assert_matches_oracle(lines):
         got = seq.frames[frame]
         assert len(got) == len(rows)
         for d, values in zip(got, rows):
-            assert type(d.source.frame) is int and d.source.frame == frame
+            assert type(d.frame) is int and d.frame == frame
             assert _same_bits(_record_fields(d), tuple(values))
             score = values[-1] if len(values) == N_DETECTION_FIELDS else 1.0
             assert _same_bits((d.confidence,), (score,))
@@ -389,9 +392,9 @@ def test_frames_and_ids_beyond_int64_stay_python_ints():
     seq = _assert_matches_oracle([line, DEVKIT_LINE])
     assert list(seq.frames) == [big, 0]
     (det,) = seq.frames[big]
-    for value in (det.source.frame, det.source.track_id, det.source.occluded):
+    for value in (det.frame, det.track_id, det.occluded):
         assert type(value) is int
-    assert (det.source.frame, det.source.track_id) == (big, -big)
+    assert (det.frame, det.track_id) == (big, -big)
     assert parse_label_line(line)[:2] == [big, -big]
     sink = io.StringIO()
     write_tracking_results([Tracklet(id=big, detections=[(big, det)])], sink)
@@ -406,7 +409,7 @@ def test_non_finite_echo_fields_are_kept_and_written_back():
     sink = io.StringIO()
     write_tracking_results([Tracklet(id=7, detections=[(0, det)])], sink)
     out = sink.getvalue().split()
-    assert (out[5], out[10], out[14], out[16]) == ("nan", "inf", "-inf", "inf")
+    assert (out[5], out[10], out[14], out[16]) == ("nan", "inf", "-inf", "1e400")
 
 
 _FLOAT_SPELLINGS = (repr, "{:.17g}".format, "{:e}".format, "{:+.3f}".format)
@@ -445,7 +448,7 @@ def test_parse_sequence_equals_the_line_grammar(lines):
     _assert_matches_oracle(lines)
 
 
-_FAULTS = ("fields", "number", "blank", "box", "frame", "non-finite")
+_FAULTS = ("fields", "number", "blank", "box", "frame", "non-finite", "huge")
 
 
 def _inject(fields: list[str], fault: str, k: int) -> str:
@@ -461,7 +464,14 @@ def _inject(fields: list[str], fault: str, k: int) -> str:
         fields[[i for i in range(len(fields)) if i != 2][k % (len(fields) - 1)]] = "1.0x"
     elif fault == "box":
         axis = k % 2
-        fields[6 + axis], fields[8 + axis] = "1e300", "-1e300"
+        fields[6 + axis], fields[8 + axis] = "1e150", "-1e150"
+    elif fault == "huge":
+        # finite, but beyond the bound under which IoU cannot overflow
+        if k % 3 == 0:
+            fields[6:10] = ["-1e308", "-1e308", "1e308", "1e308"]
+        else:
+            at = 6 + k % 4
+            fields[at] = ("-" if at < 8 else "") + ("3.4e153", "1e200")[k % 2]
     elif fault == "frame":
         fields[0] = str(-1 - k)
     else:
@@ -486,11 +496,64 @@ def test_a_bad_line_raises_what_the_line_grammar_raises(lines, data):
     assert got.value.lineno == expected.value.lineno
 
 
+@settings(max_examples=100, deadline=None)
+@given(_kitti_lines())
+def test_results_echo_the_tokens_that_were_read(lines):
+    seq = parse_sequence(lines)
+    records = sorted((d for dets in seq.frames.values() for d in dets), key=lambda d: d.lineno)
+    tracks = [Tracklet(id=row, detections=[(d.frame, d)]) for row, d in enumerate(records)]
+    sink = io.StringIO()
+    write_tracking_results(tracks, sink)
+    written = {int(line.split()[1]): line for line in sink.getvalue().splitlines()}
+    assert len(written) == len(records)
+    for row, d in enumerate(records):
+        tokens = lines[row].split()
+        expected = tokens[2:] + (["1.0"] if len(tokens) == N_LABEL_FIELDS else [])
+        assert written[row].split()[2:] == expected
+    back = {d.track_id: d for dets in parse_sequence(list(written.values())).frames.values()
+            for d in dets}
+    for row, d in enumerate(records):
+        fields = _record_fields(d)
+        if d.score is None:
+            fields += (1.0,)
+        assert _same_bits(_record_fields(back[row]), (d.frame, row) + fields[2:])
+
+
+def test_devkit_spellings_are_written_as_read():
+    line = "0 -1 Car 0.00 0 -10.000000 1e2 +1.5 2.0E2 250 1.5 1.6 3.9 1e400 1.5 30.0 -1.5 0.90"
+    (det,) = parse_sequence([line]).frames[0]
+    assert det.box == Box2D(100.0, 1.5, 200.0, 250.0) and det.location[0] == math.inf
+    sink = io.StringIO()
+    write_tracking_results([Tracklet(id=5, detections=[(0, det)])], sink)
+    assert sink.getvalue() == "0 5 " + line.split(" ", 2)[2] + "\n"
+
+
+@pytest.mark.parametrize("idx", range(6, 10), ids=_FIELD_NAMES[6:10])
+def test_box_coordinates_are_bounded_by_2_to_the_510(idx):
+    limit = 2.0 ** 510
+    fields = list(_PIN_BASE)
+    fields[6:10] = [repr(-limit), repr(-limit), repr(limit), repr(limit)]
+    (det,) = _assert_matches_oracle([" ".join(fields)]).frames[3]
+    boxes = number_rows([det, det])[:, :4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert iou_matrix(boxes, boxes).tolist() == [[1.0, 1.0], [1.0, 1.0]]
+    beyond = math.nextafter(limit, math.inf)
+    fields[idx] = repr(-beyond if idx < 8 else beyond)
+    message = (f"line 2: field '{_FIELD_NAMES[idx]}' must be at most 2**510 in magnitude: "
+               f"{fields[idx]!r}")
+    for parse in (lambda: parse_label_line(" ".join(fields), 2),
+                  lambda: parse_sequence([DEVKIT_LINE, " ".join(fields)])):
+        with pytest.raises(KittiFormatError) as info:
+            parse()
+        assert str(info.value) == message
+
+
 def test_long_files_are_read_in_pieces_with_the_right_line_numbers():
     line18, line17 = DEVKIT_LINE + " 0.5", DEVKIT_LINE
     lines = [line18 if i % 3 else line17 for i in range(5000)]
     seq = _assert_matches_oracle(lines)
-    assert sum(d.source.lineno == i + 1 for i, d in enumerate(seq.frames[0])) == 5000
+    assert sum(d.lineno == i + 1 for i, d in enumerate(seq.frames[0])) == 5000
     for bad in (2048, 2049, 4500):
         broken = list(lines)
         broken[bad - 1] = DEVKIT_LINE.replace("100.0", "nan")

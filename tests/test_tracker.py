@@ -286,7 +286,7 @@ def _walk_every_frame(seq, scorer, cfg):
 
 
 def _summary(tracks):
-    return [(t.id, t.last_frame, [(f, d.source.track_id) for f, d in t.detections])
+    return [(t.id, t.last_frame, [(f, d.track_id) for f, d in t.detections])
             for t in tracks]
 
 
@@ -436,7 +436,7 @@ def test_lifecycle_matches_hit_and_miss_counters(t_birth, t_death, presence):
     scored = []
 
     def recording_scorer(tracklets, detections):
-        scored.append((detections[0].source.frame, _ids_and_frames(tracklets)))
+        scored.append((detections[0].frame, _ids_and_frames(tracklets)))
         return IdentityScorer()(tracklets, detections)
 
     tracks = run_sequence(seq, recording_scorer, cfg)
