@@ -4,9 +4,9 @@ One object per line, whitespace separated:
 frame track_id type truncated occluded alpha bbox(4) dimensions(3) location(3) rotation_y [score]
 
 17 fields for label files, 18 when a detection score is appended.  The box
-and the score must be finite, and each box coordinate `settings.BOUNDED`, so
-that no width, height, area or sum of two areas overflows; the other float
-fields may be inf or nan.
+and the score must be finite, and each box coordinate at most 2**510 in
+magnitude (`settings.BOUNDED`), so that no width, height, area or sum of two
+areas overflows; the other float fields may be inf or nan.
 
 `parse_sequence` reads a whole file into typed columns, converting each
 field column in one pass and checking whole columns, and makes one
