@@ -11,11 +11,9 @@ from .assoc import (
 )
 from .geometry import (
     BevImage,
-    Box2D,
     Box3D,
     PointCloud,
     bev_to_pgm,
-    box_array,
     crop_points,
     iou_2d,
     iou_matrix,

@@ -152,11 +152,11 @@ def _cmd_track(args: argparse.Namespace) -> int:
     seq = _read_sequence(args.dets)
     # the baseline scorer's s_det, checked here so that an overflow names its line
     overflows = [d for dets in seq.frames.values() for d in dets
-                 if not math.isfinite(args.w_det * (2.0 * d.confidence - 1.0))]
+                 if not BOUNDED.holds(args.w_det * (2.0 * d.confidence - 1.0))]
     if overflows:
         first = min(overflows, key=lambda d: d.lineno)
         raise CliError(f"{args.dets}:{first.lineno}: score {first.confidence!r} "
-                       f"weighted by --w-det {args.w_det!r} is not finite")
+                       f"weighted by --w-det {args.w_det!r} must be {BOUNDED.text}")
     tracks = run_sequence(seq, scorer, cfg)
     buf = io.StringIO()
     write_tracking_results(tracks, buf)

@@ -4,41 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
 from .settings import AT_LEAST_1, check
 
 DEFAULT_BEV_RESOLUTION = (256, 256)
-
-
-@dataclass(frozen=True)
-class Box2D:
-    """Axis-aligned image-plane box, pixel coordinates, (left, top) towards (right, bottom)."""
-
-    left: float
-    top: float
-    right: float
-    bottom: float
-
-    def __post_init__(self):
-        if not (self.left <= self.right and self.top <= self.bottom):
-            raise ValueError(
-                f"invalid box extents: ({self.left}, {self.top}, {self.right}, {self.bottom})"
-            )
-
-    @property
-    def width(self) -> float:
-        return self.right - self.left
-
-    @property
-    def height(self) -> float:
-        return self.bottom - self.top
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
 
 
 @dataclass(frozen=True)
@@ -109,28 +81,25 @@ class BevImage:
         return isinstance(other, BevImage) and np.array_equal(self.cells, other.cells)
 
 
-def iou_2d(a: Box2D, b: Box2D) -> float:
-    """Intersection-over-union of two 2D boxes; 0.0 when the union has zero area."""
-    iw = min(a.right, b.right) - max(a.left, b.left)
-    ih = min(a.bottom, b.bottom) - max(a.top, b.top)
+def iou_2d(a: Sequence[float], b: Sequence[float]) -> float:
+    """Intersection-over-union of two (left, top, right, bottom) boxes; 0.0 when
+    the union has zero area."""
+    al, at, ar, ab = a
+    bl, bt, br, bb = b
+    iw = min(ar, br) - max(al, bl)
+    ih = min(ab, bb) - max(at, bt)
     if iw <= 0 or ih <= 0:
         inter = 0.0
     else:
         inter = iw * ih
-    union = a.area + b.area - inter
+    union = (ar - al) * (ab - at) + (br - bl) * (bb - bt) - inter
     if union <= 0:
         return 0.0
     return inter / union
 
 
-def box_array(boxes: Iterable[Box2D]) -> np.ndarray:
-    """Boxes as an (N, 4) float array of (left, top, right, bottom) rows."""
-    return np.array([(b.left, b.top, b.right, b.bottom) for b in boxes],
-                    dtype=np.float64).reshape(-1, 4)
-
-
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of two box arrays, shape (N, 4) by (M, 4) -> (N, M).
+    """Pairwise IoU of two box arrays or lists of boxes, (N, 4) by (M, 4) -> (N, M).
 
     Rows are (left, top, right, bottom).  Entry (i, j) equals iou_2d of box
     a[i] and box b[j] bit for bit: both take min - max for the overlap

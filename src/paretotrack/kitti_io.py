@@ -30,7 +30,6 @@ from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .geometry import Box2D
 from .settings import BOUNDED, MAGNITUDE_LIMIT
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -88,8 +87,9 @@ def _fields_view(*ks: int) -> property:
 class KittiRecord:
     """One line of a file read by `parse_sequence`, as a view into its columns.
 
-    `score` is None on a 17-field line, whose `confidence` is 1.0; `box` is
-    built when it is read; `lineno` is the 1-based line the record came from.
+    `box` is the (left, top, right, bottom) tuple; `score` is None on a
+    17-field line, whose `confidence` is 1.0; `lineno` is the 1-based line the
+    record came from.
     """
 
     __slots__ = ("_table", "_row")
@@ -104,6 +104,7 @@ class KittiRecord:
     truncated = _field_view(3)
     occluded = _field_view(4)
     alpha = _field_view(5)
+    box = _fields_view(6, 7, 8, 9)
     dimensions = _fields_view(10, 11, 12)
     location = _fields_view(13, 14, 15)
     rotation_y = _field_view(16)
@@ -113,11 +114,6 @@ class KittiRecord:
     def confidence(self) -> float:
         score = self._table.columns[_SCORE][self._row]
         return 1.0 if score is None else score
-
-    @property
-    def box(self) -> Box2D:
-        c, i = self._table.columns, self._row
-        return Box2D(c[6][i], c[7][i], c[8][i], c[9][i])
 
     @property
     def lineno(self) -> int:
@@ -156,10 +152,10 @@ def parse_label_line(line: str, lineno: int | None = None) -> list:
         if k in _COORDS and not BOUNDED.holds(value):
             raise KittiFormatError(f"field '{name}' must be {BOUNDED.text}: {token!r}", lineno)
         values.append(value)
-    try:
-        Box2D(*values[_BOX])
-    except ValueError as exc:
-        raise KittiFormatError(str(exc), lineno) from None
+    left, top, right, bottom = values[_BOX]
+    if not (left <= right and top <= bottom):
+        raise KittiFormatError(f"invalid box extents: ({left}, {top}, {right}, {bottom})",
+                               lineno)
     if values[0] < 0:
         raise KittiFormatError(f"frame must be non-negative, got {values[0]}", lineno)
     return values

@@ -19,7 +19,7 @@ from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .settings import AT_LEAST_0, AT_LEAST_1, check
+from .settings import AT_LEAST_0, AT_LEAST_1, BOUNDED, check
 
 CANDIDATE_OPS = (
     "none",
@@ -109,8 +109,8 @@ class LatencyEntry:
     reps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean_ms) and math.isfinite(self.std_ms)):
-            raise ValueError("latency statistics must be finite")
+        if not (BOUNDED.holds(self.mean_ms) and BOUNDED.holds(self.std_ms)):
+            raise ValueError(f"latency statistics must be {BOUNDED.text}")
         if self.mean_ms < 0 or self.std_ms < 0:
             raise ValueError("latency statistics must be non-negative")
         if self.reps < 1:

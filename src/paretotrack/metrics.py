@@ -13,11 +13,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Box2D, box_array, iou_2d, iou_matrix
+from .geometry import iou_2d, iou_matrix
 from .matching import positive_matching
 from .settings import UNIT_INTERVAL, check
 
-FrameObjects = Sequence[tuple[int, Box2D]]
+# (track_id, (left, top, right, bottom)) per object
+FrameObjects = Sequence[tuple[int, Sequence[float]]]
 
 
 @dataclass
@@ -55,8 +56,7 @@ def match_frame(
     rest_gt = [g for g, _ in gt if g not in matches]
     rest_hyp = [h for h, _ in hyp if h not in matches.values()]
     if rest_gt and rest_hyp:
-        iou = iou_matrix(box_array(gt_map[g] for g in rest_gt),
-                         box_array(hyp_map[h] for h in rest_hyp))
+        iou = iou_matrix([gt_map[g] for g in rest_gt], [hyp_map[h] for h in rest_hyp])
         gain = np.where(iou >= thresh, iou, 0.0)
         for a, b in positive_matching(gain):
             matches[rest_gt[a]] = rest_hyp[b]

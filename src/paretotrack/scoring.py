@@ -14,7 +14,7 @@ import numpy as np
 
 from .geometry import iou_matrix
 from .kitti_io import KittiRecord, number_rows
-from .settings import FINITE, check
+from .settings import BOUNDED, check
 
 if TYPE_CHECKING:  # pragma: no cover
     from .tracker import Tracklet
@@ -28,7 +28,7 @@ class ScorerConfig:
 
     def __post_init__(self):
         for name in ("w_iou", "w_det", "terminal_score"):
-            check(name, getattr(self, name), FINITE)
+            check(name, getattr(self, name), BOUNDED)
 
 
 class ScoreSet:

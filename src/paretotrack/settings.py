@@ -16,17 +16,17 @@ class Rule(NamedTuple):
     holds: Callable[[float], bool]
 
 
-FINITE = Rule("finite", math.isfinite)
 RATE = Rule("finite and >= 0", lambda x: 0.0 <= x < math.inf)
 AT_LEAST_0 = Rule(">= 0", lambda x: x >= 0)
 AT_LEAST_1 = Rule(">= 1", lambda x: x >= 1)
 AT_LEAST_2 = Rule(">= 2", lambda x: x >= 2)
 UNIT_INTERVAL = Rule("in (0, 1]", lambda x: 0 < x <= 1)
 
-# The largest magnitude of a box coordinate or an association score.  A
-# difference of two coordinates is then at most 2**511, a box area at most
-# 2**1022 and the sum of two areas at most 2**1023, all finite; so are the
-# sums of scores that association forms, however many a file holds.
+# The largest magnitude of a box coordinate, an association score, a score
+# weight and a latency table statistic.  A difference of two coordinates is
+# then at most 2**511, a box area at most 2**1022 and the sum of two areas at
+# most 2**1023, all finite; so are the sums of scores that association forms
+# and the sums of latencies that the search forms, however many a file holds.
 MAGNITUDE_LIMIT = 2.0 ** 510
 BOUNDED = Rule("at most 2**510 in magnitude", lambda x: abs(x) <= MAGNITUDE_LIMIT)
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from paretotrack.geometry import Box2D
 from paretotrack.kitti_io import parse_sequence
 from paretotrack.latency import (
     CANDIDATE_OPS,
@@ -20,8 +19,7 @@ from paretotrack.scoring import ScoreSet
 def label_line(frame, track_id, box, score=0.9, class_name="Car"):
     """The canonical 18-field tracking line of one object, spelled as results are written."""
     return "%d %d %s 0.0 0 -1.2 %r %r %r %r 1.5 1.6 3.9 2.0 1.5 30.0 -1.5 %r" % (
-        frame, track_id, class_name,
-        float(box.left), float(box.top), float(box.right), float(box.bottom), float(score))
+        frame, track_id, class_name, *map(float, box), float(score))
 
 
 def make_detection(frame, track_id, box, score=0.9, class_name="Car"):
@@ -30,23 +28,25 @@ def make_detection(frame, track_id, box, score=0.9, class_name="Car"):
     return det
 
 
-def slot_box(slot: int, frame: int) -> Box2D:
-    """Non-overlapping box for object `slot`, drifting one pixel per frame."""
+def slot_box(slot: int, frame: int) -> tuple[float, float, float, float]:
+    """Non-overlapping (left, top, right, bottom) box for object `slot`, drifting
+    one pixel per frame."""
     left = 120.0 * slot + float(frame)
     top = 40.0 * (slot % 3)
-    return Box2D(left, top, left + 60.0, top + 30.0)
+    return (left, top, left + 60.0, top + 30.0)
 
 
 # Coordinates from a small integer grid make touching edges, zero-width or
-# zero-height boxes and identical boxes common; the float range covers the rest.
+# zero-height boxes and identical boxes common; the float range covers the rest
+# of what the reader admits, every coordinate up to 2**510 in magnitude.
 _coord = st.one_of(st.integers(-3, 3).map(float),
-                   st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True))
+                   st.floats(-2.0 ** 510, 2.0 ** 510, allow_subnormal=True))
 
 
 @st.composite
 def boxes(draw):
     x1, x2, y1, y2 = (draw(_coord) for _ in range(4))
-    return Box2D(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+    return (min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
 
 
 def random_gt_sequence(rng, max_objects=10, max_frames=30):

@@ -84,15 +84,12 @@ def test_c03_tracker_perfect_on_synthetic():
         report = clear_mot(gt, hyp, 0.5)
         assert report.mota == 1.0, report
         # structural check: each tracklet reproduces one ground-truth object
-        def key(frame, box):
-            return (frame, box.left, box.top, box.right, box.bottom)
-
         gt_histories = {}
         for frame, objs in gt.items():
             for oid, box in objs:
-                gt_histories.setdefault(oid, set()).add(key(frame, box))
+                gt_histories.setdefault(oid, set()).add((frame, box))
         track_histories = [
-            {key(frame, det.box) for frame, det in t.detections} for t in tracks
+            {(frame, det.box) for frame, det in t.detections} for t in tracks
         ]
         assert sorted(map(sorted, gt_histories.values())) == sorted(
             map(sorted, track_histories)

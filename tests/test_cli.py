@@ -276,9 +276,10 @@ def test_search_rejects_negative_or_non_finite_learning_rate(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command, flag, value, rule", [
-    ("track", "--w-iou", "inf", "finite"),
-    ("track", "--w-det", "nan", "finite"),
-    ("track", "--terminal-score", "nan", "finite"),
+    ("track", "--w-iou", "inf", "at most 2**510 in magnitude"),
+    ("track", "--w-det", "nan", "at most 2**510 in magnitude"),
+    ("track", "--w-det", "1e+308", "at most 2**510 in magnitude"),
+    ("track", "--terminal-score", "nan", "at most 2**510 in magnitude"),
     ("track", "--t-birth", "0", ">= 1"),
     ("track", "--t-death", "0", ">= 1"),
     ("search", "--epochs", "0", ">= 1"),
@@ -424,7 +425,8 @@ def _table_with(tmp_path, field, value):
 @pytest.mark.parametrize("field, value, reason", [
     ("reps", "1.5", "invalid literal for int()"),
     ("mean_ms", "x", "could not convert string to float"),
-    ("mean_ms", "nan", "latency statistics must be finite"),
+    ("mean_ms", "nan", "latency statistics must be at most 2**510 in magnitude"),
+    ("mean_ms", "1e308", "latency statistics must be at most 2**510 in magnitude"),
 ])
 def test_search_bad_table_entry_names_the_file_and_line(tmp_path, capsys, field, value,
                                                         reason):
@@ -653,7 +655,8 @@ def test_non_finite_box_or_score_names_the_file_and_line(tmp_path, capsys, flag,
 
 
 @pytest.mark.parametrize("score, w_det", [("1e308", "1.0"), ("1e300", "1e10"),
-                                           ("-1e308", "1.0"), ("5.0", "1e308")])
+                                           ("-1e308", "1.0"), ("5.0", "1e153"),
+                                           ("8e307", "1.0")])
 def test_track_names_a_detection_whose_weighted_score_overflows(tmp_path, capsys,
                                                                 score, w_det):
     lines = [label_line(f, -1, slot_box(0, f), score=0.9) for f in range(4)]
@@ -663,7 +666,7 @@ def test_track_names_a_detection_whose_weighted_score_overflows(tmp_path, capsys
     assert execute(argv + ["--w-det", w_det]) == 1
     assert capsys.readouterr().err == (
         f"error: {bad}:3: score {float(score)!r} weighted by --w-det "
-        f"{float(w_det)!r} is not finite\n")
+        f"{float(w_det)!r} must be at most 2**510 in magnitude\n")
     assert not (tmp_path / "res.txt").exists()
 
 

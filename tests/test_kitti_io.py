@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import label_line, make_detection, slot_box
-from paretotrack.geometry import Box2D, iou_matrix
+from paretotrack.geometry import iou_matrix
 from paretotrack.kitti_io import (
     N_DETECTION_FIELDS,
     N_LABEL_FIELDS,
@@ -32,7 +32,7 @@ def test_parse_label_line_devkit_fields():
     (record,) = parse_sequence([DEVKIT_LINE]).frames[0]
     assert (record.frame, record.track_id, record.class_name) == (0, 2, "Car")
     assert (record.truncated, record.occluded, record.alpha) == (0.0, 0, -1.57)
-    assert record.box == Box2D(100.0, 150.0, 200.0, 250.0)
+    assert record.box == (100.0, 150.0, 200.0, 250.0)
     assert record.dimensions == (1.5, 1.6, 3.9)
     assert record.location == (2.0, 1.5, 30.0)
     assert record.rotation_y == -1.5
@@ -98,7 +98,7 @@ def test_roundtrip_field_identical(rng):
     objs = []
     for i in range(50):
         frame = int(rng.integers(0, 20))
-        box = Box2D(
+        box = (
             float(rng.uniform(0, 300)), float(rng.uniform(0, 100)),
             float(rng.uniform(300, 600)), float(rng.uniform(100, 400)),
         )
@@ -132,7 +132,7 @@ def test_integer_valued_fields_are_written_as_their_types():
     # are read as floats and written back as they were spelled
     (det,) = parse_sequence([DEVKIT_LINE.replace("100.0 150.0 200.0 250.0", "1 2 3 4")
                              + " 1"]).frames[0]
-    assert det.box == Box2D(1.0, 2.0, 3.0, 4.0) and type(det.confidence) is float
+    assert det.box == (1.0, 2.0, 3.0, 4.0) and type(det.confidence) is float
     sink = io.StringIO()
     write_tracking_results([Tracklet(id=True, detections=[(3.0, det)])], sink)
     expected = "3 1 Car 0 0 -1.57 1 2 3 4 1.5 1.6 3.9 2.0 1.5 30.0 -1.5 1\n"
@@ -157,9 +157,9 @@ def test_write_tracking_results_sorted_by_frame_then_id():
 
 
 @pytest.mark.parametrize("box,score,name,value", [
-    (Box2D(0.0, 0.0, 60.0, 30.0), math.nan, "score", "nan"),
-    (Box2D(0.0, 0.0, math.inf, 30.0), 0.5, "bbox_right", "inf"),
-    (Box2D(-math.inf, 0.0, 60.0, 30.0), math.nan, "bbox_left", "-inf"),
+    ((0.0, 0.0, 60.0, 30.0), math.nan, "score", "nan"),
+    ((0.0, 0.0, math.inf, 30.0), 0.5, "bbox_right", "inf"),
+    ((-math.inf, 0.0, 60.0, 30.0), math.nan, "bbox_left", "-inf"),
 ])
 def test_the_reader_refuses_a_box_or_score_it_could_not_write(box, score, name, value):
     # every record comes from the reader, so a non-finite box or score never
@@ -298,9 +298,8 @@ def test_bad_record_names_its_line(edit, reason):
 
 def _record_fields(det) -> tuple:
     """A detection's 17 or 18 field values in line order, read by field name."""
-    box = det.box
     values = (det.frame, det.track_id, det.class_name, det.truncated, det.occluded,
-              det.alpha, box.left, box.top, box.right, box.bottom,
+              det.alpha, *det.box,
               *det.dimensions, *det.location, det.rotation_y)
     return values if det.score is None else values + (det.score,)
 
@@ -522,7 +521,7 @@ def test_results_echo_the_tokens_that_were_read(lines):
 def test_devkit_spellings_are_written_as_read():
     line = "0 -1 Car 0.00 0 -10.000000 1e2 +1.5 2.0E2 250 1.5 1.6 3.9 1e400 1.5 30.0 -1.5 0.90"
     (det,) = parse_sequence([line]).frames[0]
-    assert det.box == Box2D(100.0, 1.5, 200.0, 250.0) and det.location[0] == math.inf
+    assert det.box == (100.0, 1.5, 200.0, 250.0) and det.location[0] == math.inf
     sink = io.StringIO()
     write_tracking_results([Tracklet(id=5, detections=[(0, det)])], sink)
     assert sink.getvalue() == "0 5 " + line.split(" ", 2)[2] + "\n"

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_gt_sequence, slot_box
-from paretotrack.geometry import Box2D
 from paretotrack.metrics import (
     check_report_identity,
     clear_mot,
@@ -14,11 +13,12 @@ from paretotrack.metrics import (
 
 
 def _box(left, top=0.0, w=10.0, h=10.0):
-    return Box2D(left, top, left + w, top + h)
+    return (left, top, left + w, top + h)
 
 
 def _shifted(box, dx):
-    return Box2D(box.left + dx, box.top, box.right + dx, box.bottom)
+    left, top, right, bottom = box
+    return (left + dx, top, right + dx, bottom)
 
 
 def test_match_above_threshold():

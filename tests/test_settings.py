@@ -17,9 +17,10 @@ _BOX = Box3D((0, 0, 0), (1, 1, 1), 0.0)
 
 # (build, field name, bad value, rule): build(value) sets only that field
 _CASES = [
-    (lambda v: ScorerConfig(w_iou=v), "w_iou", math.inf, "finite"),
-    (lambda v: ScorerConfig(w_det=v), "w_det", math.nan, "finite"),
-    (lambda v: ScorerConfig(terminal_score=v), "terminal_score", -math.inf, "finite"),
+    (lambda v: ScorerConfig(w_iou=v), "w_iou", math.inf, "at most 2**510 in magnitude"),
+    (lambda v: ScorerConfig(w_det=v), "w_det", math.nan, "at most 2**510 in magnitude"),
+    (lambda v: ScorerConfig(terminal_score=v), "terminal_score", -math.inf,
+     "at most 2**510 in magnitude"),
     (lambda v: TrackerConfig(t_birth=v), "t_birth", 0, ">= 1"),
     (lambda v: TrackerConfig(t_death=v), "t_death", 0, ">= 1"),
     (lambda v: nas.SpaceConfig(nodes=v), "nodes", 1, ">= 2"),
