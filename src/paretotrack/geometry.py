@@ -86,8 +86,10 @@ def iou_2d(a: Sequence[float], b: Sequence[float]) -> float:
     the union has zero area."""
     al, at, ar, ab = a
     bl, bt, br, bb = b
-    iw = min(ar, br) - max(al, bl)
-    ih = min(ab, bb) - max(at, bt)
+    # conditional expressions cost less than min/max calls; on a tie they may
+    # pick the other zero, and a zero extent gives inter = 0.0 either way
+    iw = (ar if ar < br else br) - (al if al > bl else bl)
+    ih = (ab if ab < bb else bb) - (at if at > bt else bt)
     if iw <= 0 or ih <= 0:
         inter = 0.0
     else:
@@ -103,9 +105,9 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Rows are (left, top, right, bottom).  Entry (i, j) equals iou_2d of box
     a[i] and box b[j] bit for bit: both take min - max for the overlap
-    extents, zero the intersection unless both extents are positive, form
-    the union as (area_a + area_b) - inter and return 0.0 where it is not
-    positive.
+    extents (equal but for the sign of a zero extent), zero the intersection
+    unless both extents are positive, form the union as (area_a + area_b) -
+    inter and return 0.0 where it is not positive.
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)

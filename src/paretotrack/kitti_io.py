@@ -10,7 +10,8 @@ areas overflows; the other float fields may be inf or nan.
 
 `parse_sequence` reads a whole file into typed columns, converting each
 field column in one pass and checking whole columns, and makes one
-`KittiRecord` per line: a view of its line in those columns.
+`KittiRecord` per line: a view of its line in those columns and in the
+file's box tuples, built once per file.
 `write_tracking_results` writes a result line as the frame, the track ID and
 the line's tokens after its track ID as they were read, joined by single
 spaces; so a number is written as it was spelled, and parse(write(x))
@@ -67,9 +68,10 @@ class KittiFormatError(ValueError):
 
 class _Table:
     """One file as read: typed field columns, each line's result tail (its
-    tokens after the track ID) and a (rows, 5) array of box and confidence."""
+    tokens after the track ID), each line's box tuple and a (rows, 5) array of
+    box and confidence."""
 
-    __slots__ = ("columns", "tails", "numbers")
+    __slots__ = ("columns", "tails", "boxes", "numbers")
 
     def __init__(self):
         self.columns = tuple([] for _ in _FIELDS)
@@ -104,7 +106,7 @@ class KittiRecord:
     truncated = _field_view(3)
     occluded = _field_view(4)
     alpha = _field_view(5)
-    box = _fields_view(6, 7, 8, 9)
+    box = property(lambda self: self._table.boxes[self._row])
     dimensions = _fields_view(10, 11, 12)
     location = _fields_view(13, 14, 15)
     rotation_y = _field_view(16)
@@ -206,6 +208,7 @@ def parse_sequence(source: Iterable[str] | IO[str]) -> SequenceDetections:
                 parse_label_line(line, lineno)
             raise AssertionError("the column checks rejected a chunk the line grammar accepts")
     columns = table.columns
+    table.boxes = list(zip(*columns[_BOX]))
     confidence = [1.0 if s is None else s for s in columns[_SCORE]]
     table.numbers = np.array([*columns[_BOX], confidence], dtype=np.float64).T
     seq = SequenceDetections()

@@ -48,13 +48,15 @@ def match_frame(
         raise ValueError("duplicate hypothesis IDs in frame")
 
     matches: dict[int, int] = {}
+    used: set[int] = set()  # matches.values()
     for g, h in prev.items():
-        if g in gt_map and h in hyp_map and h not in matches.values():
+        if g in gt_map and h in hyp_map and h not in used:
             if iou_2d(gt_map[g], hyp_map[h]) >= thresh:
                 matches[g] = h
+                used.add(h)
 
     rest_gt = [g for g, _ in gt if g not in matches]
-    rest_hyp = [h for h, _ in hyp if h not in matches.values()]
+    rest_hyp = [h for h, _ in hyp if h not in used]
     if rest_gt and rest_hyp:
         iou = iou_matrix([gt_map[g] for g in rest_gt], [hyp_map[h] for h in rest_hyp])
         gain = np.where(iou >= thresh, iou, 0.0)

@@ -48,6 +48,15 @@ def test_evaluate_perfect_hypothesis(tmp_path, capsys):
     assert "MOTA=1.0000" in out
 
 
+def test_evaluate_counts_a_zero_width_box_as_a_miss_and_a_false_positive(tmp_path, capsys):
+    # a box with zero width has IoU 0 with every box, itself included
+    gt = tmp_path / "gt.txt"
+    gt.write_text("0 1 Car 0 0 0 10 10 10 50 1.5 1.6 3.9 2.0 1.5 30.0 -1.5\n")
+    assert execute(["evaluate", "--gt", str(gt), "--hyp", str(gt)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-5:] == ["MOTA=-1.0000", "FP=1", "FN=1", "IDSW=0", "GT=1"]
+
+
 @pytest.mark.parametrize("iou", ["5", "0", "nan"])
 def test_evaluate_rejects_a_bad_threshold_on_empty_files(tmp_path, capsys, iou):
     empty = tmp_path / "empty.txt"

@@ -43,6 +43,9 @@ _HUGE = (-2.0 ** 510, -2.0 ** 510, 2.0 ** 510, 2.0 ** 510)  # the reader's wides
 @example([_SQUARE], [_SQUARE, (2.0, 0.0, 4.0, 2.0), (1.0, 1.0, 1.0, 3.0),
                      (0.0, 1.0, 2.0, 1.0)])
 @example([_HUGE], [_HUGE, (0.0, 0.0, 2.0 ** 510, 2.0 ** 510), _SQUARE])
+# signed zeros and touching edges: iou_2d's ties may pick the other zero than numpy's
+@example([(-0.0, -0.0, 0.0, 1.0), (0.0, -0.0, 1.0, 1.0)],
+         [(0.0, 0.0, 1.0, 1.0), (-0.0, 0.0, -0.0, 2.0), (1.0, -0.0, 2.0, 0.0)])
 def test_iou_matrix_bitwise_equals_iou_2d(a, b):
     got = iou_matrix(a, b)
     want = np.array([[iou_2d(x, y) for y in b] for x in a], dtype=np.float64)

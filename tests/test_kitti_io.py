@@ -561,6 +561,16 @@ def test_long_files_are_read_in_pieces_with_the_right_line_numbers():
             parse_sequence(broken)
 
 
+def test_every_box_survives_the_chunk_seams():
+    # 5000 lines are read in three 2048-line chunks; no two lines share a box
+    lines = [label_line(i // 50, i % 50, (i, i + 0.5, i + 10.25, i + 20.0), score=0.5 + i / 20000)
+             for i in range(5000)]
+    seq = _assert_matches_oracle(lines)
+    records = [d for dets in seq.frames.values() for d in dets]
+    assert [r.box for r in records] == [(i, i + 0.5, i + 10.25, i + 20.0) for i in range(5000)]
+    assert number_rows(records)[:, :4].tolist() == [list(r.box) for r in records]
+
+
 def test_a_bad_line_walks_only_its_own_chunk(monkeypatch):
     import paretotrack.kitti_io as kitti_io
 

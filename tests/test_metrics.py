@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_gt_sequence, slot_box
+from paretotrack.geometry import iou_2d
 from paretotrack.metrics import (
     check_report_identity,
     clear_mot,
@@ -40,6 +41,12 @@ def test_previous_correspondence_persists():
     h2 = _shifted(g1, 0.5)  # IoU ~ 0.9
     matches = match_frame([(1, g1)], [(10, h1), (20, h2)], {1: 10}, 0.5)
     assert matches[1] == 10
+
+
+def test_a_carried_hypothesis_is_not_matched_again():
+    # g2 sits on g1's box, but h1 is kept by g1 and is no longer free
+    g1 = _box(0)
+    assert match_frame([(1, g1), (2, g1)], [(10, g1)], {1: 10}, 0.5) == {1: 10}
 
 
 def test_duplicate_ids_rejected():
@@ -168,3 +175,37 @@ def test_clear_mot_counts_hold_on_independent_frame_maps(gt, hyp, thresh):
     matches = report.gt_count - report.fn
     assert matches == hyp_total - report.fp
     assert 0 <= report.idsw <= matches
+
+
+def _oracle_per_frame(gt, hyp, thresh):
+    """(fp, fn, idsw) per frame with no matcher, for `_frame_map` inputs.
+
+    Boxes of different slots never overlap (the pitch is 120 px, a box at
+    most 60 + 30 px wide), so each ground-truth box has at most one candidate
+    hypothesis and the matches are exactly the pairs whose IoU reaches
+    ``thresh``.
+    """
+    last_hyp = {}
+    rows = []
+    for f in sorted(set(gt) | set(hyp)):
+        gt_objs, hyp_objs = gt.get(f, []), hyp.get(f, [])
+        pairs = [(g, h) for g, gb in gt_objs for h, hb in hyp_objs if iou_2d(gb, hb) >= thresh]
+        assert len({g for g, _ in pairs}) == len({h for _, h in pairs}) == len(pairs)
+        idsw = 0
+        for g, h in pairs:
+            idsw += g in last_hyp and last_hyp[g] != h
+            last_hyp[g] = h
+        rows.append((len(hyp_objs) - len(pairs), len(gt_objs) - len(pairs), idsw))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(gt=_frame_map(), hyp=_frame_map(), thresh=st.sampled_from([0.3, 0.5, 0.7, 1.0]))
+def test_clear_mot_equals_an_oracle_without_a_matcher(gt, hyp, thresh):
+    report = clear_mot(gt, hyp, thresh)
+    rows = _oracle_per_frame(gt, hyp, thresh)
+    assert report.frames == sorted(set(gt) | set(hyp))
+    assert report.per_frame == rows
+    fp, fn, idsw = map(sum, zip(*rows)) if rows else (0, 0, 0)
+    assert (report.fp, report.fn, report.idsw) == (fp, fn, idsw)
+    assert report.gt_count == sum(len(objs) for objs in gt.values())
