@@ -9,7 +9,8 @@ from typing import Sequence
 
 from ..latency import LatencyTable
 from ..settings import RATE, check
-from .search import Stage1Budget, Stage1Result, Stage2Budget, stage1_search, stage2_train
+from .search import (Stage1Budget, Stage1Result, Stage2Budget, Stage2Result, stage1_search,
+                     stage2_train)
 from .space import DiscreteArch, SearchSpace, discrete_latency, discretize
 from .surrogate import SurrogateEvaluator
 
@@ -61,18 +62,19 @@ def hypervolume_2d(points: Sequence[ParetoPoint],
 
 
 def sweep_point(space: SearchSpace, evaluator: SurrogateEvaluator, table: LatencyTable,
-                lam: float, searched: Stage1Result, stage2_budget: Stage2Budget, seed: int,
-                scored: dict[DiscreteArch, tuple[float, float]]) -> ParetoPoint:
-    """Discretize one lambda's stage-1 result; price and train its architecture.
+                lam: float, arch: DiscreteArch,
+                scored: dict[DiscreteArch, tuple[float, Stage2Result | Exception]]) -> ParetoPoint:
+    """One lambda's point from its discretized architecture, or that
+    architecture's stage-2 failure raised.
 
-    `scored` keeps both per distinct architecture, which is all they depend on
-    within a sweep, so a repeat reuses them exactly.
+    `scored` holds each distinct architecture's latency and stage-2 outcome,
+    which is all a point depends on within a sweep of `space`, `evaluator`
+    and `table`; this per-lambda step is where a raise skips one lambda.
     """
-    arch = discretize(searched.arch, space)
-    if arch not in scored:
-        scored[arch] = (discrete_latency(arch, space, table),
-                        stage2_train(space, arch, evaluator, stage2_budget, seed).best_val_loss)
-    return ParetoPoint(*scored[arch], arch=arch, lambda_used=lam)
+    latency, trained = scored[arch]
+    if isinstance(trained, Exception):
+        raise trained
+    return ParetoPoint(latency, trained.best_val_loss, arch=arch, lambda_used=lam)
 
 
 def pareto_sweep(
@@ -86,9 +88,9 @@ def pareto_sweep(
 ) -> list[ParetoPoint]:
     """Run the two-stage search for every lambda and keep the non-dominated results.
 
-    Stage 1 runs once for all valid lambdas, stage 2 once per distinct
-    architecture.  A failing lambda is skipped with a logged warning rather
-    than aborting the sweep.
+    Stage 1 runs once for all valid lambdas, and stage 2 once for all
+    distinct architectures they discretize to.  A failing lambda is skipped
+    with a logged warning rather than aborting the sweep.
     """
     if not lambdas:
         raise ValueError("need at least one lambda")
@@ -105,14 +107,25 @@ def pareto_sweep(
     except Exception as exc:
         searched = [exc] * len(valid)
     outcomes.update(zip(valid, searched))
-    scored: dict[DiscreteArch, tuple[float, float]] = {}
+    for i in valid:
+        if isinstance(outcomes[i], Stage1Result):
+            outcomes[i] = discretize(outcomes[i].arch, space)
+    distinct = list(dict.fromkeys(outcomes[i] for i in valid
+                                  if isinstance(outcomes[i], DiscreteArch)))
+    trained: list[Stage2Result | Exception] = []
+    if distinct:
+        try:
+            trained = stage2_train(space, distinct, evaluator, stage2_budget, seed)
+        except Exception as exc:
+            trained = [exc] * len(distinct)
+    scored = {arch: (discrete_latency(arch, space, table), outcome)
+              for arch, outcome in zip(distinct, trained)}
     points = []
     for i, lam in enumerate(lambdas):
         outcome = outcomes[i]
         if not isinstance(outcome, Exception):
             try:
-                points.append(sweep_point(space, evaluator, table, lam, outcome,
-                                          stage2_budget, seed, scored))
+                points.append(sweep_point(space, evaluator, table, lam, outcome, scored))
                 continue
             except Exception as exc:
                 outcome = exc

@@ -6,8 +6,11 @@ loss + lambda * normalized expected latency, evaluating on the validation
 split each epoch and keeping the best logits.  It runs a list of lambdas as
 one batch, a (lambdas, positions, ops) logits tensor per cell kind, and each
 row does bit for bit what a run with its lambda alone would.  Stage 2
-freezes a pruned architecture and trains the parameters on the plain loss,
-checkpointing the best validation value at a fixed interval.
+freezes pruned architectures and trains their parameters on the plain loss,
+checkpointing the best validation value at a fixed interval.  It runs a list
+of architectures as one batch, a (architectures, positions, ops) one-hot
+stack per cell kind, and each row does bit for bit what a run with its
+architecture alone would.
 """
 
 from __future__ import annotations
@@ -90,11 +93,11 @@ def arch_weights(space: SearchSpace, arch: ArchLogits) -> dict[str, np.ndarray]:
 
 def _objective(evaluator: SurrogateEvaluator, weights: dict[str, np.ndarray],
                theta: np.ndarray, split: str, lams: np.ndarray,
-               lat_vectors: dict[str, np.ndarray], norm: float) -> list[float]:
+               lat_vectors: dict[str, np.ndarray], norm: float) -> np.ndarray:
     """Per row: surrogate loss plus lambda times the relaxed latency over `norm`."""
-    losses = np.atleast_1d(evaluator.loss(weights, theta, split)).tolist()
-    return [loss + lam * (lat / norm) if lam > 0.0 else loss for loss, lam, lat
-            in zip(losses, lams.tolist(), weighted_latency(weights, lat_vectors))]
+    losses = np.array(evaluator.loss(weights, theta, split))
+    lats = np.array(weighted_latency(weights, lat_vectors))
+    return np.where(lams > 0.0, losses + lams * (lats / norm), losses)
 
 
 def total_loss(
@@ -110,28 +113,46 @@ def total_loss(
 
     The latency term is expected latency divided by the max-latency
     architecture's value, so it lies in (0, 1] and lambda values stay
-    comparable across tables.
+    comparable across tables.  A table whose every op costs 0 ms gives the
+    latency term no scale: any lambda > 0 then gives a non-finite loss.
     """
     weights = {kind: w[None] for kind, w in arch_weights(space, arch).items()}
-    return _objective(evaluator, weights, np.asarray(theta)[None], split,
-                      np.array([check("lambda", lam, RATE)]), edge_latencies(space, table),
-                      max_latency_ms(space, table))[0]
+    lams = np.array([check("lambda", lam, RATE)])
+    with np.errstate(all="ignore"):
+        return float(_objective(evaluator, weights, np.asarray(theta)[None], split, lams,
+                                edge_latencies(space, table), max_latency_ms(space, table))[0])
+
+
+def _latency_terms(lat_vectors: dict[str, np.ndarray], norm: float,
+                   lams: np.ndarray | float) -> dict[str, np.ndarray]:
+    """Per kind and row: lambda times the edge latencies over `norm`, the latency
+    term's gradient in the weights."""
+    lams = np.asarray(lams)[..., None, None]
+    return {kind: lams * v / norm for kind, v in lat_vectors.items()}
+
+
+def _logit_gradient(weights: dict[str, np.ndarray], theta: np.ndarray,
+                    evaluator: SurrogateEvaluator, priced: np.ndarray,
+                    terms: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Gradient w.r.t. the logits whose softmax is `weights`, with each row's
+    latency term from `terms` added only where `priced`, as a run with its
+    lambda alone does."""
+    g_w, _ = evaluator.grad(weights, theta, "train")
+    grads = {}
+    for kind, w in weights.items():
+        g = np.where(priced, g_w[kind] + terms[kind], g_w[kind])
+        # d loss / d logits = W * (g - (W . g)) per row
+        dot = (w * g).sum(axis=-1, keepdims=True)
+        grads[kind] = w * (g - dot)
+    return grads
 
 
 def _alpha_gradient(weights: dict[str, np.ndarray], theta: np.ndarray,
                     evaluator: SurrogateEvaluator, lat_vectors: dict[str, np.ndarray],
                     norm: float, lams: np.ndarray | float) -> dict[str, np.ndarray]:
     """Exact gradient of total_loss w.r.t. the logits whose softmax is `weights`, per row."""
-    g_w, _ = evaluator.grad(weights, theta, "train")
-    lams = np.asarray(lams)[..., None, None]
-    priced = lams > 0.0  # the latency term only where lambda > 0, as a run with it alone
-    grads = {}
-    for kind, w in weights.items():
-        g = np.where(priced, g_w[kind] + lams * lat_vectors[kind] / norm, g_w[kind])
-        # d loss / d logits = W * (g - (W . g)) per row
-        dot = (w * g).sum(axis=-1, keepdims=True)
-        grads[kind] = w * (g - dot)
-    return grads
+    return _logit_gradient(weights, theta, evaluator, np.asarray(lams)[..., None, None] > 0.0,
+                           _latency_terms(lat_vectors, norm, lams))
 
 
 def stage1_search(
@@ -159,25 +180,30 @@ def stage1_search(
     live = np.arange(len(lams))  # batch row -> index in `lambdas`
     best_logits = {kind: v.copy() for kind, v in logits.items()}
     best_theta, best_val = theta.copy(), np.full(len(lams), math.inf)
-    history: list[list[float]] = [[] for _ in live]
+    # validation totals by epoch and lambda; NaN where a row was not validated
+    history = np.full((budget.epochs, len(lams)), math.nan)
     diverged: dict[int, SearchDivergedError] = {}
 
     def keep(ok: np.ndarray, epoch: int, message: str) -> None:
-        nonlocal live, lams, theta, logits, weights
+        nonlocal live, lams, theta, logits, weights, priced, terms
         if not ok.all():
             diverged.update((i, SearchDivergedError(epoch, message)) for i in live[~ok].tolist())
-            live, lams, theta = live[ok], lams[ok], theta[ok]
-            logits, weights = ({kind: v[ok] for kind, v in d.items()} for d in (logits, weights))
+            live, lams, theta, priced = live[ok], lams[ok], theta[ok], priced[ok]
+            logits, weights, terms = ({kind: v[ok] for kind, v in d.items()}
+                                      for d in (logits, weights, terms))
 
     # the finiteness checks find a diverging row; a warning would fail every row
     with np.errstate(all="ignore"):
         weights = {kind: softmax_weights(v) for kind, v in logits.items()}
+        priced = lams[:, None, None] > 0.0
+        terms = _latency_terms(lat_vectors, norm, lams)
         for epoch in range(budget.epochs):
-            grads = _alpha_gradient(weights, theta, evaluator, lat_vectors, norm, lams)
+            grads = _logit_gradient(weights, theta, evaluator, priced, terms)
             for kind in logits:
                 logits[kind] -= budget.alpha_lr * grads[kind]
-            keep(np.logical_and.reduce([np.isfinite(v).all(axis=(1, 2)) for v in logits.values()]),
-                 epoch, "non-finite logits")
+            if not all(np.isfinite(v).all() for v in logits.values()):
+                keep(np.logical_and.reduce([np.isfinite(v).all(axis=(1, 2))
+                                            for v in logits.values()]), epoch, "non-finite logits")
             if not live.size:
                 break
             # these weights serve the theta steps, the validation and the next alpha step
@@ -185,54 +211,71 @@ def stage1_search(
             for _ in range(budget.theta_iters):
                 _, g_theta = evaluator.grad(weights, theta, "train")
                 theta = theta - budget.theta_lr * g_theta
-            vals = np.array(_objective(evaluator, weights, theta, "val", lams, lat_vectors, norm))
+            vals = _objective(evaluator, weights, theta, "val", lams, lat_vectors, norm)
+            history[epoch, live] = vals
             ok = np.isfinite(vals)
-            for i, val in zip(live[ok].tolist(), vals[ok].tolist()):
-                history[i].append(val)
             better = ok & (vals < best_val[live])
-            rows = live[better]
-            best_val[rows] = vals[better]
-            for kind, v in logits.items():
-                best_logits[kind][rows] = v[better]
-            best_theta[rows] = theta[better]
+            if better.any():
+                rows = live[better]
+                best_val[rows] = vals[better]
+                for kind, v in logits.items():
+                    best_logits[kind][rows] = v[better]
+                best_theta[rows] = theta[better]
             keep(ok, epoch, "non-finite loss")
     return [diverged[i] if i in diverged else Stage1Result(
         arch=ArchLogits({kind: v[i] for kind, v in best_logits.items()}), theta=best_theta[i],
-        best_val_loss=float(best_val[i]), val_history=history[i]) for i in range(len(history))]
+        best_val_loss=float(best_val[i]),
+        val_history=history[np.isfinite(history[:, i]), i].tolist()) for i in range(len(best_val))]
 
 
 def stage2_train(
     space: SearchSpace,
-    arch: DiscreteArch,
+    archs: Sequence[DiscreteArch],
     evaluator: SurrogateEvaluator,
     budget: Stage2Budget = Stage2Budget(),
     seed: int = 0,
-) -> Stage2Result:
-    """Train parameters for a frozen pruned architecture on the plain loss.
+) -> list[Stage2Result | SearchDivergedError]:
+    """Train parameters for each frozen pruned architecture of `archs` on the plain loss.
 
-    No latency term: the architecture no longer changes.  The parameters at
-    the best periodic validation evaluation are returned; with a zero budget
-    the initial parameters come back untouched.
+    No latency term: the architectures no longer change.  Every architecture
+    starts from the same seeded parameters; each gets the parameters at its
+    best periodic validation evaluation, or a SearchDivergedError at the first
+    checkpoint whose loss is non-finite.  With a zero budget the initial
+    parameters come back untouched.
     """
     rng = np.random.default_rng(seed)
-    theta = rng.normal(0.0, 0.5, size=evaluator.theta_dim)
-    weights = one_hot_weights(arch, space)
+    theta = np.repeat(rng.normal(0.0, 0.5, size=(1, evaluator.theta_dim)), len(archs), axis=0)
+    hot = [one_hot_weights(arch, space) for arch in archs]
+    weights = {kind: np.array([h[kind] for h in hot]).reshape(
+        len(archs), space.n_positions, len(space.ops)) for kind in space.kinds()}
+    live = np.arange(len(archs))  # batch row -> index in `archs`
+    diverged: dict[int, SearchDivergedError] = {}
 
-    best_val = evaluator.loss(weights, theta, "val")
-    best_theta = theta.copy()
-    history = [best_val]
-    best_history = [best_val]
-    for t in range(1, budget.iters + 1):
-        _, g_theta = evaluator.grad(weights, theta, "train")
-        theta = theta - budget.theta_lr * g_theta
-        if t % budget.eval_interval == 0 or t == budget.iters:
-            val = evaluator.loss(weights, theta, "val")
-            if not math.isfinite(val):
-                raise SearchDivergedError(t)
-            history.append(val)
-            if val < best_val:
-                best_val = val
-                best_theta = theta.copy()
-            best_history.append(best_val)
-    return Stage2Result(params=best_theta, best_val_loss=best_val, val_history=history,
-                        best_history=best_history)
+    # a non-finite checkpoint finds a diverging row; a warning would fail every row
+    with np.errstate(all="ignore"):
+        vals = evaluator.loss(weights, theta, "val")
+        best_val, best_theta = np.array(vals, dtype=np.float64), theta.copy()
+        history = [[val] for val in vals]
+        best_history = [[val] for val in vals]
+        for t in range(1, budget.iters + 1):
+            _, g_theta = evaluator.grad(weights, theta, "train")
+            theta = theta - budget.theta_lr * g_theta
+            if t % budget.eval_interval == 0 or t == budget.iters:
+                vals = np.array(evaluator.loss(weights, theta, "val"), dtype=np.float64)
+                ok = np.isfinite(vals)
+                if not ok.all():
+                    diverged.update((i, SearchDivergedError(t)) for i in live[~ok].tolist())
+                    live, vals, theta = live[ok], vals[ok], theta[ok]
+                    weights = {kind: v[ok] for kind, v in weights.items()}
+                    if not live.size:
+                        break
+                better = vals < best_val[live]
+                if better.any():
+                    best_val[live[better]] = vals[better]
+                    best_theta[live[better]] = theta[better]
+                for i, val, best in zip(live.tolist(), vals.tolist(), best_val[live].tolist()):
+                    history[i].append(val)
+                    best_history[i].append(best)
+    return [diverged[i] if i in diverged else Stage2Result(
+        params=best_theta[i], best_val_loss=float(best_val[i]), val_history=history[i],
+        best_history=best_history[i]) for i in range(len(archs))]

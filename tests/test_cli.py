@@ -1,5 +1,6 @@
 import contextlib
 import io
+import logging
 import os
 import re
 import stat
@@ -516,6 +517,91 @@ def test_search_names_a_duplicate_table_entry(tmp_path, capsys):
     assert re.fullmatch(rf"error: {re.escape(str(table))}:{len(lines) + 1}: duplicate "
                         r"entry for OpConfig\(.*\), first on line 3\n", err), err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def profiled_table(tmp_path_factory):
+    """The lines of a synthetic-clock profiled table, header first."""
+    table = tmp_path_factory.mktemp("profiled") / "table.txt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert execute(["profile-latency", "--out", str(table), "--reps", "1"]) == 0
+    return table.read_text().splitlines(keepends=True)
+
+
+def _set_mean(value):
+    return lambda line: re.sub(r"\bmean_ms=\S+", f"mean_ms={value}", line)
+
+
+@st.composite
+def _mutated_tables(draw, lines):
+    """``lines`` after one to three hostile edits, each to a drawn line."""
+    lines = list(lines)
+    entry = lambda: draw(st.integers(1, max(len(lines) - 1, 1)))  # noqa: E731
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["huge", "tiny", "non-finite", "missing", "duplicate",
+                                     "zero-cost", "truncated"]))
+        if len(lines) < 2 and kind != "zero-cost":
+            continue
+        if kind == "huge":
+            value = draw(st.sampled_from([2.0 ** 510, 2.0 ** 511, 1e300, 1e308,
+                                          1.7976931348623157e308]))
+            every = draw(st.booleans())
+            for i in range(1, len(lines)) if every else [entry()]:
+                lines[i] = _set_mean(repr(value))(lines[i])
+        elif kind == "tiny":
+            value = draw(st.sampled_from([5e-324, 2.0 ** -1022, 1e-300, -0.0, 0.0]))
+            every = draw(st.booleans())
+            for i in range(1, len(lines)) if every else [entry()]:
+                lines[i] = _set_mean(repr(value))(lines[i])
+        elif kind == "non-finite":
+            field = draw(st.sampled_from(["mean_ms", "std_ms"]))
+            token = draw(st.sampled_from(["nan", "inf", "-inf", "-nan"]))
+            i = entry()
+            lines[i] = re.sub(rf"\b{field}=\S+", f"{field}={token}", lines[i])
+        elif kind == "missing":
+            del lines[entry()]
+        elif kind == "duplicate":
+            lines.insert(draw(st.integers(1, len(lines))), lines[entry()])
+        elif kind == "zero-cost":
+            lines = [lines[0]] + [_set_mean("0.0")(line) for line in lines[1:]]
+        else:
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i]) - 1))] + "\n"
+    return lines
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_search_on_a_mutated_table_exits_cleanly(tmp_path_factory, profiled_table, data):
+    lines = data.draw(_mutated_tables(profiled_table))
+    tmp = tmp_path_factory.mktemp("mutated")
+    table, out, plot = tmp / "table.txt", tmp / "front.txt", tmp / "plot.txt"
+    table.write_text("".join(lines))
+    err = io.StringIO()
+    # the sweep's skip warnings reach stderr, as they do from the console script
+    handler = logging.StreamHandler(err)
+    sweep_log = logging.getLogger("paretotrack.nas.pareto")
+    sweep_log.addHandler(handler)
+    try:
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = execute(["search", "--table", str(table), "--out", str(out),
+                            "--plot-data", str(plot), "--lambdas", "0,0.1,1,1000",
+                            "--epochs", "2", "--stage2-iters", "2"])
+    finally:
+        sweep_log.removeHandler(handler)
+    assert code in (0, 1)
+    assert not caught
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    if code == 1:
+        path = re.escape(str(table))
+        assert re.fullmatch(rf"error: {path}:\d+: .*\n", err.getvalue()) or re.fullmatch(
+            rf"error: {path}: (no latency entry for .*|every op of the search space costs 0 ms"
+            r", so the latency term has no scale)\n", err.getvalue()), err.getvalue()
+        assert not out.exists() and not plot.exists()
+    else:
+        assert out.read_text() and plot.read_text()
 
 
 def test_assoc_debug_random(capsys):

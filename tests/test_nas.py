@@ -414,9 +414,9 @@ def test_stage2_converges_to_analytic_minimizer():
     space = small_space()
     ev = nas.QuadraticSurrogate(space, theta_dim=4, seed=5)
     arch = nas.discretize(nas.ArchLogits.zeros(space), space)
-    res = nas.stage2_train(space, arch, ev,
-                           nas.Stage2Budget(iters=2000, eval_interval=50, theta_lr=0.2),
-                           seed=3)
+    (res,) = nas.stage2_train(space, [arch], ev,
+                              nas.Stage2Budget(iters=2000, eval_interval=50, theta_lr=0.2),
+                              seed=3)
     assert np.abs(res.params - ev.theta_target).max() < 1e-6
 
 
@@ -424,7 +424,7 @@ def test_stage2_zero_budget_returns_initial_theta():
     space = small_space()
     ev = nas.QuadraticSurrogate(space, seed=1)
     arch = nas.discretize(nas.ArchLogits.zeros(space), space)
-    res = nas.stage2_train(space, arch, ev, nas.Stage2Budget(iters=0), seed=11)
+    (res,) = nas.stage2_train(space, [arch], ev, nas.Stage2Budget(iters=0), seed=11)
     rng = np.random.default_rng(11)
     theta0 = rng.normal(0.0, 0.5, size=ev.theta_dim)
     assert np.array_equal(res.params, theta0)
@@ -434,11 +434,125 @@ def test_stage2_best_checkpoints_non_increasing():
     space = small_space()
     ev = nas.QuadraticSurrogate(space, seed=6)
     arch = nas.discretize(nas.ArchLogits.zeros(space), space)
-    res = nas.stage2_train(space, arch, ev,
-                           nas.Stage2Budget(iters=300, eval_interval=10, theta_lr=0.15),
-                           seed=1)
+    (res,) = nas.stage2_train(space, [arch], ev,
+                              nas.Stage2Budget(iters=300, eval_interval=10, theta_lr=0.15),
+                              seed=1)
     assert all(a >= b for a, b in zip(res.best_history, res.best_history[1:]))
     assert res.best_history[-1] == res.best_val_loss
+
+
+def _stage2_alone(space, arch, ev, budget, seed):
+    """Reference: stage 2 for one architecture on single (positions, ops) matrices."""
+    rng = np.random.default_rng(seed)
+    theta = rng.normal(0.0, 0.5, size=ev.theta_dim)
+    weights = one_hot_weights(arch, space)
+    best_val = ev.loss(weights, theta, "val")
+    best_theta = theta.copy()
+    history, best_history = [best_val], [best_val]
+    for t in range(1, budget.iters + 1):
+        theta = theta - budget.theta_lr * ev.grad(weights, theta, "train")[1]
+        if t % budget.eval_interval == 0 or t == budget.iters:
+            val = ev.loss(weights, theta, "val")
+            if not math.isfinite(val):
+                return nas.SearchDivergedError(t)
+            history.append(val)
+            if val < best_val:
+                best_val, best_theta = val, theta.copy()
+            best_history.append(best_val)
+    return nas.Stage2Result(best_theta, best_val, history, best_history)
+
+
+def _same_stage2_bits(a, b):
+    if isinstance(a, nas.SearchDivergedError):
+        return isinstance(b, nas.SearchDivergedError) and str(a) == str(b)
+    return (not isinstance(b, nas.SearchDivergedError)
+            and a.params.shape == b.params.shape
+            and a.params.tobytes() == b.params.tobytes()
+            and type(a.best_val_loss) is type(b.best_val_loss) is float
+            and a.best_val_loss.hex() == b.best_val_loss.hex()
+            and [v.hex() for v in a.val_history] == [v.hex() for v in b.val_history]
+            and [v.hex() for v in a.best_history] == [v.hex() for v in b.best_history])
+
+
+@st.composite
+def _stage2_problems(draw):
+    """A small space, either surrogate, a budget and architectures with repeats."""
+    normal = draw(st.integers(0, 2))
+    space = small_space(normal_cells=normal,
+                        reduction_cells=draw(st.integers(0 if normal else 1, 1)),
+                        nodes=draw(st.integers(2, 4)))
+    surrogate = draw(st.sampled_from([nas.OpCostSurrogate, nas.QuadraticSurrogate]))
+    ev = surrogate(space, theta_dim=draw(st.integers(0, 4)), seed=draw(st.integers(0, 99)))
+    arch = st.builds(lambda ops: DiscreteArch(edges=tuple(
+        (kind, edge, op) for (kind, edge), op in ops if op != "none")),
+        st.tuples(*[st.tuples(st.just((kind, edge)), st.sampled_from(space.ops))
+                    for kind in space.kinds() for edge in space.positions]))
+    archs = draw(st.lists(arch, max_size=4))
+    if archs:
+        archs += draw(st.lists(st.sampled_from(archs), max_size=3))
+    # a huge rate makes theta overflow, and every row diverge at one checkpoint
+    budget = nas.Stage2Budget(iters=draw(st.integers(0, 60)),
+                              eval_interval=draw(st.sampled_from([1, 3, 10, 25, 100])),
+                              theta_lr=draw(st.one_of(st.floats(0.0, 0.4), st.just(1e6))))
+    return space, ev, draw(st.permutations(archs)), budget, draw(st.integers(0, 99))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_stage2_problems())
+def test_stage2_batch_rows_equal_each_architecture_alone(problem):
+    space, ev, archs, budget, seed = problem
+    batch = nas.stage2_train(space, archs, ev, budget, seed)
+    assert len(batch) == len(archs)
+    for arch, row in zip(archs, batch):
+        (alone,) = nas.stage2_train(space, [arch], ev, budget, seed)
+        assert _same_stage2_bits(row, alone)
+        with np.errstate(all="ignore"):
+            assert _same_stage2_bits(row, _stage2_alone(space, arch, ev, budget, seed))
+
+
+class _OpOnEveryEdgeOverflowsTheta(nas.OpCostSurrogate):
+    """The cost surrogate, but theta's gradient is 1000 times larger where the
+    weight on `op` sums to the number of edges: only an architecture with
+    `op` on every edge takes such steps, and at a rate of 0.2 they overflow."""
+
+    def __init__(self, space, op, **kwargs):
+        super().__init__(space, **kwargs)
+        self.op_index, self.edges = space.ops.index(op), space.total_edges()
+
+    def grad(self, weights, theta, split="train"):
+        g_w, g_theta = super().grad(weights, theta, split)
+        total = sum(w[..., self.op_index].sum(axis=-1) for w in weights.values())
+        return g_w, g_theta * np.where(total >= self.edges, 1e3, 1.0)[..., None]
+
+
+def test_stage2_diverging_row_leaves_the_others_alone(caplog):
+    # under the suite's error::RuntimeWarning filter: no warning may escape either
+    space = small_space(reduction_cells=0)
+    table = nominal_table(space)
+    ev = _OpOnEveryEdgeOverflowsTheta(space, "sep_conv_7", seed=0)
+    stage1 = nas.Stage1Budget(epochs=30, theta_iters=2, alpha_lr=0.5, theta_lr=0.2)
+    stage2 = nas.Stage2Budget(iters=200, eval_interval=20, theta_lr=0.2)
+    lambdas = np.logspace(-3, 2.5, 8).tolist()
+    archs = [nas.discretize(r.arch, space)
+             for r in nas.stage1_search(space, ev, table, lambdas, stage1, seed=0)]
+    slowest = DiscreteArch(edges=tuple(("normal", e, "sep_conv_7") for e in space.positions))
+    failing = [lam for lam, arch in zip(lambdas, archs) if arch == slowest]
+    assert 1 < len(failing) < len(lambdas) - 1
+
+    distinct = list(dict.fromkeys(archs))
+    batch = nas.stage2_train(space, distinct, ev, stage2, seed=0)
+    for arch, row in zip(distinct, batch):
+        assert isinstance(row, nas.SearchDivergedError) == (arch == slowest)
+        assert _same_stage2_bits(row, nas.stage2_train(space, [arch], ev, stage2, seed=0)[0])
+
+    with caplog.at_level("WARNING"):
+        front = nas.pareto_sweep(space, ev, table, lambdas, stage1, stage2, seed=0)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"lambda={lam} failed, skipping" for lam in failing]
+    assert all(type(r.exc_info[1]) is nas.SearchDivergedError for r in caplog.records)
+    kept = [lam for lam in lambdas if lam not in failing]
+    assert front == nas.pareto_sweep(space, ev, table, kept, stage1, stage2, seed=0)
+    assert slowest not in {p.arch for p in front}
 
 
 # ------------------------------------------------------------- pareto
@@ -551,9 +665,9 @@ def test_pareto_sweep_trains_each_distinct_architecture_once(monkeypatch):
     ev = nas.OpCostSurrogate(space, seed=0)
     trained = []
 
-    def stage2_train(space, arch, *args):
-        trained.append(arch)
-        return nas.stage2_train(space, arch, *args)
+    def stage2_train(space, archs, *args):
+        trained.append(archs)
+        return nas.stage2_train(space, archs, *args)
 
     monkeypatch.setattr(pareto, "stage2_train", stage2_train)
     budget = nas.Stage1Budget(epochs=60, theta_iters=2, alpha_lr=0.5, theta_lr=0.2)
@@ -561,10 +675,11 @@ def test_pareto_sweep_trains_each_distinct_architecture_once(monkeypatch):
     front = nas.pareto_sweep(space, ev, table, lambdas, budget,
                              nas.Stage2Budget(iters=40, eval_interval=10, theta_lr=0.2),
                              seed=0)
-    archs = {nas.discretize(r.arch, space)
-             for r in nas.stage1_search(space, ev, table, lambdas, budget, seed=0)}
-    assert len(trained) == len(set(trained)) == len(archs) < len(lambdas)
-    assert set(trained) == archs and {p.arch for p in front} <= archs
+    archs = [nas.discretize(r.arch, space)
+             for r in nas.stage1_search(space, ev, table, lambdas, budget, seed=0)]
+    distinct = list(dict.fromkeys(archs))  # in first-seen order
+    assert trained == [distinct] and len(distinct) < len(lambdas)
+    assert {p.arch for p in front} <= set(distinct)
 
 
 # ------------------------------------------------------------- surrogates
