@@ -10,9 +10,7 @@ from .assoc import (
     solve_exact,
 )
 from .geometry import (
-    BevImage,
     Box3D,
-    PointCloud,
     bev_to_pgm,
     crop_points,
     iou_2d,

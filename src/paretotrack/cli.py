@@ -22,7 +22,7 @@ import numpy as np
 
 from . import nas
 from .assoc import objective_value, solve_exact
-from .geometry import Box3D, PointCloud, bev_to_pgm, crop_points, rasterize_bev
+from .geometry import Box3D, bev_to_pgm, crop_points, rasterize_bev
 from .kitti_io import KittiFormatError, parse_sequence, write_tracking_results
 from .latency import (
     CANDIDATE_OPS,
@@ -397,25 +397,29 @@ def _cmd_bev(args: argparse.Namespace) -> int:
     if not args.points or not args.box or not args.out:
         raise CliError("bev requires --points, --box and --out")
     try:
-        vals = [float(tok) for tok in args.box.split(",")]
-        cx, cy, cz, h, w, l, yaw = vals
+        cx, cy, cz, h, w, l, yaw = map(float, args.box.split(","))
     except ValueError:
         raise CliError("--box expects 'cx,cy,cz,height,width,length,yaw'") from None
+    box = Box3D(center=(cx, cy, cz), size=(h, w, l), yaw=yaw)
+    # bounded coordinates keep every difference and scale of the raster finite
+    what = f"'x y z', each {BOUNDED.text}"
     pts = []
     for lineno, raw in enumerate(_read_lines(args.points), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            x, y, z = (float(tok) for tok in line.split())
+            point = [float(tok) for tok in line.split()]
+            ok = len(point) == 3 and all(map(BOUNDED.holds, point))
         except ValueError:
-            raise CliError(f"{args.points}:{lineno}: expected 'x y z'") from None
-        pts.append((x, y, z))
-    box = Box3D(center=(cx, cy, cz), size=(h, w, l), yaw=yaw)
-    cloud = crop_points(PointCloud(pts), box)
-    image = rasterize_bev(cloud, box, resolution=(args.rows, args.cols))
-    _atomic_write(args.out, bev_to_pgm(image))
-    print(f"rasterized {len(cloud)} points -> {args.out}")
+            ok = False
+        if not ok:
+            raise CliError(f"{args.points}:{lineno}: expected {what}, got {line!r}")
+        pts.append(point)
+    kept = crop_points(np.array(pts, dtype=np.float64).reshape(-1, 3), box)
+    cells = rasterize_bev(kept, box, (args.rows, args.cols))
+    _atomic_write(args.out, bev_to_pgm(cells))
+    print(f"rasterized {len(kept)} points -> {args.out}")
     return 0
 
 

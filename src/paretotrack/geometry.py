@@ -8,9 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .settings import AT_LEAST_1, check
-
-DEFAULT_BEV_RESOLUTION = (256, 256)
+from .settings import AT_LEAST_1, BOUNDED, check
 
 
 @dataclass(frozen=True)
@@ -25,8 +23,10 @@ class Box3D:
     yaw: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (*self.center, *self.size, self.yaw))):
-            raise ValueError(f"box center, size and yaw must be finite, got {self}")
+        # bounded values keep every difference, rotation and scale that
+        # crop_points and rasterize_bev form finite
+        if not all(map(BOUNDED.holds, (*self.center, *self.size, self.yaw))):
+            raise ValueError(f"box center, size and yaw must be {BOUNDED.text}, got {self}")
         if any(s <= 0 for s in self.size):
             raise ValueError(f"box size components must be positive, got {self.size}")
 
@@ -39,46 +39,6 @@ class Box3D:
         c, s = math.cos(self.yaw), math.sin(self.yaw)
         rot = np.array([[c, -s], [s, c]])
         return local @ rot.T + np.asarray(self.center[:2])
-
-
-class PointCloud:
-    """A set of (x, y, z) points in meters, stored as an (N, 3) float array."""
-
-    def __init__(self, points):
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.size == 0:
-            pts = pts.reshape(0, 3)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise ValueError("point coordinates must be finite")
-        self.points = pts
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PointCloud) and np.array_equal(self.points, other.points)
-
-    def __repr__(self) -> str:
-        return f"PointCloud({len(self)} points)"
-
-
-class BevImage:
-    """Top-down height raster: each cell stores the max point height (z), 0 when empty."""
-
-    def __init__(self, cells):
-        arr = np.asarray(cells, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"cells must be a 2D grid, got shape {arr.shape}")
-        self.cells = arr
-
-    @property
-    def resolution(self) -> tuple[int, int]:
-        return self.cells.shape
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BevImage) and np.array_equal(self.cells, other.cells)
 
 
 def iou_2d(a: Sequence[float], b: Sequence[float]) -> float:
@@ -122,13 +82,12 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(union), where=~(union <= 0))
 
 
-def crop_points(cloud: PointCloud, box: Box3D) -> PointCloud:
-    """Keep exactly the points inside the yaw-rotated box, boundaries inclusive."""
-    if len(cloud) == 0:
-        return PointCloud(cloud.points)
+def crop_points(points: np.ndarray, box: Box3D) -> np.ndarray:
+    """The rows of an (N, 3) array of (x, y, z) points inside the yaw-rotated
+    box, boundaries inclusive."""
     h, w, l = box.size
     cx, cy, cz = box.center
-    d = cloud.points - np.array([cx, cy, cz])
+    d = points - np.array([cx, cy, cz])
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     # Rotate into the box frame (inverse of the box's yaw).
     lx = c * d[:, 0] + s * d[:, 1]
@@ -137,15 +96,12 @@ def crop_points(cloud: PointCloud, box: Box3D) -> PointCloud:
     inside = (
         (np.abs(lx) <= l / 2) & (np.abs(ly) <= w / 2) & (np.abs(lz) <= h / 2)
     )
-    return PointCloud(cloud.points[inside])
+    return points[inside]
 
 
-def rasterize_bev(
-    cloud: PointCloud,
-    box: Box3D,
-    resolution: tuple[int, int] = DEFAULT_BEV_RESOLUTION,
-) -> BevImage:
-    """Rasterize points onto the box's ground-plane footprint.
+def rasterize_bev(points: np.ndarray, box: Box3D, resolution: tuple[int, int]) -> np.ndarray:
+    """Rasterize (N, 3) points onto the box's ground-plane footprint, a
+    (rows, cols) grid.
 
     A point lands in row floor((y - y_min) / (y_max - y_min) * rows) and the
     analogous column for x; the upper boundary is clamped into the last cell so
@@ -159,35 +115,27 @@ def rasterize_bev(
     x_min, y_min = corners.min(axis=0)
     x_max, y_max = corners.max(axis=0)
     if not (x_max > x_min and y_max > y_min):
-        raise ValueError("degenerate footprint: zero ground-plane extent")
+        raise ValueError(f"box footprint has no ground-plane extent, got {box}")
     cells = np.zeros((rows, cols))
-    if len(cloud) == 0:
-        return BevImage(cells)
-    pts = cloud.points
-    r = np.floor((pts[:, 1] - y_min) / (y_max - y_min) * rows).astype(np.int64)
-    c = np.floor((pts[:, 0] - x_min) / (x_max - x_min) * cols).astype(np.int64)
+    r = np.floor((points[:, 1] - y_min) / (y_max - y_min) * rows).astype(np.int64)
+    c = np.floor((points[:, 0] - x_min) / (x_max - x_min) * cols).astype(np.int64)
     r = np.clip(r, 0, rows - 1)
     c = np.clip(c, 0, cols - 1)
-    np.maximum.at(cells, (r, c), pts[:, 2])
-    return BevImage(cells)
+    np.maximum.at(cells, (r, c), points[:, 2])
+    return cells
 
 
-def bev_to_pgm(image: BevImage, maxval: int = 255) -> str:
-    """Render a BEV image as plain-text portable graymap (P2) for eyeballing.
-
-    Heights are scaled linearly onto 0..maxval over the image's value range.
-    """
-    if maxval < 1:
-        raise ValueError("maxval must be >= 1")
-    cells = image.cells
-    lo = min(0.0, float(cells.min())) if cells.size else 0.0
-    hi = float(cells.max()) if cells.size else 0.0
+def bev_to_pgm(cells: np.ndarray) -> str:
+    """Render a (rows, cols) height grid as plain-text portable graymap (P2)
+    for eyeballing, its values scaled linearly onto 0..255 over the range
+    from min(0, lowest) to the highest."""
+    lo, hi = min(0.0, float(cells.min())), float(cells.max())
     if hi > lo:
-        scaled = np.rint((cells - lo) / (hi - lo) * maxval).astype(int)
+        scaled = np.rint((cells - lo) / (hi - lo) * 255).astype(int)
     else:
         scaled = np.zeros_like(cells, dtype=int)
-    rows, cols = image.resolution
-    lines = ["P2", f"{cols} {rows}", str(maxval)]
+    rows, cols = cells.shape
+    lines = ["P2", f"{cols} {rows}", "255"]
     for row in scaled:
         lines.append(" ".join(str(v) for v in row))
     return "\n".join(lines) + "\n"

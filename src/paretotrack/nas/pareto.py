@@ -90,7 +90,8 @@ def pareto_sweep(
 
     Stage 1 runs once for all valid lambdas, and stage 2 once for all
     distinct architectures they discretize to.  A failing lambda is skipped
-    with a logged warning rather than aborting the sweep.
+    with one logged warning line that gives its reason, rather than aborting
+    the sweep.
     """
     if not lambdas:
         raise ValueError("need at least one lambda")
@@ -129,5 +130,5 @@ def pareto_sweep(
                 continue
             except Exception as exc:
                 outcome = exc
-        log.warning("lambda=%s failed, skipping", lam, exc_info=outcome)
+        log.warning("lambda=%s failed, skipping: %s", lam, outcome)
     return pareto_front(points)

@@ -29,11 +29,11 @@ from .surrogate import SurrogateEvaluator
 
 
 class SearchDivergedError(RuntimeError):
-    """The search produced a non-finite loss."""
+    """The search produced a non-finite value at a stage-1 epoch or a stage-2 iteration."""
 
-    def __init__(self, epoch: int, message: str = "non-finite loss"):
-        super().__init__(f"{message} at epoch {epoch}")
-        self.epoch = epoch
+    def __init__(self, step: int, message: str = "non-finite loss", unit: str = "epoch"):
+        super().__init__(f"{message} at {unit} {step}")
+        self.step = step
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,8 @@ def stage2_train(
                 vals = np.array(evaluator.loss(weights, theta, "val"), dtype=np.float64)
                 ok = np.isfinite(vals)
                 if not ok.all():
-                    diverged.update((i, SearchDivergedError(t)) for i in live[~ok].tolist())
+                    diverged.update((i, SearchDivergedError(t, unit="iteration"))
+                                    for i in live[~ok].tolist())
                     live, vals, theta = live[ok], vals[ok], theta[ok]
                     weights = {kind: v[ok] for kind, v in weights.items()}
                     if not live.size:

@@ -500,7 +500,8 @@ def test_search_skips_a_diverging_lambda_alone(tmp_path, capsys, caplog, action)
         skips = [r.getMessage() for r in caplog.records
                  if r.name == "paretotrack.nas.pareto"]
         runs[lambdas] = skips, out.read_bytes()
-    assert runs["0.1,1e308,1"][0] == ["lambda=1e+308 failed, skipping"]
+    assert runs["0.1,1e308,1"][0] == [
+        "lambda=1e+308 failed, skipping: non-finite logits at epoch 0"]
     assert runs["0.1,1"][0] == []
     assert runs["0.1,1e308,1"][1] == runs["0.1,1"][1]
 
@@ -791,8 +792,108 @@ def test_bev_rejects_a_non_finite_box(tmp_path, capsys, position, token):
     assert execute(["bev", "--points", str(pts), "--box", ",".join(box),
                     "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: box center, size and yaw must be finite, got Box3D(center=(")
+    assert err.startswith("error: box center, size and yaw must be at most 2**510 in magnitude, "
+                          "got Box3D(center=(")
     assert token in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points, box, reason", [
+    ("0 0 0.5\n1 nan 0\n", "0,0,0,1,1,1,0.3", "2: expected 'x y z', each at most 2**510 "
+     "in magnitude, got '1 nan 0'"),
+    ("# x y z\n1.7e308 1.7e308 0\n", "0,0,0,1,1,1,0.3", "2: expected 'x y z', each at most "
+     "2**510 in magnitude, got '1.7e308 1.7e308 0'"),
+    ("0 0 0.5\n", "0,0,0,1e308,1.7e308,1.7e308,0.7", None),
+])
+def test_bev_refuses_a_point_or_box_that_would_overflow(tmp_path, capsys, points, box, reason):
+    # under the suite's error::RuntimeWarning filter: no arithmetic may warn first
+    pts = tmp_path / "points.txt"
+    pts.write_text(points)
+    out = tmp_path / "img.pgm"
+    assert execute(["bev", "--points", str(pts), "--box", box, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    if reason:
+        assert err == f"error: {pts}:{reason}\n"
+    else:
+        assert err.startswith("error: box center, size and yaw must be at most 2**510 "
+                              "in magnitude, got Box3D(") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# finite values around the bound and beyond it, and tokens that are not numbers
+_bev_values = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1.7e308", repr(2.0 ** 510),
+                     repr(2.0 ** 511), "5e-324", "1e-300", "-0.0", "0", "x", "1,5", ""]),
+    st.floats(allow_nan=False).map(repr),
+)
+
+
+@st.composite
+def _mutated_bev_inputs(draw):
+    """A well-formed points file's lines and box values, after one to three hostile edits."""
+    coordinate = st.floats(-3.0, 3.0).map(repr)
+    lines = [" ".join(draw(st.lists(coordinate, min_size=3, max_size=3)))
+             for _ in range(draw(st.integers(1, 6)))]
+    box = ["0", "0", "0", "2", "3", "4", "0.6"]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["point", "box", "arity", "box arity", "blank",
+                                     "comment"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "point":
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_bev_values)
+            lines[i] = " ".join(tokens)
+        elif kind == "box":
+            box[draw(st.integers(0, len(box) - 1))] = draw(_bev_values)
+        elif kind == "arity":
+            tokens = lines[i].split()
+            lines[i] = " ".join(tokens[:draw(st.integers(0, 2))] if draw(st.booleans())
+                                else tokens + [draw(_bev_values)])
+        elif kind == "box arity":
+            box = box[:-1] if draw(st.booleans()) else box + ["1"]
+        else:
+            lines.insert(i, "" if kind == "blank" else "# " + lines[i])
+    return lines, ",".join(box)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_bev_inputs())
+def test_bev_on_mutated_points_and_box_exits_cleanly(tmp_path_factory, inputs):
+    lines, box = inputs
+    tmp = tmp_path_factory.mktemp("bev")
+    pts, out = tmp / "points.txt", tmp / "img.pgm"
+    pts.write_text("".join(line + "\n" for line in lines))
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = execute(["bev", "--points", str(pts), f"--box={box}", "--rows", "8",
+                        "--cols", "8", "--out", str(out)])
+    assert code in (0, 1)
+    assert not caught
+    if code == 1:
+        assert re.fullmatch(rf"error: ({re.escape(str(pts))}:\d+: expected 'x y z', .*"
+                            r"|(--)?box .*)\n", err.getvalue()), err.getvalue()
+        assert not out.exists()
+    else:
+        assert out.read_text().startswith("P2\n8 8\n255\n")
+
+
+def test_search_logs_one_line_per_skipped_lambda_and_no_traceback(tmp_path):
+    # a stage-two rate of 1.5 diverges at iteration 520 for both lambdas; the
+    # console script has no logging handler of its own, as here
+    out = tmp_path / "front.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "paretotrack.cli", "search", "--lambdas", "0.1,1",
+         "--epochs", "2", "--theta-iters", "1", "--theta-lr", "1.5", "--stage2-iters", "2000",
+         "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "lambda=0.1 failed, skipping: non-finite loss at iteration 520\n"
+        "lambda=1.0 failed, skipping: non-finite loss at iteration 520\n"
+        "error: all 2 lambdas failed; no front written\n")
     assert not out.exists()
 
 

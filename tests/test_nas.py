@@ -16,7 +16,6 @@ from paretotrack.nas.space import (
     one_hot_weights,
     weighted_latency,
 )
-from paretotrack.settings import SettingError
 
 
 def small_space(**overrides):
@@ -306,7 +305,7 @@ def test_stage1_divergence_reports_epoch():
                                                        alpha_lr=0.05, theta_lr=1e6),
                                seed=0)
     assert isinstance(res, nas.SearchDivergedError)
-    assert res.epoch >= 0
+    assert res.step >= 0
 
 
 def test_stage1_deterministic():
@@ -403,7 +402,7 @@ def test_stage1_diverging_row_leaves_the_others_alone():
     budget = nas.Stage1Budget(epochs=20, theta_iters=1, alpha_lr=0.5, theta_lr=0.2)
     lams = [0.1, 1e308, 1.0]
     batch = nas.stage1_search(space, ev, table, lams, budget, seed=0)
-    assert isinstance(batch[1], nas.SearchDivergedError) and batch[1].epoch == 0
+    assert isinstance(batch[1], nas.SearchDivergedError) and batch[1].step == 0
     for lam, row in zip(lams, batch):
         assert _same_bits(row, nas.stage1_search(space, ev, table, [lam], budget, seed=0)[0])
 
@@ -454,7 +453,7 @@ def _stage2_alone(space, arch, ev, budget, seed):
         if t % budget.eval_interval == 0 or t == budget.iters:
             val = ev.loss(weights, theta, "val")
             if not math.isfinite(val):
-                return nas.SearchDivergedError(t)
+                return nas.SearchDivergedError(t, unit="iteration")
             history.append(val)
             if val < best_val:
                 best_val, best_theta = val, theta.copy()
@@ -547,9 +546,10 @@ def test_stage2_diverging_row_leaves_the_others_alone(caplog):
 
     with caplog.at_level("WARNING"):
         front = nas.pareto_sweep(space, ev, table, lambdas, stage1, stage2, seed=0)
-    assert [r.getMessage() for r in caplog.records] == [
-        f"lambda={lam} failed, skipping" for lam in failing]
-    assert all(type(r.exc_info[1]) is nas.SearchDivergedError for r in caplog.records)
+    diverged = str(batch[distinct.index(slowest)])
+    assert diverged.startswith("non-finite loss at iteration ")
+    assert [(r.getMessage(), r.exc_info) for r in caplog.records] == [
+        (f"lambda={lam} failed, skipping: {diverged}", None) for lam in failing]
     kept = [lam for lam in lambdas if lam not in failing]
     assert front == nas.pareto_sweep(space, ev, table, kept, stage1, stage2, seed=0)
     assert slowest not in {p.arch for p in front}
@@ -650,11 +650,12 @@ def test_pareto_sweep_logs_each_failing_lambda_in_order(caplog):
                                                 theta_lr=0.2),
                                seed=0)
     assert [p.lambda_used for p in pts] == [1.0]
-    assert [r.getMessage() for r in caplog.records] == [
-        f"lambda={lam} failed, skipping" for lam in ("nan", "1e+308", "-1.0")]
-    # a bad lambda raises SettingError, a ValueError naming the setting
-    assert [type(r.exc_info[1]) for r in caplog.records] == [
-        SettingError, nas.SearchDivergedError, SettingError]
+    # one line per lambda with its reason: a bad lambda's SettingError, or the divergence
+    assert [(r.getMessage(), r.exc_info) for r in caplog.records] == [
+        (f"lambda={lam} failed, skipping: {reason}", None) for lam, reason in (
+            ("nan", "lambda must be finite and >= 0, got nan"),
+            ("1e+308", "non-finite logits at epoch 0"),
+            ("-1.0", "lambda must be finite and >= 0, got -1.0"))]
 
 
 def test_pareto_sweep_trains_each_distinct_architecture_once(monkeypatch):
