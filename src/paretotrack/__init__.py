@@ -9,14 +9,7 @@ from .assoc import (
     solve_bruteforce,
     solve_exact,
 )
-from .geometry import (
-    Box3D,
-    bev_to_pgm,
-    crop_points,
-    iou_2d,
-    iou_matrix,
-    rasterize_bev,
-)
+from .geometry import iou_2d, iou_matrix
 from .kitti_io import (
     KittiFormatError,
     KittiRecord,

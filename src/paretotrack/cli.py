@@ -1,6 +1,6 @@
 """Command line entry point.
 
-Subcommands: track, evaluate, profile-latency, search, assoc-debug, bev.
+Subcommands: track, evaluate, profile-latency, search, assoc-debug.
 Every flag but --config can also come from a plain key=value config file
 (--config or the PARETOTRACK_CONFIG environment variable); keys mirror the
 long flag names, values pass the flag's own type and choice checks, and
@@ -22,7 +22,6 @@ import numpy as np
 
 from . import nas
 from .assoc import objective_value, solve_exact
-from .geometry import Box3D, bev_to_pgm, crop_points, rasterize_bev
 from .kitti_io import KittiFormatError, parse_sequence, write_tracking_results
 from .latency import (
     CANDIDATE_OPS,
@@ -37,7 +36,7 @@ from .latency import (
 from .metrics import clear_mot, format_report_kv, format_report_table
 from .nas.search import max_latency_ms
 from .scoring import BaselineScorer, ScorerConfig, ScoreSet
-from .settings import AT_LEAST_0, BOUNDED, RATE, SettingError
+from .settings import AT_LEAST_0, AT_MOST_500, BOUNDED, RATE, SettingError
 from .tracker import TrackerConfig, run_sequence
 
 CONFIG_ENV_VAR = "PARETOTRACK_CONFIG"
@@ -364,8 +363,11 @@ def _cmd_assoc_debug(args: argparse.Namespace) -> int:
             n, m = (int(tok) for tok in args.random.split(","))
         except ValueError:
             raise CliError("--random expects 'N,M'") from None
-        if not all(map(AT_LEAST_0.holds, (n, m))):
-            raise SettingError("random", args.random, AT_LEAST_0.text)
+        # positive_matching pads an n x m gain to a max(n, m) square, so each
+        # side is bounded on its own
+        for rule in (AT_LEAST_0, AT_MOST_500):
+            if not all(map(rule.holds, (n, m))):
+                raise SettingError("random", args.random, rule.text)
         rng = np.random.default_rng(args.seed)
         scores = ScoreSet(
             rng.uniform(-2, 2, m), rng.uniform(-2, 2, n),
@@ -388,38 +390,6 @@ def _cmd_assoc_debug(args: argparse.Namespace) -> int:
     for name, values in rows:
         out.write(f"{name}: " + " ".join(map(repr, values.tolist())) + "\n")
     out.write(f"objective={objective_value(scores, sol)!r}\n")
-    return 0
-
-
-# ---------------------------------------------------------------- bev
-
-def _cmd_bev(args: argparse.Namespace) -> int:
-    if not args.points or not args.box or not args.out:
-        raise CliError("bev requires --points, --box and --out")
-    try:
-        cx, cy, cz, h, w, l, yaw = map(float, args.box.split(","))
-    except ValueError:
-        raise CliError("--box expects 'cx,cy,cz,height,width,length,yaw'") from None
-    box = Box3D(center=(cx, cy, cz), size=(h, w, l), yaw=yaw)
-    # bounded coordinates keep every difference and scale of the raster finite
-    what = f"'x y z', each {BOUNDED.text}"
-    pts = []
-    for lineno, raw in enumerate(_read_lines(args.points), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            point = [float(tok) for tok in line.split()]
-            ok = len(point) == 3 and all(map(BOUNDED.holds, point))
-        except ValueError:
-            ok = False
-        if not ok:
-            raise CliError(f"{args.points}:{lineno}: expected {what}, got {line!r}")
-        pts.append(point)
-    kept = crop_points(np.array(pts, dtype=np.float64).reshape(-1, 3), box)
-    cells = rasterize_bev(kept, box, (args.rows, args.cols))
-    _atomic_write(args.out, bev_to_pgm(cells))
-    print(f"rasterized {len(kept)} points -> {args.out}")
     return 0
 
 
@@ -496,15 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", help="score-set file ('scoreset v1' format)")
     p.add_argument("--random", help="generate a random N,M instance")
     p.set_defaults(func=_cmd_assoc_debug)
-
-    p = sub.add_parser("bev", help="rasterize cropped points to a PGM image")
-    common(p)
-    p.add_argument("--points")
-    p.add_argument("--box")
-    p.add_argument("--rows", type=int, default=256)
-    p.add_argument("--cols", type=int, default=256)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_bev)
 
     return parser
 

@@ -21,6 +21,10 @@ AT_LEAST_0 = Rule(">= 0", lambda x: x >= 0)
 AT_LEAST_1 = Rule(">= 1", lambda x: x >= 1)
 AT_LEAST_2 = Rule(">= 2", lambda x: x >= 2)
 UNIT_INTERVAL = Rule("in (0, 1]", lambda x: 0 < x <= 1)
+# The largest side of an `assoc-debug --random` instance: 500,500 solves in
+# about 4 s on a 2-core x86 host, and the time grows with the cube of the
+# larger side.
+AT_MOST_500 = Rule("<= 500", lambda x: x <= 500)
 
 # The largest magnitude of a box coordinate, an association score, a score
 # weight and a latency table statistic.  A difference of two coordinates is

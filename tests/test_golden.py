@@ -1,4 +1,4 @@
-"""Byte identity of `track`, `evaluate`, `search`, `assoc-debug` and `bev` outputs.
+"""Byte identity of `track`, `evaluate`, `search` and `assoc-debug` outputs.
 
 The track/evaluate digest was computed with the object-per-line KITTI reader
 and writer; any later change to parsing, tracking, evaluation or formatting
@@ -7,10 +7,7 @@ computed with the per-row softmax and one stage-1 run per lambda; it pins the
 front and plot files on four flag sets, the last the full 129-lambda c06 sweep.
 The assoc-debug digest was computed once the score lines printed plain floats
 (they had printed numpy scalar reprs); it pins the printed scores, flags and the
-`objective=` line on four random instances and one scores file.  The bev digest
-was computed while points were held in a PointCloud and the image in a BevImage;
-it pins the PGM bytes on an empty points file, a rotated box, points on the
-footprint's upper boundary and a non-default raster size.
+`objective=` line on four random instances and one scores file.
 """
 
 import contextlib
@@ -25,7 +22,6 @@ from paretotrack.cli import execute
 GOLDEN_SHA256 = "43ba1c4661fcbb464349459c9152c287cd1a2c0ec88b90aa08e99fc13db6a819"
 SEARCH_SHA256 = "bfc87c6304116869dd7fd27b075cb98cc731a31916c364d4fb0b2af72df27e41"
 ASSOC_DEBUG_SHA256 = "2eb0e57311d76bbb2b0c74b4d58c6571db95e7e6728841654c9f02e8e539ce74"
-BEV_SHA256 = "399d382e6f0343f5702579c94ceae682471283e2bd69846c340fd6834c106b8e"
 
 # The c06 problem's 129 lambdas, on a synthetic-clock table.
 C06_LAMBDAS = np.logspace(-3, 2.5, 129).tolist()
@@ -131,23 +127,3 @@ def test_assoc_debug_output_matches_the_golden_digest(tmp_path):
         digest.update(stdout.getvalue().encode())
     assert digest.hexdigest() == ASSOC_DEBUG_SHA256
 
-
-def test_bev_images_match_the_golden_digest(tmp_path):
-    rng = random.Random(2026)
-    cloud = "".join(" ".join(repr(rng.uniform(-4.0, 4.0)) for _ in range(3)) + "\n"
-                    for _ in range(300))
-    # footprint [-1, 1] x [-1, 1]: corners and edge midpoints on its upper boundary
-    boundary = "1.0 1.0 0.7\n1.0 -1.0 1.2\n-1.0 1.0 0.3\n1.0 0.0 -0.4\n0.0 1.0 1.9\n0.2 0.3 0.1\n"
-    runs = [("", "0,0,0,1,1,1,0", []),
-            (cloud, "1,-2,0.5,2,3,4,0.6", []),
-            (boundary, "0,0,0,4,2,2,0", []),
-            (cloud, "-0.5,0.5,0,3,2.5,3.5,-1.1", ["--rows", "7", "--cols", "13"])]
-    digest = hashlib.sha256()
-    for i, (points, box, flags) in enumerate(runs):
-        pts, out = tmp_path / f"points-{i}.txt", tmp_path / f"bev-{i}.pgm"
-        pts.write_text(points)
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert execute(["bev", "--points", str(pts), f"--box={box}",
-                            "--out", str(out)] + flags) == 0
-        digest.update(out.read_bytes())
-    assert digest.hexdigest() == BEV_SHA256

@@ -2,11 +2,9 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from paretotrack import nas
-from paretotrack.geometry import Box3D, rasterize_bev
 from paretotrack.latency import profile_op
 from paretotrack.metrics import clear_mot, match_frame
 from paretotrack.scoring import ScorerConfig
@@ -14,7 +12,6 @@ from paretotrack.settings import SettingError
 from paretotrack.tracker import TrackerConfig
 
 _SPACE = nas.init_search_space(nas.SpaceConfig(normal_cells=1, reduction_cells=0, nodes=3))
-_BOX = Box3D((0, 0, 0), (1, 1, 1), 0.0)
 
 # (build, field name, bad value, rule): build(value) sets only that field
 _CASES = [
@@ -43,8 +40,6 @@ _CASES = [
     (lambda v: profile_op(lambda: None, warmup=v), "warmup", -1, ">= 0"),
     (lambda v: nas.stage1_search(_SPACE, nas.OpCostSurrogate(_SPACE), None, [v]),
      "lambda", -1.0, "finite and >= 0"),
-    (lambda v: rasterize_bev(np.empty((0, 3)), _BOX, (v, 4)), "rows", 0, ">= 1"),
-    (lambda v: rasterize_bev(np.empty((0, 3)), _BOX, (4, v)), "cols", 0, ">= 1"),
     (lambda v: match_frame([], [], {}, v), "thresh", 0.0, "in (0, 1]"),
     (lambda v: clear_mot({}, {}, v), "thresh", math.nan, "in (0, 1]"),
 ]
