@@ -24,7 +24,6 @@ from .latency import (
     LatencyLookupError,
     LatencyTable,
     OpConfig,
-    OpTemplate,
     TableFormatError,
     profile_op,
     softmax_weights,

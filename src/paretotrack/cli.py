@@ -24,8 +24,6 @@ from . import nas
 from .assoc import objective_value, solve_exact
 from .kitti_io import KittiFormatError, parse_sequence, write_tracking_results
 from .latency import (
-    CANDIDATE_OPS,
-    LatencyEntry,
     LatencyLookupError,
     LatencyTable,
     ScriptedClock,
@@ -216,9 +214,7 @@ def _cmd_profile_latency(args: argparse.Namespace) -> int:
                                                   resolution=args.resolution))
     table = LatencyTable()
     for kind in space.kinds():
-        template = space.op_template(kind)
-        for op in CANDIDATE_OPS:
-            cfg = template.with_op(op)
+        for cfg in space.op_configs(kind):
             cost = nominal_cost_ms(cfg)
             if args.clock == "synthetic":
                 entry = profile_op(lambda: None, clock=ScriptedClock([cost]),
@@ -235,16 +231,6 @@ def _cmd_profile_latency(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------- search
-
-def _synthetic_table(space) -> LatencyTable:
-    table = LatencyTable()
-    for kind in space.kinds():
-        template = space.op_template(kind)
-        for op in CANDIDATE_OPS:
-            cfg = template.with_op(op)
-            table.add(cfg, LatencyEntry(nominal_cost_ms(cfg), 0.0, 1))
-    return table
-
 
 def emit_plot_data(points: Sequence[nas.ParetoPoint], sink: IO[str]) -> None:
     """Two columns, reciprocal latency then loss, sorted by the first column.
@@ -295,7 +281,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             raise CliError(f"{args.table}: every op of the search space costs 0 ms, "
                            "so the latency term has no scale")
     else:
-        table = _synthetic_table(space)
+        table = nas.nominal_table(space)
     front = nas.pareto_sweep(space, surrogate, table, lambdas,
                              stage1_budget, stage2_budget, seed=args.seed)
     if not front:

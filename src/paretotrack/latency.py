@@ -89,20 +89,6 @@ class OpConfig:
 
 
 @dataclass(frozen=True)
-class OpTemplate:
-    """An OpConfig minus the op name; one per search-space edge."""
-
-    in_channels: int
-    out_channels: int
-    resolution: int
-    stride: int
-
-    def with_op(self, op_name: str) -> OpConfig:
-        return OpConfig(op_name, self.in_channels, self.out_channels,
-                        self.resolution, self.stride)
-
-
-@dataclass(frozen=True)
 class LatencyEntry:
     mean_ms: float
     std_ms: float
@@ -233,11 +219,6 @@ def softmax_weights(logits) -> np.ndarray:
         raise ValueError("softmax input must be finite")
     e = np.exp(arr - arr.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def op_latencies(table: LatencyTable, template: OpTemplate) -> np.ndarray:
-    """Table latency of each op of CANDIDATE_OPS, in order, on one edge template."""
-    return np.array([table.get(template.with_op(op)).mean_ms for op in CANDIDATE_OPS])
 
 
 def nominal_cost_ms(cfg: OpConfig) -> float:

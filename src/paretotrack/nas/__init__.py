@@ -20,6 +20,7 @@ from .space import (
     discretize,
     format_discrete_arch,
     init_search_space,
+    nominal_table,
     one_hot_weights,
 )
 from .surrogate import OpCostSurrogate, QuadraticSurrogate, SurrogateEvaluator

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..latency import CANDIDATE_OPS, LatencyTable, OpTemplate, op_latencies
-from ..settings import AT_LEAST_0, AT_LEAST_1, AT_LEAST_2, check
+from ..latency import CANDIDATE_OPS, LatencyEntry, LatencyTable, OpConfig, nominal_cost_ms
+from ..settings import AT_LEAST_0, AT_LEAST_1, AT_LEAST_2, AT_MOST_4096, check
 
 KINDS = ("normal", "reduction")
 
@@ -37,6 +37,8 @@ class SpaceConfig:
             raise ValueError("need at least one cell")
         for name in ("branches", "channels", "resolution"):
             check(name, getattr(self, name), AT_LEAST_1)
+        for name in ("channels", "resolution"):
+            check(name, getattr(self, name), AT_MOST_4096)
 
 
 @dataclass(frozen=True)
@@ -70,11 +72,11 @@ class SearchSpace:
         """Edges across all cells (branches share the cells' structure)."""
         return sum(self.cell_count(k) * self.n_positions for k in self.kinds())
 
-    def op_template(self, kind: str) -> OpTemplate:
+    def op_configs(self, kind: str) -> list[OpConfig]:
+        """Each op of CANDIDATE_OPS, in order, on one edge of a cell kind."""
         c, r = self.config.channels, self.config.resolution
-        if kind == "normal":
-            return OpTemplate(in_channels=c, out_channels=c, resolution=r, stride=1)
-        return OpTemplate(in_channels=c, out_channels=2 * c, resolution=r, stride=2)
+        cout, stride = (c, 1) if kind == "normal" else (2 * c, 2)
+        return [OpConfig(op, c, cout, r, stride) for op in CANDIDATE_OPS]
 
 
 def init_search_space(cfg: SpaceConfig) -> SearchSpace:
@@ -82,6 +84,12 @@ def init_search_space(cfg: SpaceConfig) -> SearchSpace:
         (i, j) for j in range(1, cfg.nodes) for i in range(j)
     )
     return SearchSpace(config=cfg, positions=positions)
+
+
+def nominal_table(space: SearchSpace) -> LatencyTable:
+    """Every op configuration of the space, priced at its nominal cost."""
+    return LatencyTable({cfg: LatencyEntry(nominal_cost_ms(cfg), 0.0, 1)
+                         for kind in space.kinds() for cfg in space.op_configs(kind)})
 
 
 class ArchLogits:
@@ -174,7 +182,7 @@ def one_hot_weights(arch: DiscreteArch, space: SearchSpace) -> dict[str, np.ndar
 def edge_latencies(space: SearchSpace, table: LatencyTable) -> dict[str, np.ndarray]:
     """Per kind: instance-weighted latency of each candidate op on one edge."""
     return {
-        kind: op_latencies(table, space.op_template(kind))
+        kind: np.array([table.get(cfg).mean_ms for cfg in space.op_configs(kind)])
         * space.instance_count(kind)
         for kind in space.kinds()
     }

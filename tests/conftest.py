@@ -7,12 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from paretotrack.kitti_io import parse_sequence
-from paretotrack.latency import (
-    CANDIDATE_OPS,
-    LatencyEntry,
-    LatencyTable,
-    nominal_cost_ms,
-)
+from paretotrack.nas import nominal_table  # noqa: F401  (re-exported for the tests)
 from paretotrack.scoring import ScoreSet
 
 
@@ -83,17 +78,6 @@ class IdentityScorer:
         return ScoreSet(
             np.full(m, -0.5), np.full(n, -0.5), np.ones(n), np.ones(m), link
         )
-
-
-def nominal_table(space) -> LatencyTable:
-    """Latency table over every (kind template, op) pair from the nominal model."""
-    table = LatencyTable()
-    for kind in space.kinds():
-        template = space.op_template(kind)
-        for op in CANDIDATE_OPS:
-            cfg = template.with_op(op)
-            table.add(cfg, LatencyEntry(nominal_cost_ms(cfg), 0.0, 1))
-    return table
 
 
 def random_scoreset(rng, n, m, lo=-2.0, hi=2.0) -> ScoreSet:

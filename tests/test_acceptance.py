@@ -149,9 +149,8 @@ def test_c05_latency_model_matches_recomputation():
         ))
         table = LatencyTable()
         for kind in space.kinds():
-            for op in space.ops:
-                table.add(space.op_template(kind).with_op(op),
-                          LatencyEntry(float(rng.uniform(0.01, 20.0)), 0.0, 1))
+            for cfg in space.op_configs(kind):
+                table.add(cfg, LatencyEntry(float(rng.uniform(0.01, 20.0)), 0.0, 1))
         lats = edge_latencies(space, table)
         arch = nas.ArchLogits({
             kind: rng.uniform(-4, 4, (space.n_positions, len(space.ops)))
@@ -161,13 +160,12 @@ def test_c05_latency_model_matches_recomputation():
         # independent recomputation: plain softmax and nested loops
         expected = 0.0
         for kind in space.kinds():
-            tpl = space.op_template(kind)
             for pos in range(space.n_positions):
                 exps = [math.exp(v) for v in arch.by_kind[kind][pos]]
                 denom = sum(exps)
                 expected += space.instance_count(kind) * sum(
-                    (e / denom) * table.get(tpl.with_op(op)).mean_ms
-                    for e, op in zip(exps, space.ops)
+                    (e / denom) * table.get(cfg).mean_ms
+                    for e, cfg in zip(exps, space.op_configs(kind))
                 )
         assert abs(got - expected) <= 1e-12 * max(abs(expected), 1e-30)
 

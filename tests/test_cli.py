@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import label_line, slot_box
-from paretotrack import cli
+from paretotrack import cli, nas
 from paretotrack.cli import build_parser, emit_plot_data, execute
+from paretotrack.latency import CANDIDATE_OPS, LatencyTable
 from paretotrack.nas.pareto import ParetoPoint
 from paretotrack.nas.space import DiscreteArch
 
@@ -302,10 +303,14 @@ def test_search_rejects_negative_or_non_finite_learning_rate(tmp_path, capsys,
     ("search", "--branches", "0", ">= 1"),
     ("search", "--channels", "0", ">= 1"),
     ("search", "--resolution", "0", ">= 1"),
+    ("search", "--channels", "4097", "<= 4096"),
+    ("search", "--resolution", "4097", "<= 4096"),
     ("profile-latency", "--reps", "0", ">= 1"),
     ("profile-latency", "--warmup", "-1", ">= 0"),
     ("profile-latency", "--channels", "0", ">= 1"),
     ("profile-latency", "--resolution", "0", ">= 1"),
+    ("profile-latency", "--channels", "4097", "<= 4096"),
+    ("profile-latency", "--resolution", "4097", "<= 4096"),
     ("assoc-debug", "--random", "2,-1", ">= 0"),
     ("assoc-debug", "--random", "501,1", "<= 500"),
     ("assoc-debug", "--random", "100000,100000", "<= 500"),
@@ -339,14 +344,53 @@ def test_profile_latency_synthetic_deterministic(tmp_path, capsys):
 
 
 def test_profile_latency_real_clock_smoke(tmp_path, capsys):
-    from paretotrack.latency import LatencyTable
-
     out = tmp_path / "real.txt"
     assert execute(["profile-latency", "--out", str(out), "--clock", "real",
                     "--warmup", "1", "--reps", "3"]) == 0
     table = LatencyTable.read(out.read_text().splitlines(keepends=True))
-    assert len(table) == 18  # 9 ops x 2 kind templates
+    assert len(table) == 18  # 9 ops x 2 cell kinds
     assert all(entry.mean_ms >= 0.0 for _, entry in table.items())
+
+
+# each profile-latency setting at its rules' edges, just past them and far past
+_PROFILE_VALUES = {
+    "channels": [-1, 0, 1, 2, 16, 4096, 4097, 10 ** 155, 10 ** 200],
+    "resolution": [-1, 0, 1, 32, 4096, 4097, 10 ** 300],
+    "reps": [-1, 0, 1, 2, 3],
+    "warmup": [-1, 0, 1, 2],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_profile_latency_on_hostile_settings_exits_cleanly(tmp_path_factory, data):
+    values = {flag: data.draw(st.sampled_from(options), label=flag)
+              for flag, options in _PROFILE_VALUES.items() if data.draw(st.booleans())}
+    tmp = tmp_path_factory.mktemp("profile")
+    out = tmp / "table.txt"
+    argv = ["profile-latency", "--clock", "synthetic", "--out", str(out)]
+    if data.draw(st.booleans(), label="via config"):
+        (tmp / "run.cfg").write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        argv += ["--config", str(tmp / "run.cfg")]
+    else:
+        argv += [arg for k, v in values.items() for arg in (f"--{k}", str(v))]
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = execute(argv)
+    assert code in (0, 1)
+    assert not caught
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    if code == 1:
+        flag = re.fullmatch(r"error: --(\S+) (\S+) must be [^\n]+\n", err.getvalue())
+        assert flag and int(flag[2]) == values[flag[1]], err.getvalue()
+        assert not out.exists()
+    else:
+        space = nas.init_search_space(nas.SpaceConfig(
+            channels=values.get("channels", 16), resolution=values.get("resolution", 32)))
+        table = LatencyTable.read(out.read_text().splitlines(keepends=True))
+        assert len(table) == len(CANDIDATE_OPS) * len(space.kinds())
 
 
 def test_search_writes_front(tmp_path, capsys):

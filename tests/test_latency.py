@@ -14,7 +14,6 @@ from paretotrack.latency import (
     LatencyLookupError,
     LatencyTable,
     OpConfig,
-    OpTemplate,
     ScriptedClock,
     nominal_cost_ms,
     profile_op,
@@ -23,9 +22,6 @@ from paretotrack.latency import (
 from paretotrack.nas import ArchLogits, SpaceConfig, init_search_space
 from paretotrack.nas.search import arch_weights
 from paretotrack.nas.space import edge_latencies, weighted_latency
-
-TPL = OpTemplate(in_channels=16, out_channels=16, resolution=32, stride=1)
-
 
 def test_op_config_validation():
     with pytest.raises(ValueError):
@@ -118,14 +114,14 @@ def test_softmax_of_rows_equals_each_row_alone(logits):
         assert weights[index].tobytes() == softmax_weights(logits[index]).tobytes()
 
 
-# One edge of one cell on one branch, priced at TPL: the relaxed latency of the
-# search's model is then the softmax-weighted mean of the table row.
+# One edge of one cell on one branch, 16 channels at resolution 32: the relaxed
+# latency of the search's model is then the softmax-weighted mean of the table row.
 EDGE = init_search_space(SpaceConfig(normal_cells=1, reduction_cells=0, nodes=2,
                                      branches=1, channels=16, resolution=32))
 
 
 def _table(values):
-    return LatencyTable({TPL.with_op(op): LatencyEntry(ms, 0.0, 1)
+    return LatencyTable({OpConfig(op, 16, 16, 32, 1): LatencyEntry(ms, 0.0, 1)
                          for op, ms in values.items()})
 
 
@@ -190,16 +186,15 @@ def test_expected_latency_one_hot_limit():
 
 
 def test_table_exact_match_only():
-    table = LatencyTable({TPL.with_op("identity"): LatencyEntry(1.0, 0.0, 1)})
-    other = OpTemplate(in_channels=32, out_channels=16, resolution=32, stride=1)
+    table = LatencyTable({OpConfig("identity", 16, 16, 32, 1): LatencyEntry(1.0, 0.0, 1)})
     with pytest.raises(LatencyLookupError):
-        table.get(other.with_op("identity"))
+        table.get(OpConfig("identity", 32, 16, 32, 1))
 
 
 def test_table_io_roundtrip(rng):
     table = LatencyTable()
     for op in CANDIDATE_OPS:
-        cfg = TPL.with_op(op)
+        cfg = OpConfig(op, 16, 16, 32, 1)
         table.add(cfg, LatencyEntry(float(rng.uniform(0, 5)),
                                     float(rng.uniform(0, 0.5)),
                                     int(rng.integers(1, 200))))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import nominal_table
 from paretotrack import nas
-from paretotrack.latency import CANDIDATE_OPS, LatencyEntry, LatencyTable
+from paretotrack.latency import CANDIDATE_OPS, LatencyEntry, LatencyTable, OpConfig
 from paretotrack.nas.search import arch_weights, max_latency_ms
 from paretotrack.nas.space import (
     DiscreteArch,
@@ -58,6 +58,12 @@ def test_candidate_ops_fixed():
         "none", "identity", "sep_conv_3", "sep_conv_5", "sep_conv_7",
         "dil_conv_3", "dil_conv_5", "max_pool_3", "avg_pool_3",
     )
+
+
+def test_op_configs_pin_each_kind_and_the_op_order():
+    space = small_space(channels=5, resolution=7)
+    assert space.op_configs("normal") == [OpConfig(op, 5, 5, 7, 1) for op in CANDIDATE_OPS]
+    assert space.op_configs("reduction") == [OpConfig(op, 5, 10, 7, 2) for op in CANDIDATE_OPS]
 
 
 # ------------------------------------------------------------- discretize
@@ -210,10 +216,9 @@ def _discrete_problems(draw):
     ms = st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)
     table = LatencyTable()
     for kind in space.kinds():
-        template = space.op_template(kind)
-        for op in space.ops:
-            cost = 0.0 if op == "none" else draw(ms)
-            table.add(template.with_op(op), LatencyEntry(cost, 0.0, 1))
+        for cfg in space.op_configs(kind):
+            cost = 0.0 if cfg.op_name == "none" else draw(ms)
+            table.add(cfg, LatencyEntry(cost, 0.0, 1))
     edges = tuple(
         (kind, edge, op)
         for kind in space.kinds() for edge in space.positions
@@ -230,13 +235,14 @@ def test_latency_model_agrees_with_table_sums(problem):
     lats = edge_latencies(space, table)
     assert lat == weighted_latency(one_hot_weights(arch, space), lats)
     assert lat == math.fsum(
-        space.instance_count(kind) * table.get(space.op_template(kind).with_op(op)).mean_ms
+        space.instance_count(kind)
+        * table.get(space.op_configs(kind)[space.ops.index(op)]).mean_ms
         for kind, _edge, op in arch.edges
     )
     # a dropped edge costs nothing, even when the table prices `none`
     priced = LatencyTable(dict(table.items()))
     for kind in space.kinds():
-        priced.add(space.op_template(kind).with_op("none"), LatencyEntry(7.0, 0.0, 1))
+        priced.add(space.op_configs(kind)[space.ops.index("none")], LatencyEntry(7.0, 0.0, 1))
     assert nas.discrete_latency(arch, space, priced) == lat
 
     slowest = DiscreteArch(edges=tuple(

@@ -42,6 +42,8 @@ _CASES = [
      "lambda", -1.0, "finite and >= 0"),
     (lambda v: match_frame([], [], {}, v), "thresh", 0.0, "in (0, 1]"),
     (lambda v: clear_mot({}, {}, v), "thresh", math.nan, "in (0, 1]"),
+    (lambda v: nas.SpaceConfig(channels=v), "channels", 4097, "<= 4096"),
+    (lambda v: nas.SpaceConfig(resolution=v), "resolution", 4097, "<= 4096"),
 ]
 
 
