@@ -8,17 +8,19 @@ and the score must be finite, and each box coordinate at most 2**510 in
 magnitude (`settings.BOUNDED`), so that no width, height, area or sum of two
 areas overflows; the other float fields may be inf or nan.
 
-`parse_sequence` reads a whole file into typed columns, converting each
-field column in one pass and checking whole columns, and makes one
-`KittiRecord` per line: a view of its line in those columns and in the
-file's box tuples, built once per file.
+`parse_sequence` reads a whole file a chunk of lines at a time, converting
+each field column in one pass and checking whole columns, and makes one
+`KittiRecord` per line.  A record holds what the program reads of its line:
+the frame, the track ID, the box, the confidence (the score, or 1.0 on a
+17-field line) and the line number.  The other columns are converted and
+checked like these, then dropped.
 `write_tracking_results` writes a result line as the frame, the track ID and
 the line's tokens after its track ID as they were read, joined by single
 spaces; so a number is written as it was spelled, and parse(write(x))
 reproduces every field bit for bit.  `parse_label_line` is the grammar of one
-line, as a list of field values.  The reader walks the lines of a chunk that
-fails the column checks with it, so the error names the first bad line and
-field exactly as that grammar does.
+line, as a list of all its field values.  The reader walks the lines of a
+chunk that fails the column checks with it, so the error names the first bad
+line and field exactly as that grammar does.
 """
 
 from __future__ import annotations
@@ -67,31 +69,25 @@ class KittiFormatError(ValueError):
 
 
 class _Table:
-    """One file as read: typed field columns, each line's result tail (its
-    tokens after the track ID), each line's box tuple and a (rows, 5) array of
-    box and confidence."""
+    """One file as read: the frame, track ID and confidence of each line, its
+    box tuple, its result tail (its tokens after the track ID) and a (rows, 5)
+    array of box and confidence."""
 
-    __slots__ = ("columns", "tails", "boxes", "numbers")
+    __slots__ = ("frames", "track_ids", "confidences", "boxes", "tails", "numbers")
 
     def __init__(self):
-        self.columns = tuple([] for _ in _FIELDS)
+        self.frames: list[int] = []
+        self.track_ids: list[int] = []
+        self.confidences: list[float] = []
+        self.boxes: list[tuple[float, float, float, float]] = []
         self.tails: list[str] = []
 
 
-def _field_view(k: int) -> property:
-    return property(lambda self: self._table.columns[k][self._row])
-
-
-def _fields_view(*ks: int) -> property:
-    return property(lambda self: tuple(self._table.columns[k][self._row] for k in ks))
-
-
 class KittiRecord:
-    """One line of a file read by `parse_sequence`, as a view into its columns.
+    """One line of a file read by `parse_sequence`, as a view into its table.
 
-    `box` is the (left, top, right, bottom) tuple; `score` is None on a
-    17-field line, whose `confidence` is 1.0; `lineno` is the 1-based line the
-    record came from.
+    `box` is the (left, top, right, bottom) tuple; `confidence` is the score,
+    1.0 on a 17-field line; `lineno` is the 1-based line the record came from.
     """
 
     __slots__ = ("_table", "_row")
@@ -100,22 +96,10 @@ class KittiRecord:
         self._table = table
         self._row = row
 
-    frame = _field_view(0)
-    track_id = _field_view(1)
-    class_name = _field_view(2)
-    truncated = _field_view(3)
-    occluded = _field_view(4)
-    alpha = _field_view(5)
+    frame = property(lambda self: self._table.frames[self._row])
+    track_id = property(lambda self: self._table.track_ids[self._row])
     box = property(lambda self: self._table.boxes[self._row])
-    dimensions = _fields_view(10, 11, 12)
-    location = _fields_view(13, 14, 15)
-    rotation_y = _field_view(16)
-    score = _field_view(_SCORE)
-
-    @property
-    def confidence(self) -> float:
-        score = self._table.columns[_SCORE][self._row]
-        return 1.0 if score is None else score
+    confidence = property(lambda self: self._table.confidences[self._row])
 
     @property
     def lineno(self) -> int:
@@ -163,57 +147,59 @@ def parse_label_line(line: str, lineno: int | None = None) -> list:
     return values
 
 
-def _convert(lines: Sequence[str], table: _Table) -> bool:
-    """Append the typed fields and tails of ``lines`` to ``table``; False if any line is bad."""
+def _convert(lines: Sequence[str], table: _Table) -> np.ndarray | None:
+    """Append the records of ``lines`` to ``table`` and return their (lines, 5) box
+    and confidence rows; None if any line is bad.  Every field column is converted
+    and checked, and those that no record reads are dropped."""
     rows = [line.split() for line in lines]
     widths = set(map(len, rows))
     if not widths <= {N_LABEL_FIELDS, N_DETECTION_FIELDS}:
-        return False
+        return None
     try:
         # zip stops at 17 fields unless every line has 18
         typed = [list(map(conv, tokens)) for (_, conv), tokens in zip(_FIELDS, zip(*rows))]
         if len(typed) == N_LABEL_FIELDS:
-            typed.append([float(r[_SCORE]) if len(r) == N_DETECTION_FIELDS else None
+            typed.append([float(r[_SCORE]) if len(r) == N_DETECTION_FIELDS else 1.0
                           for r in rows])
     except ValueError:
-        return False
-    frame, (left, top, right, bottom), score = typed[0], typed[_BOX], typed[_SCORE]
-    if widths != {N_DETECTION_FIELDS}:
-        score = [s for s in score if s is not None]
+        return None
+    frame, track_id, (left, top, right, bottom), score = (
+        typed[0], typed[1], typed[_BOX], typed[_SCORE])
     # abs(x) <= limit is False for inf and nan too
     if not (min(frame) >= 0
             and all(map(MAGNITUDE_LIMIT.__ge__, map(abs, chain(left, top, right, bottom))))
             and all(map(math.isfinite, score))
             and all(map(le, left, right)) and all(map(le, top, bottom))):
-        return False
-    for column, values in zip(table.columns, typed):
-        column.extend(values)
+        return None
+    table.frames += frame
+    table.track_ids += track_id
+    table.confidences += score
+    table.boxes += zip(left, top, right, bottom)
     # a 17-field line is written with the score 1.0 it is read with
     table.tails += [" ".join(r[2:] if len(r) == N_DETECTION_FIELDS else r[2:] + ["1.0"])
                     for r in rows]
-    return True
+    return np.array([left, top, right, bottom, score], dtype=np.float64).T
 
 
 def parse_sequence(source: Iterable[str] | IO[str]) -> SequenceDetections:
     """Group a stream of records into per-frame records, keeping per-frame order."""
     lines = list(source)
     table = _Table()
+    numbers = [np.empty((0, 5))]
     for start in range(0, len(lines), _CHUNK):
         chunk = lines[start:start + _CHUNK]
-        if not _convert(chunk, table):
+        numbers.append(_convert(chunk, table))
+        if numbers[-1] is None:
             # earlier chunks passed, so the first bad line is in this one
             for lineno, line in enumerate(chunk, start=start + 1):
                 if not line.strip():
                     raise KittiFormatError("blank line", lineno)
                 parse_label_line(line, lineno)
             raise AssertionError("the column checks rejected a chunk the line grammar accepts")
-    columns = table.columns
-    table.boxes = list(zip(*columns[_BOX]))
-    confidence = [1.0 if s is None else s for s in columns[_SCORE]]
-    table.numbers = np.array([*columns[_BOX], confidence], dtype=np.float64).T
+    table.numbers = np.concatenate(numbers)
     seq = SequenceDetections()
     frames = seq.frames
-    for row, frame in enumerate(columns[0]):
+    for row, frame in enumerate(table.frames):
         frames.setdefault(frame, []).append(KittiRecord(table, row))
     return seq
 

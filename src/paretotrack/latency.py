@@ -84,8 +84,7 @@ class OpConfig:
         if self.op_name not in CANDIDATE_OPS:
             raise ValueError(f"unknown op {self.op_name!r}; expected one of {CANDIDATE_OPS}")
         for name in ("in_channels", "out_channels", "resolution", "stride"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            check(name, getattr(self, name), AT_LEAST_1)
 
 
 @dataclass(frozen=True)
@@ -97,10 +96,9 @@ class LatencyEntry:
     def __post_init__(self):
         if not (BOUNDED.holds(self.mean_ms) and BOUNDED.holds(self.std_ms)):
             raise ValueError(f"latency statistics must be {BOUNDED.text}")
-        if self.mean_ms < 0 or self.std_ms < 0:
-            raise ValueError("latency statistics must be non-negative")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        check("mean_ms", self.mean_ms, AT_LEAST_0)
+        check("std_ms", self.std_ms, AT_LEAST_0)
+        check("reps", self.reps, AT_LEAST_1)
 
 
 class LatencyTable:
@@ -120,9 +118,6 @@ class LatencyTable:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, cfg: OpConfig) -> bool:
-        return cfg in self._entries
 
     def items(self):
         return self._entries.items()

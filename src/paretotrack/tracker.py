@@ -45,10 +45,6 @@ class Tracklet:
     def last_frame(self) -> int:
         return self.detections[-1][0]
 
-    @property
-    def last_detection(self) -> KittiRecord:
-        return self.detections[-1][1]
-
     def append(self, frame: int, det: KittiRecord) -> None:
         if self.detections and frame <= self.last_frame:
             raise ValueError(

@@ -71,7 +71,7 @@ class IdentityScorer:
         n, m = len(tracklets), len(detections)
         link = np.full((n, m), -2.0)
         for i, track in enumerate(tracklets):
-            tid = track.last_detection.track_id
+            tid = track.detections[-1][1].track_id
             for j, det in enumerate(detections):
                 if det.track_id == tid:
                     link[i, j] = 2.0

@@ -477,6 +477,8 @@ def _table_with(tmp_path, field, value):
     ("mean_ms", "x", "could not convert string to float"),
     ("mean_ms", "nan", "latency statistics must be at most 2**510 in magnitude"),
     ("mean_ms", "1e308", "latency statistics must be at most 2**510 in magnitude"),
+    ("cin", "0", "in_channels must be >= 1, got 0"),
+    ("std_ms", "-1.0", "std_ms must be >= 0, got -1.0"),
 ])
 def test_search_bad_table_entry_names_the_file_and_line(tmp_path, capsys, field, value,
                                                         reason):

@@ -30,19 +30,17 @@ def test_parse_label_line_devkit_fields():
                       1.5, 1.6, 3.9, 2.0, 1.5, 30.0, -1.5]
     assert [type(v) for v in values[:6]] == [int, int, str, float, int, float]
     (record,) = parse_sequence([DEVKIT_LINE]).frames[0]
-    assert (record.frame, record.track_id, record.class_name) == (0, 2, "Car")
-    assert (record.truncated, record.occluded, record.alpha) == (0.0, 0, -1.57)
+    assert (record.frame, record.track_id) == (0, 2)
     assert record.box == (100.0, 150.0, 200.0, 250.0)
-    assert record.dimensions == (1.5, 1.6, 3.9)
-    assert record.location == (2.0, 1.5, 30.0)
-    assert record.rotation_y == -1.5
-    assert record.score is None
+    assert record.confidence == 1.0
+    assert _written_tail(record) == DEVKIT_LINE.split()[2:] + ["1.0"]
 
 
 def test_parse_label_line_with_score():
     assert parse_label_line(DEVKIT_LINE + " 0.97")[-1] == 0.97
     (det,) = parse_sequence([DEVKIT_LINE + " 0.97"]).frames[0]
-    assert det.score == det.confidence == 0.97
+    assert det.confidence == 0.97
+    assert _written_tail(det)[-1] == "0.97"
 
 
 def test_missing_score_means_full_confidence():
@@ -66,7 +64,7 @@ def test_unknown_class_carried_verbatim():
     line = DEVKIT_LINE.replace("Car", "HoverBike")
     assert parse_label_line(line)[2] == "HoverBike"
     (det,) = parse_sequence([line]).frames[0]
-    assert det.class_name == "HoverBike"
+    assert _written_tail(det)[0] == "HoverBike"
 
 
 def test_parse_sequence_empty_stream():
@@ -296,12 +294,32 @@ def test_bad_record_names_its_line(edit, reason):
 
 # ---------------------------------------------------------------- columnar reader
 
+# the line positions of the fields a record holds: frame, track ID, box and score
+_READ_FIELDS = (0, 1, 6, 7, 8, 9, 17)
+
+
 def _record_fields(det) -> tuple:
-    """A detection's 17 or 18 field values in line order, read by field name."""
-    values = (det.frame, det.track_id, det.class_name, det.truncated, det.occluded,
-              det.alpha, *det.box,
-              *det.dimensions, *det.location, det.rotation_y)
-    return values if det.score is None else values + (det.score,)
+    """A record's frame, track ID, box and confidence."""
+    return (det.frame, det.track_id, *det.box, det.confidence)
+
+
+def _read_fields(values: list) -> tuple:
+    """The grammar's values of the fields a record holds; a 17-field line's score is 1.0."""
+    values = values + [1.0] * (N_DETECTION_FIELDS - len(values))
+    return tuple(values[k] for k in _READ_FIELDS)
+
+
+def _written_tail(det) -> list[str]:
+    """The tokens that the writer puts after a record's track ID."""
+    sink = io.StringIO()
+    write_tracking_results([Tracklet(id=0, detections=[(det.frame, det)])], sink)
+    return sink.getvalue().split()[2:]
+
+
+def _echoed_tail(line: str) -> list[str]:
+    """A line's tokens after its track ID, with the score 1.0 that a 17-field line is read with."""
+    tokens = line.split()
+    return tokens[2:] + ["1.0"] * (N_DETECTION_FIELDS - len(tokens))
 
 
 def _same_bits(a: tuple, b: tuple) -> bool:
@@ -322,25 +340,27 @@ def _grammar_walk(lines) -> list[list]:
 
 
 def _oracle(lines):
-    """parse_sequence's answer from the one-line grammar: per frame, in file order."""
+    """parse_sequence's answer from the one-line grammar: per frame, in file order,
+    each line's field values and the tail it is written with."""
     frames = {}
-    for values in _grammar_walk(lines):
-        frames.setdefault(values[0], []).append(values)
+    for line, values in zip(lines, _grammar_walk(lines)):
+        frames.setdefault(values[0], []).append((values, _echoed_tail(line)))
     return frames
 
 
 def _assert_matches_oracle(lines):
+    """Each record holds the grammar's values of its line bit for bit, and is
+    written with the tokens that were read."""
     seq = parse_sequence(lines)
     expected = _oracle(lines)
     assert list(seq.frames) == list(expected)
     for frame, rows in expected.items():
         got = seq.frames[frame]
         assert len(got) == len(rows)
-        for d, values in zip(got, rows):
+        for d, (values, tail) in zip(got, rows):
             assert type(d.frame) is int and d.frame == frame
-            assert _same_bits(_record_fields(d), tuple(values))
-            score = values[-1] if len(values) == N_DETECTION_FIELDS else 1.0
-            assert _same_bits((d.confidence,), (score,))
+            assert _same_bits(_record_fields(d), _read_fields(values))
+            assert _written_tail(d) == tail
     return seq
 
 
@@ -377,12 +397,16 @@ def test_token_handling_is_pinned_per_field(idx, token):
                 parse()
             assert str(info.value) == f"line 1: {message}"
         return
-    (det,) = [d for dets in _assert_matches_oracle([line]).frames.values() for d in dets]
-    value = _record_fields(det)[idx]
+    value = parse_label_line(line)[idx]
     if idx in _INT_FIELDS:
         assert type(value) is int and value == expected
     else:
         assert type(value) is float and float.hex(value) == expected
+    (det,) = [d for dets in _assert_matches_oracle([line]).frames.values() for d in dets]
+    if idx in _READ_FIELDS:
+        assert _same_bits((_record_fields(det)[_READ_FIELDS.index(idx)],), (value,))
+    if idx >= 2:
+        assert _written_tail(det)[idx - 2] == token
 
 
 def test_frames_and_ids_beyond_int64_stay_python_ints():
@@ -391,7 +415,7 @@ def test_frames_and_ids_beyond_int64_stay_python_ints():
     seq = _assert_matches_oracle([line, DEVKIT_LINE])
     assert list(seq.frames) == [big, 0]
     (det,) = seq.frames[big]
-    for value in (det.frame, det.track_id, det.occluded):
+    for value in (det.frame, det.track_id, parse_label_line(line)[4]):
         assert type(value) is int
     assert (det.frame, det.track_id) == (big, -big)
     assert parse_label_line(line)[:2] == [big, -big]
@@ -498,30 +522,38 @@ def test_a_bad_line_raises_what_the_line_grammar_raises(lines, data):
 @settings(max_examples=100, deadline=None)
 @given(_kitti_lines())
 def test_results_echo_the_tokens_that_were_read(lines):
-    seq = parse_sequence(lines)
-    records = sorted((d for dets in seq.frames.values() for d in dets), key=lambda d: d.lineno)
-    tracks = [Tracklet(id=row, detections=[(d.frame, d)]) for row, d in enumerate(records)]
-    sink = io.StringIO()
-    write_tracking_results(tracks, sink)
-    written = {int(line.split()[1]): line for line in sink.getvalue().splitlines()}
+    def read(lines):
+        seq = parse_sequence(lines)
+        return sorted((d for dets in seq.frames.values() for d in dets), key=lambda d: d.lineno)
+
+    def write(records):
+        sink = io.StringIO()
+        write_tracking_results([Tracklet(id=row, detections=[(d.frame, d)])
+                                for row, d in enumerate(records)], sink)
+        return sink.getvalue()
+
+    records = read(lines)
+    text = write(records)
+    written = {int(line.split()[1]): line for line in text.splitlines()}
     assert len(written) == len(records)
     for row, d in enumerate(records):
-        tokens = lines[row].split()
-        expected = tokens[2:] + (["1.0"] if len(tokens) == N_LABEL_FIELDS else [])
-        assert written[row].split()[2:] == expected
-    back = {d.track_id: d for dets in parse_sequence(list(written.values())).frames.values()
-            for d in dets}
+        assert written[row].split()[2:] == _echoed_tail(lines[row])
+    back = {d.track_id: d for d in read(list(written.values()))}
     for row, d in enumerate(records):
-        fields = _record_fields(d)
-        if d.score is None:
-            fields += (1.0,)
-        assert _same_bits(_record_fields(back[row]), (d.frame, row) + fields[2:])
+        assert _same_bits(_record_fields(back[row]), (d.frame, row) + _record_fields(d)[2:])
+    # a 17-field line is read and written as its twin with the score 1.0 appended
+    twins = read([line.rstrip() + " 1.0" if len(line.split()) == N_LABEL_FIELDS else line
+                  for line in lines])
+    assert len(twins) == len(records)
+    for d, twin in zip(records, twins):
+        assert _same_bits(_record_fields(twin), _record_fields(d))
+    assert write(twins) == text
 
 
 def test_devkit_spellings_are_written_as_read():
     line = "0 -1 Car 0.00 0 -10.000000 1e2 +1.5 2.0E2 250 1.5 1.6 3.9 1e400 1.5 30.0 -1.5 0.90"
     (det,) = parse_sequence([line]).frames[0]
-    assert det.box == (100.0, 1.5, 200.0, 250.0) and det.location[0] == math.inf
+    assert det.box == (100.0, 1.5, 200.0, 250.0) and parse_label_line(line)[13] == math.inf
     sink = io.StringIO()
     write_tracking_results([Tracklet(id=5, detections=[(0, det)])], sink)
     assert sink.getvalue() == "0 5 " + line.split(" ", 2)[2] + "\n"

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from paretotrack import nas
-from paretotrack.latency import profile_op
+from paretotrack.latency import LatencyEntry, OpConfig, profile_op
 from paretotrack.metrics import clear_mot, match_frame
 from paretotrack.scoring import ScorerConfig
 from paretotrack.settings import SettingError
@@ -44,6 +44,13 @@ _CASES = [
     (lambda v: clear_mot({}, {}, v), "thresh", math.nan, "in (0, 1]"),
     (lambda v: nas.SpaceConfig(channels=v), "channels", 4097, "<= 4096"),
     (lambda v: nas.SpaceConfig(resolution=v), "resolution", 4097, "<= 4096"),
+    (lambda v: OpConfig("identity", v, 16, 32, 1), "in_channels", 0, ">= 1"),
+    (lambda v: OpConfig("identity", 16, v, 32, 1), "out_channels", 0, ">= 1"),
+    (lambda v: OpConfig("identity", 16, 16, v, 1), "resolution", 0, ">= 1"),
+    (lambda v: OpConfig("identity", 16, 16, 32, v), "stride", 0, ">= 1"),
+    (lambda v: LatencyEntry(v, 0.0, 1), "mean_ms", -1.0, ">= 0"),
+    (lambda v: LatencyEntry(1.0, v, 1), "std_ms", -0.5, ">= 0"),
+    (lambda v: LatencyEntry(1.0, 0.0, v), "reps", 0, ">= 1"),
 ]
 
 
