@@ -11,7 +11,6 @@ from .assoc import (
 )
 from .geometry import iou_2d, iou_matrix
 from .kitti_io import (
-    KittiFormatError,
     KittiRecord,
     SequenceDetections,
     parse_label_line,
@@ -24,7 +23,6 @@ from .latency import (
     LatencyLookupError,
     LatencyTable,
     OpConfig,
-    TableFormatError,
     profile_op,
     softmax_weights,
 )
@@ -35,6 +33,7 @@ from .scoring import (
     ScoreSet,
     baseline_scores,
 )
+from .settings import FormatError
 from .tracker import (
     TrackerConfig,
     TrackerState,

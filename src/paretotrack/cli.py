@@ -4,8 +4,11 @@ Subcommands: track, evaluate, profile-latency, search, assoc-debug.
 Every flag but --config can also come from a plain key=value config file
 (--config or the PARETOTRACK_CONFIG environment variable); keys mirror the
 long flag names, values pass the flag's own type and choice checks, and
-explicit flags win.  Output files are written atomically (temp file + rename)
-and identical inputs plus seed produce byte-identical outputs.
+explicit flags win.  Every input file, config files included, is read through
+`_read`: an unreadable file is reported as 'cannot read PATH: REASON', and a
+line that breaks its file's format as 'PATH:LINE: REASON'.  Output files are
+written atomically (temp file + rename) and identical inputs plus seed produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -16,25 +19,18 @@ import math
 import os
 import sys
 import tempfile
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
 from . import nas
 from .assoc import objective_value, solve_exact
-from .kitti_io import KittiFormatError, parse_sequence, write_tracking_results
-from .latency import (
-    LatencyLookupError,
-    LatencyTable,
-    ScriptedClock,
-    TableFormatError,
-    nominal_cost_ms,
-    profile_op,
-)
+from .kitti_io import parse_sequence, write_tracking_results
+from .latency import LatencyLookupError, LatencyTable, ScriptedClock, nominal_cost_ms, profile_op
 from .metrics import clear_mot, format_report_kv, format_report_table
 from .nas.search import max_latency_ms
 from .scoring import BaselineScorer, ScorerConfig, ScoreSet
-from .settings import AT_LEAST_0, AT_MOST_500, BOUNDED, RATE, SettingError
+from .settings import AT_LEAST_0, AT_MOST_500, BOUNDED, RATE, FormatError, SettingError
 from .tracker import TrackerConfig, run_sequence
 
 CONFIG_ENV_VAR = "PARETOTRACK_CONFIG"
@@ -61,26 +57,32 @@ def _atomic_write(path: str, content: str) -> None:
         raise
 
 
-def _load_config(path: str) -> list[tuple[int, str, str]]:
-    """The (line number, key, value) entries of a key=value config file."""
-    entries = []
+def _read(path: str, parse: Callable[[list[str]], object]):
+    """What `parse` makes of the lines of the file at `path`; a FormatError it
+    raises is reported as 'PATH:LINE: REASON', or 'PATH: REASON' without a line."""
     try:
         with open(path) as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                entries.append((lineno, key.strip(), value.strip()))
-    except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from None
-    return entries
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {path}: {exc}") from None
+    try:
+        return parse(lines)
+    except FormatError as exc:
+        where = path if exc.lineno is None else f"{path}:{exc.lineno}"
+        raise CliError(f"{where}: {exc.reason}") from None
 
 
-def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict[str, object]:
-    """Config values by destination, converted and checked by the subcommand's flags."""
+def _config_defaults(parser: argparse.ArgumentParser, lines: list[str]) -> dict[str, object]:
+    """The values of a key=value config file by destination, converted and
+    checked by the subcommand's flags; every line is split before any is checked."""
+    entries = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            key, sep, text = line.partition("=")
+            if not sep:
+                raise FormatError(f"expected key=value, got {line!r}", lineno)
+            entries.append((lineno, key.strip(), text.strip()))
     options = {
         opt[2:]: action
         for action in parser._actions
@@ -88,20 +90,19 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict[str, ob
         for opt in action.option_strings if opt.startswith("--")
     }
     values = {}
-    for lineno, key, text in _load_config(path):
-        where = f"{path}:{lineno}: {key}"
+    for lineno, key, text in entries:
         action = options.get(key)
         if action is None:
-            raise CliError(f"{path}:{lineno}: unknown config keys: {key} "
-                           f"(known: {', '.join(sorted(options))})")
+            raise FormatError(f"unknown config keys: {key} "
+                              f"(known: {', '.join(sorted(options))})", lineno)
         try:
             value = action.type(text) if action.type else text
         except ValueError:
-            raise CliError(f"{where}: cannot parse {text!r} as "
-                           f"{action.type.__name__}") from None
+            raise FormatError(f"{key}: cannot parse {text!r} as "
+                              f"{action.type.__name__}", lineno) from None
         if action.choices is not None and value not in action.choices:
-            raise CliError(f"{where}: {text!r} is not one of "
-                           f"{', '.join(map(str, action.choices))}")
+            raise FormatError(f"{key}: {text!r} is not one of "
+                              f"{', '.join(map(str, action.choices))}", lineno)
         values[action.dest] = value
     return values
 
@@ -121,40 +122,23 @@ def _parse_lambdas(text: str) -> list[float]:
     return values
 
 
-def _read_lines(path: str) -> list[str]:
-    try:
-        with open(path) as handle:
-            return handle.readlines()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
-
-
-def _read_sequence(path: str):
-    """Parse a KITTI tracking file; a format error names the file and line."""
-    try:
-        return parse_sequence(_read_lines(path))
-    except KittiFormatError as exc:
-        raise CliError(f"{path}:{exc.lineno}: {exc.reason}") from None
-
-
 # ---------------------------------------------------------------- track
 
 def _cmd_track(args: argparse.Namespace) -> int:
     if not args.dets or not args.out:
         raise CliError("track requires --dets and --out")
     cfg = TrackerConfig(t_birth=args.t_birth, t_death=args.t_death)
-    scorer = BaselineScorer(ScorerConfig(
-        w_iou=args.w_iou, w_det=args.w_det, terminal_score=args.terminal_score,
-    ))
-    seq = _read_sequence(args.dets)
+    weights = ScorerConfig(w_iou=args.w_iou, w_det=args.w_det,
+                           terminal_score=args.terminal_score)
+    seq = _read(args.dets, parse_sequence)
     # the baseline scorer's s_det, checked here so that an overflow names its line
     overflows = [d for dets in seq.frames.values() for d in dets
-                 if not BOUNDED.holds(args.w_det * (2.0 * d.confidence - 1.0))]
+                 if not BOUNDED.holds(weights.det_score(d.confidence))]
     if overflows:
         first = min(overflows, key=lambda d: d.lineno)
         raise CliError(f"{args.dets}:{first.lineno}: score {first.confidence!r} "
                        f"weighted by --w-det {args.w_det!r} must be {BOUNDED.text}")
-    tracks = run_sequence(seq, scorer, cfg)
+    tracks = run_sequence(seq, BaselineScorer(weights), cfg)
     buf = io.StringIO()
     write_tracking_results(tracks, buf)
     _atomic_write(args.out, buf.getvalue())
@@ -164,11 +148,12 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- evaluate
 
-def _frames_of(path: str):
-    """(track_id, box) per frame; a track_id repeated within a frame is an error."""
+def _frames_of(lines: list[str]) -> dict[int, list]:
+    """(track_id, box) per frame of a tracking file's lines; a track_id repeated
+    within a frame is a FormatError."""
     frames = {}
     repeats = []
-    for frame, dets in _read_sequence(path).frames.items():
+    for frame, dets in parse_sequence(lines).frames.items():
         objs = frames[frame] = [(d.track_id, d.box) for d in dets]
         if len(dict(objs)) != len(objs):
             seen = set()
@@ -178,15 +163,16 @@ def _frames_of(path: str):
                 seen.add(d.track_id)
     if repeats:
         first = min(repeats, key=lambda record: record.lineno)
-        raise CliError(f"{path}:{first.lineno}: duplicate track_id {first.track_id} "
-                       f"in frame {first.frame}")
+        raise FormatError(f"duplicate track_id {first.track_id} in frame {first.frame}",
+                          first.lineno)
     return frames
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     if not args.gt or not args.hyp:
         raise CliError("evaluate requires --gt and --hyp")
-    report = clear_mot(_frames_of(args.gt), _frames_of(args.hyp), thresh=args.iou)
+    report = clear_mot(_read(args.gt, _frames_of), _read(args.hyp, _frames_of),
+                       thresh=args.iou)
     sys.stdout.write(format_report_table(report))
     sys.stdout.write(format_report_kv(report))
     return 0
@@ -269,10 +255,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     surrogate = (nas.OpCostSurrogate if args.surrogate == "op-cost"
                  else nas.QuadraticSurrogate)(space, theta_dim=args.theta_dim, seed=args.seed)
     if args.table:
-        try:
-            table = LatencyTable.read(_read_lines(args.table))
-        except TableFormatError as exc:
-            raise CliError(f"{args.table}:{exc.lineno}: {exc.reason}") from None
+        table = _read(args.table, LatencyTable.read)
         try:
             norm = max_latency_ms(space, table)
         except LatencyLookupError as exc:
@@ -297,25 +280,24 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- assoc-debug
 
-def _read_scoreset(path: str) -> ScoreSet:
-    """Parse a 'scoreset v1' file; a format error names the file and line."""
-    raw = _read_lines(path)
+def _parse_scoreset(raw: list[str]) -> ScoreSet:
+    """The score set of the lines of a 'scoreset v1' file."""
     lines = [(lineno, text.strip()) for lineno, text in enumerate(raw, start=1)]
     lines = [(lineno, text) for lineno, text in lines
              if text and not text.startswith("#")]
     if not lines or lines[0][1] != "scoreset v1":
-        raise CliError(f"{path}: expected 'scoreset v1' header")
+        raise FormatError("expected 'scoreset v1' header")
 
     def take(i: int, what: str) -> tuple[int, str]:
         if i >= len(lines):
-            raise CliError(f"{path}:{len(raw) + 1}: expected {what}, got end of file")
+            raise FormatError(f"expected {what}, got end of file", len(raw) + 1)
         return lines[i]
 
     lineno, text = take(1, "'n_prev=N n_curr=M'")
     kv = dict(tok.partition("=")[::2] for tok in text.split())
     sizes = kv.get("n_prev", ""), kv.get("n_curr", "")
     if not all(size.isdecimal() for size in sizes):
-        raise CliError(f"{path}:{lineno}: expected 'n_prev=N n_curr=M', got {text!r}")
+        raise FormatError(f"expected 'n_prev=N n_curr=M', got {text!r}", lineno)
     n, m = (int(size) for size in sizes)
 
     def row(i: int, name: str, size: int) -> list[float]:
@@ -328,7 +310,7 @@ def _read_scoreset(path: str) -> ScoreSet:
         except ValueError:
             ok = False
         if not ok:
-            raise CliError(f"{path}:{lineno}: expected {what}, got {text!r}")
+            raise FormatError(f"expected {what}, got {text!r}", lineno)
         return parsed
 
     s_in = row(2, "s_in", m)
@@ -361,7 +343,7 @@ def _cmd_assoc_debug(args: argparse.Namespace) -> int:
             rng.uniform(-2, 2, (n, m)),
         )
     else:
-        scores = _read_scoreset(args.scores)
+        scores = _read(args.scores, _parse_scoreset)
     sol = solve_exact(scores)
     out = sys.stdout
     out.write(f"n_prev={scores.n_prev} n_curr={scores.n_curr}\n")
@@ -397,11 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--dets")
     p.add_argument("--out")
-    p.add_argument("--t-birth", type=int, default=3)
-    p.add_argument("--t-death", type=int, default=5)
-    p.add_argument("--w-iou", type=float, default=1.0)
-    p.add_argument("--w-det", type=float, default=1.0)
-    p.add_argument("--terminal-score", type=float, default=-0.2)
+    p.add_argument("--t-birth", type=int, default=TrackerConfig.t_birth)
+    p.add_argument("--t-death", type=int, default=TrackerConfig.t_death)
+    p.add_argument("--w-iou", type=float, default=ScorerConfig.w_iou)
+    p.add_argument("--w-det", type=float, default=ScorerConfig.w_det)
+    p.add_argument("--terminal-score", type=float, default=ScorerConfig.terminal_score)
     p.set_defaults(func=_cmd_track)
 
     p = sub.add_parser("evaluate", help="CLEAR-MOT evaluation of results vs ground truth")
@@ -417,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clock", choices=("synthetic", "real"), default="synthetic")
     p.add_argument("--warmup", type=int, default=10)
     p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--channels", type=int, default=16)
-    p.add_argument("--resolution", type=int, default=32)
+    p.add_argument("--channels", type=int, default=nas.SpaceConfig.channels)
+    p.add_argument("--resolution", type=int, default=nas.SpaceConfig.resolution)
     p.set_defaults(func=_cmd_profile_latency)
 
     p = sub.add_parser("search", help="two-stage Pareto sweep over lambda values")
@@ -429,12 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--table", help="latency table file; synthetic when omitted")
     p.add_argument("--plot-data", help="also write reciprocal-latency plot rows")
-    p.add_argument("--normal-cells", type=int, default=1)
-    p.add_argument("--reduction-cells", type=int, default=1)
-    p.add_argument("--nodes", type=int, default=3)
-    p.add_argument("--branches", type=int, default=2)
-    p.add_argument("--channels", type=int, default=16)
-    p.add_argument("--resolution", type=int, default=32)
+    p.add_argument("--normal-cells", type=int, default=nas.SpaceConfig.normal_cells)
+    p.add_argument("--reduction-cells", type=int, default=nas.SpaceConfig.reduction_cells)
+    p.add_argument("--nodes", type=int, default=nas.SpaceConfig.nodes)
+    p.add_argument("--branches", type=int, default=nas.SpaceConfig.branches)
+    p.add_argument("--channels", type=int, default=nas.SpaceConfig.channels)
+    p.add_argument("--resolution", type=int, default=nas.SpaceConfig.resolution)
     p.add_argument("--epochs", type=int, default=nas.Stage1Budget.epochs)
     p.add_argument("--theta-iters", type=int, default=nas.Stage1Budget.theta_iters)
     p.add_argument("--alpha-lr", type=float, default=nas.Stage1Budget.alpha_lr)
@@ -470,7 +452,7 @@ def execute(argv: Sequence[str]) -> int:
             (commands,) = (action.choices for action in parser._actions
                            if isinstance(action, argparse._SubParsersAction))
             command = commands[args.command]
-            command.set_defaults(**_config_defaults(command, path))
+            command.set_defaults(**_read(path, lambda lines: _config_defaults(command, lines)))
             args = parser.parse_args(argv)
         return args.func(args)
     except SettingError as exc:

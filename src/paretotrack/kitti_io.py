@@ -18,7 +18,8 @@ checked like these, then dropped.
 the line's tokens after its track ID as they were read, joined by single
 spaces; so a number is written as it was spelled, and parse(write(x))
 reproduces every field bit for bit.  `parse_label_line` is the grammar of one
-line, as a list of all its field values.  The reader walks the lines of a
+line, as a list of all its field values; a bad line raises
+`settings.FormatError` with its line number.  The reader walks the lines of a
 chunk that fails the column checks with it, so the error names the first bad
 line and field exactly as that grammar does.
 """
@@ -33,7 +34,7 @@ from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .settings import BOUNDED, MAGNITUDE_LIMIT
+from .settings import BOUNDED, MAGNITUDE_LIMIT, FormatError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .tracker import Tracklet
@@ -55,17 +56,6 @@ _COORDS = (6, 7, 8, 9)
 _FINITE = (*_COORDS, _SCORE)  # the box and the score
 # lines converted per column pass; bounds the token lists alive at once
 _CHUNK = 2048
-
-
-class KittiFormatError(ValueError):
-    """A line that does not follow the tracking-file grammar."""
-
-    def __init__(self, message: str, lineno: int | None = None):
-        self.reason = message
-        if lineno is not None:
-            message = f"line {lineno}: {message}"
-        super().__init__(message)
-        self.lineno = lineno
 
 
 class _Table:
@@ -125,25 +115,24 @@ def parse_label_line(line: str, lineno: int | None = None) -> list:
     trailing score) line, in line order; the first fault raises."""
     tokens = line.split()
     if len(tokens) not in (N_LABEL_FIELDS, N_DETECTION_FIELDS):
-        raise KittiFormatError(f"expected {N_LABEL_FIELDS} or {N_DETECTION_FIELDS} fields, "
-                               f"got {len(tokens)}", lineno)
+        raise FormatError(f"expected {N_LABEL_FIELDS} or {N_DETECTION_FIELDS} fields, "
+                          f"got {len(tokens)}", lineno)
     values = []
     for k, ((name, conv), token) in enumerate(zip(_FIELDS, tokens)):
         try:
             value = conv(token)
         except ValueError:
-            raise KittiFormatError(f"field '{name}' is not numeric: {token!r}", lineno) from None
+            raise FormatError(f"field '{name}' is not numeric: {token!r}", lineno) from None
         if k in _FINITE and not math.isfinite(value):
-            raise KittiFormatError(f"field '{name}' is not finite: {token!r}", lineno)
+            raise FormatError(f"field '{name}' is not finite: {token!r}", lineno)
         if k in _COORDS and not BOUNDED.holds(value):
-            raise KittiFormatError(f"field '{name}' must be {BOUNDED.text}: {token!r}", lineno)
+            raise FormatError(f"field '{name}' must be {BOUNDED.text}: {token!r}", lineno)
         values.append(value)
     left, top, right, bottom = values[_BOX]
     if not (left <= right and top <= bottom):
-        raise KittiFormatError(f"invalid box extents: ({left}, {top}, {right}, {bottom})",
-                               lineno)
+        raise FormatError(f"invalid box extents: ({left}, {top}, {right}, {bottom})", lineno)
     if values[0] < 0:
-        raise KittiFormatError(f"frame must be non-negative, got {values[0]}", lineno)
+        raise FormatError(f"frame must be non-negative, got {values[0]}", lineno)
     return values
 
 
@@ -193,7 +182,7 @@ def parse_sequence(source: Iterable[str] | IO[str]) -> SequenceDetections:
             # earlier chunks passed, so the first bad line is in this one
             for lineno, line in enumerate(chunk, start=start + 1):
                 if not line.strip():
-                    raise KittiFormatError("blank line", lineno)
+                    raise FormatError("blank line", lineno)
                 parse_label_line(line, lineno)
             raise AssertionError("the column checks rejected a chunk the line grammar accepts")
     table.numbers = np.concatenate(numbers)

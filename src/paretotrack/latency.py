@@ -19,7 +19,7 @@ from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .settings import AT_LEAST_0, AT_LEAST_1, BOUNDED, check
+from .settings import AT_LEAST_0, AT_LEAST_1, BOUNDED, FormatError, check
 
 CANDIDATE_OPS = (
     "none",
@@ -53,15 +53,6 @@ _OP_COST_FACTOR = {
 
 class ClockError(RuntimeError):
     """The injected clock went backwards."""
-
-
-class TableFormatError(ValueError):
-    """A latency-table line that does not parse or holds an invalid entry."""
-
-    def __init__(self, lineno: int, reason: str):
-        super().__init__(f"line {lineno}: {reason}")
-        self.lineno = lineno
-        self.reason = reason
 
 
 class LatencyLookupError(LookupError):
@@ -138,7 +129,7 @@ class LatencyTable:
         lines = iter(source)
         header = next(lines, "").strip()
         if header != TABLE_HEADER:
-            raise TableFormatError(1, f"expected header {TABLE_HEADER!r}, got {header!r}")
+            raise FormatError(f"expected header {TABLE_HEADER!r}, got {header!r}", 1)
         table = cls()
         first_line: dict[OpConfig, int] = {}
         for lineno, raw in enumerate(lines, start=2):
@@ -149,7 +140,7 @@ class LatencyTable:
             for token in line.split():
                 key, _, value = token.partition("=")
                 if not _:
-                    raise TableFormatError(lineno, f"malformed token {token!r}")
+                    raise FormatError(f"malformed token {token!r}", lineno)
                 kv[key] = value
             try:
                 cfg = OpConfig(kv["op"], int(kv["cin"]), int(kv["cout"]),
@@ -157,13 +148,12 @@ class LatencyTable:
                 entry = LatencyEntry(float(kv["mean_ms"]), float(kv["std_ms"]),
                                      int(kv["reps"]))
             except KeyError as exc:
-                raise TableFormatError(lineno, f"missing field {exc}") from None
+                raise FormatError(f"missing field {exc}", lineno) from None
             except ValueError as exc:
-                raise TableFormatError(lineno, str(exc)) from None
+                raise FormatError(str(exc), lineno) from None
             first = first_line.setdefault(cfg, lineno)
             if first != lineno:
-                raise TableFormatError(
-                    lineno, f"duplicate entry for {cfg}, first on line {first}")
+                raise FormatError(f"duplicate entry for {cfg}, first on line {first}", lineno)
             table.add(cfg, entry)
         return table
 

@@ -75,7 +75,6 @@ class Stage2Result:
     params: np.ndarray
     best_val_loss: float
     val_history: list[float] = field(default_factory=list)
-    best_history: list[float] = field(default_factory=list)
 
 
 def max_latency_ms(space: SearchSpace, table: LatencyTable) -> float:
@@ -256,7 +255,6 @@ def stage2_train(
         vals = evaluator.loss(weights, theta, "val")
         best_val, best_theta = np.array(vals, dtype=np.float64), theta.copy()
         history = [[val] for val in vals]
-        best_history = [[val] for val in vals]
         for t in range(1, budget.iters + 1):
             _, g_theta = evaluator.grad(weights, theta, "train")
             theta = theta - budget.theta_lr * g_theta
@@ -274,9 +272,8 @@ def stage2_train(
                 if better.any():
                     best_val[live[better]] = vals[better]
                     best_theta[live[better]] = theta[better]
-                for i, val, best in zip(live.tolist(), vals.tolist(), best_val[live].tolist()):
+                for i, val in zip(live.tolist(), vals.tolist()):
                     history[i].append(val)
-                    best_history[i].append(best)
     return [diverged[i] if i in diverged else Stage2Result(
-        params=best_theta[i], best_val_loss=float(best_val[i]), val_history=history[i],
-        best_history=best_history[i]) for i in range(len(archs))]
+        params=best_theta[i], best_val_loss=float(best_val[i]), val_history=history[i])
+        for i in range(len(archs))]

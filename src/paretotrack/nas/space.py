@@ -24,7 +24,7 @@ KINDS = ("normal", "reduction")
 class SpaceConfig:
     normal_cells: int = 1
     reduction_cells: int = 1
-    nodes: int = 4
+    nodes: int = 3
     branches: int = 2  # image + lidar encoders share the logits
     channels: int = 16
     resolution: int = 32

@@ -30,6 +30,11 @@ class ScorerConfig:
         for name in ("w_iou", "w_det", "terminal_score"):
             check(name, getattr(self, name), BOUNDED)
 
+    def det_score(self, confidence):
+        """The detection score of a confidence (or an array of them), in
+        [-w_det, w_det] for confidences in [0, 1]."""
+        return self.w_det * (2.0 * confidence - 1.0)
+
 
 class ScoreSet:
     """The five score families for one adjacent frame pair (N tracklets, M detections).
@@ -85,7 +90,7 @@ def baseline_scores(
     # the detections'; rows are (left, top, right, bottom, confidence)
     rows = number_rows([track.detections[-1][1] for track in tracklets] + list(detections))
     s_link = cfg.w_iou * (2.0 * iou_matrix(rows[:n, :4], rows[n:, :4]) - 1.0)
-    s_det = cfg.w_det * (2.0 * rows[:, 4] - 1.0)
+    s_det = cfg.det_score(rows[:, 4])
     terminal = np.full(len(rows), cfg.terminal_score)
     return ScoreSet(terminal[n:], terminal[:n], s_det[:n], s_det[n:], s_link)
 

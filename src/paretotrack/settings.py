@@ -1,8 +1,11 @@
-"""The value rules of numeric settings, and the error that names a broken one.
+"""The value rules of numeric settings, and the errors that name a broken
+setting or a broken line of an input file.
 
 Every config checks its own fields here, so each rule is written once.  A
 SettingError carries the field's name, its value and the rule's text; the
-command line reports it under the flag of the same name.
+command line reports it under the flag of the same name.  A FormatError
+carries the reason a file breaks its format and the line to blame, if one is;
+the command line reports it as 'PATH:LINE: REASON', or 'PATH: REASON'.
 """
 
 from __future__ import annotations
@@ -54,3 +57,13 @@ def check(name: str, value, rule: Rule):
     if not rule.holds(value):
         raise SettingError(name, value, rule.text)
     return value
+
+
+class FormatError(ValueError):
+    """An input file broke its format: 'line N: REASON', or 'REASON' when no
+    one line is to blame."""
+
+    def __init__(self, reason: str, lineno: int | None = None):
+        super().__init__(reason if lineno is None else f"line {lineno}: {reason}")
+        self.reason = reason
+        self.lineno = lineno

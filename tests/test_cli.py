@@ -93,11 +93,34 @@ def test_unknown_flag_exits_2():
     assert info.value.code == 2
 
 
-def test_missing_input_exits_1(tmp_path, capsys):
-    code = execute(["track", "--dets", str(tmp_path / "nope.txt"),
-                    "--out", str(tmp_path / "o.txt")])
+@pytest.mark.parametrize("command, flag", [
+    ("track", "--dets"), ("evaluate", "--gt"), ("evaluate", "--hyp"),
+    ("search", "--table"), ("assoc-debug", "--scores"), ("search", "--config"),
+], ids=lambda x: x.lstrip("-"))
+def test_missing_input_exits_1(tmp_path, capsys, command, flag):
+    present = tmp_path / "empty.txt"
+    present.write_text("")
+    missing = str(tmp_path / "nope.txt")
+    out = tmp_path / "o.txt"
+    args = {"track": ["--dets", str(present), "--out", str(out)],
+            "evaluate": ["--gt", str(present), "--hyp", str(present)],
+            "search": ["--out", str(out)],
+            "assoc-debug": []}[command]
+    code = execute([command, *args, flag, missing])
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "", f"error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n")
+    assert not out.exists()
+
+
+def test_a_file_that_is_not_text_is_named(tmp_path, capsys):
+    dets = tmp_path / "dets.bin"
+    dets.write_bytes(b"0 -1 Car \xff\xfe\n")
+    out = tmp_path / "o.txt"
+    assert execute(["track", "--dets", str(dets), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {dets}: ") and "decode" in err, err
+    assert not out.exists()
 
 
 def test_failed_run_leaves_no_partial_output(tmp_path, capsys):

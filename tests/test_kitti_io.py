@@ -13,12 +13,12 @@ from paretotrack.geometry import iou_matrix
 from paretotrack.kitti_io import (
     N_DETECTION_FIELDS,
     N_LABEL_FIELDS,
-    KittiFormatError,
     number_rows,
     parse_label_line,
     parse_sequence,
     write_tracking_results,
 )
+from paretotrack.settings import FormatError
 from paretotrack.tracker import Tracklet
 
 DEVKIT_LINE = "0 2 Car 0 0 -1.57 100.0 150.0 200.0 250.0 1.5 1.6 3.9 2.0 1.5 30.0 -1.5"
@@ -49,14 +49,14 @@ def test_missing_score_means_full_confidence():
 
 
 def test_parse_label_line_wrong_field_count():
-    with pytest.raises(KittiFormatError, match="16"):
+    with pytest.raises(FormatError, match="16"):
         parse_label_line(" ".join(DEVKIT_LINE.split()[:16]), lineno=5)
 
 
 def test_parse_label_line_names_bad_field():
     bad = DEVKIT_LINE.split()
     bad[3] = "oops"
-    with pytest.raises(KittiFormatError, match="truncated"):
+    with pytest.raises(FormatError, match="truncated"):
         parse_label_line(" ".join(bad))
 
 
@@ -88,7 +88,7 @@ def test_parse_sequence_grouping():
 
 def test_parse_sequence_error_cites_line():
     lines = [DEVKIT_LINE] * 4 + ["junk line"]
-    with pytest.raises(KittiFormatError, match="line 5"):
+    with pytest.raises(FormatError, match="line 5"):
         parse_sequence(iter(lines))
 
 
@@ -163,14 +163,14 @@ def test_the_reader_refuses_a_box_or_score_it_could_not_write(box, score, name, 
     # every record comes from the reader, so a non-finite box or score never
     # reaches the writer: the reader names it
     lines = [label_line(0, 1, slot_box(0, 0)), label_line(4, 9, box, score)]
-    with pytest.raises(KittiFormatError, match=re.escape(
+    with pytest.raises(FormatError, match=re.escape(
             f"line 2: field '{name}' is not finite: '{value}'")):
         parse_sequence(lines)
 
 
 def test_blank_interior_line_rejected():
     text = DEVKIT_LINE + "\n\n" + DEVKIT_LINE + "\n"
-    with pytest.raises(KittiFormatError, match="line 2"):
+    with pytest.raises(FormatError, match="line 2"):
         parse_sequence(io.StringIO(text))
 
 
@@ -263,7 +263,7 @@ def test_bad_number_names_the_first_bad_field(n_fields, idx, name):
     fields[idx] = "oops"
     if idx < n_fields - 1:
         fields[-1] = "later"  # a second bad field; the first one is named
-    with pytest.raises(KittiFormatError) as info:
+    with pytest.raises(FormatError) as info:
         parse_label_line(" ".join(fields), lineno=7)
     assert str(info.value) == f"line 7: field '{name}' is not numeric: 'oops'"
     assert info.value.lineno == 7
@@ -272,7 +272,7 @@ def test_bad_number_names_the_first_bad_field(n_fields, idx, name):
 def test_integer_field_rejects_a_float():
     fields = DEVKIT_LINE.split()
     fields[4] = "1.5"
-    with pytest.raises(KittiFormatError,
+    with pytest.raises(FormatError,
                        match=r"^line 3: field 'occluded' is not numeric: '1.5'$"):
         parse_label_line(" ".join(fields), lineno=3)
 
@@ -285,10 +285,10 @@ def test_integer_field_rejects_a_float():
 def test_bad_record_names_its_line(edit, reason):
     fields = DEVKIT_LINE.split()
     fields[edit[0]] = edit[1]
-    with pytest.raises(KittiFormatError, match=f"^line 4: {reason}") as info:
+    with pytest.raises(FormatError, match=f"^line 4: {reason}") as info:
         parse_sequence(io.StringIO((DEVKIT_LINE + "\n") * 3 + " ".join(fields) + "\n"))
     assert info.value.lineno == 4
-    with pytest.raises(KittiFormatError, match=f"^line 4: {reason}"):
+    with pytest.raises(FormatError, match=f"^line 4: {reason}"):
         parse_label_line(" ".join(fields), lineno=4)
 
 
@@ -334,7 +334,7 @@ def _grammar_walk(lines) -> list[list]:
     out = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
-            raise KittiFormatError("blank line", lineno)
+            raise FormatError("blank line", lineno)
         out.append(parse_label_line(line, lineno))
     return out
 
@@ -393,7 +393,7 @@ def test_token_handling_is_pinned_per_field(idx, token):
                    if idx in _FINITE_FIELDS and expected in ("inf", "-inf", "nan") else None)
     if message is not None:
         for parse in (lambda: parse_label_line(line, 1), lambda: parse_sequence([line])):
-            with pytest.raises(KittiFormatError) as info:
+            with pytest.raises(FormatError) as info:
                 parse()
             assert str(info.value) == f"line 1: {message}"
         return
@@ -511,9 +511,9 @@ def test_a_bad_line_raises_what_the_line_grammar_raises(lines, data):
         at = data.draw(st.integers(0, len(lines) - 1))
         fault = data.draw(st.sampled_from(_FAULTS))
         lines[at] = _inject(lines[at].split(), fault, data.draw(st.integers(0, 50)))
-    with pytest.raises(KittiFormatError) as expected:
+    with pytest.raises(FormatError) as expected:
         _grammar_walk(lines)
-    with pytest.raises(KittiFormatError) as got:
+    with pytest.raises(FormatError) as got:
         parse_sequence(lines)
     assert str(got.value) == str(expected.value)
     assert got.value.lineno == expected.value.lineno
@@ -575,7 +575,7 @@ def test_box_coordinates_are_bounded_by_2_to_the_510(idx):
                f"{fields[idx]!r}")
     for parse in (lambda: parse_label_line(" ".join(fields), 2),
                   lambda: parse_sequence([DEVKIT_LINE, " ".join(fields)])):
-        with pytest.raises(KittiFormatError) as info:
+        with pytest.raises(FormatError) as info:
             parse()
         assert str(info.value) == message
 
@@ -588,7 +588,7 @@ def test_long_files_are_read_in_pieces_with_the_right_line_numbers():
     for bad in (2048, 2049, 4500):
         broken = list(lines)
         broken[bad - 1] = DEVKIT_LINE.replace("100.0", "nan")
-        with pytest.raises(KittiFormatError,
+        with pytest.raises(FormatError,
                            match=f"^line {bad}: field 'bbox_left' is not finite: 'nan'$"):
             parse_sequence(broken)
 
@@ -615,7 +615,7 @@ def test_a_bad_line_walks_only_its_own_chunk(monkeypatch):
     monkeypatch.setattr(kitti_io, "parse_label_line", counting)
     lines = [DEVKIT_LINE] * 5000
     lines[4500 - 1] = DEVKIT_LINE.replace("100.0", "nan")
-    with pytest.raises(KittiFormatError,
+    with pytest.raises(FormatError,
                        match="^line 4500: field 'bbox_left' is not finite: 'nan'$"):
         parse_sequence(lines)
     assert walked == list(range(4097, 4501))

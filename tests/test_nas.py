@@ -442,8 +442,7 @@ def test_stage2_best_checkpoints_non_increasing():
     (res,) = nas.stage2_train(space, [arch], ev,
                               nas.Stage2Budget(iters=300, eval_interval=10, theta_lr=0.15),
                               seed=1)
-    assert all(a >= b for a, b in zip(res.best_history, res.best_history[1:]))
-    assert res.best_history[-1] == res.best_val_loss
+    assert res.best_val_loss == min(res.val_history)
 
 
 def _stage2_alone(space, arch, ev, budget, seed):
@@ -453,7 +452,7 @@ def _stage2_alone(space, arch, ev, budget, seed):
     weights = one_hot_weights(arch, space)
     best_val = ev.loss(weights, theta, "val")
     best_theta = theta.copy()
-    history, best_history = [best_val], [best_val]
+    history = [best_val]
     for t in range(1, budget.iters + 1):
         theta = theta - budget.theta_lr * ev.grad(weights, theta, "train")[1]
         if t % budget.eval_interval == 0 or t == budget.iters:
@@ -463,8 +462,7 @@ def _stage2_alone(space, arch, ev, budget, seed):
             history.append(val)
             if val < best_val:
                 best_val, best_theta = val, theta.copy()
-            best_history.append(best_val)
-    return nas.Stage2Result(best_theta, best_val, history, best_history)
+    return nas.Stage2Result(best_theta, best_val, history)
 
 
 def _same_stage2_bits(a, b):
@@ -475,8 +473,7 @@ def _same_stage2_bits(a, b):
             and a.params.tobytes() == b.params.tobytes()
             and type(a.best_val_loss) is type(b.best_val_loss) is float
             and a.best_val_loss.hex() == b.best_val_loss.hex()
-            and [v.hex() for v in a.val_history] == [v.hex() for v in b.val_history]
-            and [v.hex() for v in a.best_history] == [v.hex() for v in b.best_history])
+            and [v.hex() for v in a.val_history] == [v.hex() for v in b.val_history])
 
 
 @st.composite
