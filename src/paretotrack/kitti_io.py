@@ -8,28 +8,26 @@ and the score must be finite, and each box coordinate at most 2**510 in
 magnitude (`settings.BOUNDED`), so that no width, height, area or sum of two
 areas overflows; the other float fields may be inf or nan.
 
-`parse_sequence` reads a whole file a chunk of lines at a time, converting
-each field column in one pass and checking whole columns, and makes one
-`KittiRecord` per line.  A record holds what the program reads of its line:
-the frame, the track ID, the box, the confidence (the score, or 1.0 on a
-17-field line) and the line number.  The other columns are converted and
-checked like these, then dropped.
+`parse_sequence` reads a file 2048 lines at a time, each chunk by one
+`np.loadtxt` call checked by whole columns.  A chunk that numpy refuses (`1_0`,
+Unicode digits, ints beyond int64, 17- and 18-field lines mixed) or that fails
+a check is walked with `parse_label_line`, the grammar of one line as a list of
+all its field values, which builds its records or raises `settings.FormatError`
+for its first bad line; either way every value has the grammar's bits.  A
+record holds what the program reads of its line: the frame, the track ID, the
+box, the confidence (the score, or 1.0 on a 17-field line) and the line number.
 `write_tracking_results` writes a result line as the frame, the track ID and
-the line's tokens after its track ID as they were read, joined by single
-spaces; so a number is written as it was spelled, and parse(write(x))
-reproduces every field bit for bit.  `parse_label_line` is the grammar of one
-line, as a list of all its field values; a bad line raises
-`settings.FormatError` with its line number.  The reader walks the lines of a
-chunk that fails the column checks with it, so the error names the first bad
-line and field exactly as that grammar does.
+the line's tokens after its track ID, joined by single spaces only for the
+lines it writes; so a number is written as it was spelled, and
+parse(write(x)) reproduces every field bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter, le
+from operator import itemgetter
 from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -54,23 +52,20 @@ _BOX = slice(6, 10)
 _SCORE = 17
 _COORDS = (6, 7, 8, 9)
 _FINITE = (*_COORDS, _SCORE)  # the box and the score
-# lines converted per column pass; bounds the token lists alive at once
+# lines read per np.loadtxt call; bounds the arrays alive at once
 _CHUNK = 2048
+# the row of a 17- and of an 18-field line for np.loadtxt; no record reads the
+# type, so one character of it is kept
+_DTYPES = {n: np.dtype([(name, {int: "i8", float: "f8", str: "U1"}[conv])
+                        for name, conv in _FIELDS[:n]])
+           for n in (N_LABEL_FIELDS, N_DETECTION_FIELDS)}
 
 
 class _Table:
     """One file as read: the frame, track ID and confidence of each line, its
-    box tuple, its result tail (its tokens after the track ID) and a (rows, 5)
-    array of box and confidence."""
+    box tuple, the line itself and a (rows, 5) array of box and confidence."""
 
-    __slots__ = ("frames", "track_ids", "confidences", "boxes", "tails", "numbers")
-
-    def __init__(self):
-        self.frames: list[int] = []
-        self.track_ids: list[int] = []
-        self.confidences: list[float] = []
-        self.boxes: list[tuple[float, float, float, float]] = []
-        self.tails: list[str] = []
+    __slots__ = ("frames", "track_ids", "confidences", "boxes", "lines", "numbers")
 
 
 class KittiRecord:
@@ -136,55 +131,54 @@ def parse_label_line(line: str, lineno: int | None = None) -> list:
     return values
 
 
-def _convert(lines: Sequence[str], table: _Table) -> np.ndarray | None:
-    """Append the records of ``lines`` to ``table`` and return their (lines, 5) box
-    and confidence rows; None if any line is bad.  Every field column is converted
-    and checked, and those that no record reads are dropped."""
-    rows = [line.split() for line in lines]
-    widths = set(map(len, rows))
-    if not widths <= {N_LABEL_FIELDS, N_DETECTION_FIELDS}:
-        return None
+def _read_chunk(chunk: list[str], start: int) -> tuple[list[int], list[int], np.ndarray]:
+    """The frames, the track IDs and the (lines, 5) box and confidence rows of
+    ``chunk``, whose first line is line ``start + 1``: read by one `np.loadtxt` call
+    and checked by whole columns, or walked with the line grammar if numpy refuses
+    a line or a check fails."""
     try:
-        # zip stops at 17 fields unless every line has 18
-        typed = [list(map(conv, tokens)) for (_, conv), tokens in zip(_FIELDS, zip(*rows))]
-        if len(typed) == N_LABEL_FIELDS:
-            typed.append([float(r[_SCORE]) if len(r) == N_DETECTION_FIELDS else 1.0
-                          for r in rows])
-    except ValueError:
-        return None
-    frame, track_id, (left, top, right, bottom), score = (
-        typed[0], typed[1], typed[_BOX], typed[_SCORE])
-    # abs(x) <= limit is False for inf and nan too
-    if not (min(frame) >= 0
-            and all(map(MAGNITUDE_LIMIT.__ge__, map(abs, chain(left, top, right, bottom))))
-            and all(map(math.isfinite, score))
-            and all(map(le, left, right)) and all(map(le, top, bottom))):
-        return None
-    table.frames += frame
-    table.track_ids += track_id
-    table.confidences += score
-    table.boxes += zip(left, top, right, bottom)
-    # a 17-field line is written with the score 1.0 it is read with
-    table.tails += [" ".join(r[2:] if len(r) == N_DETECTION_FIELDS else r[2:] + ["1.0"])
-                    for r in rows]
-    return np.array([left, top, right, bottom, score], dtype=np.float64).T
+        dtype = _DTYPES[len(chunk[0].split())]
+        with warnings.catch_warnings():  # older numpy reads '3.0' as an int, with this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(chunk, dtype=dtype, comments=None, ndmin=1)
+    except (KeyError, ValueError, DeprecationWarning):
+        return _walk(chunk, start)
+    score = rows["score"] if len(dtype) == N_DETECTION_FIELDS else np.ones(len(rows))
+    numbers = np.column_stack([rows[name] for name in dtype.names[_BOX]] + [score])
+    left, top, right, bottom = numbers.T[:4]
+    # numpy skips blank lines; abs(x) <= limit is False for inf and nan too
+    if not (len(rows) == len(chunk) and rows["frame"].min() >= 0
+            and (np.abs(numbers[:, :4]) <= MAGNITUDE_LIMIT).all() and np.isfinite(score).all()
+            and (left <= right).all() and (top <= bottom).all()):
+        return _walk(chunk, start)
+    return rows["frame"].tolist(), rows["track_id"].tolist(), numbers
+
+
+def _walk(chunk: list[str], start: int) -> tuple[list[int], list[int], np.ndarray]:
+    """`_read_chunk`'s answer from the line grammar's values; the first bad line raises."""
+    values = []
+    for lineno, line in enumerate(chunk, start=start + 1):
+        if not line.strip():
+            raise FormatError("blank line", lineno)
+        values.append(parse_label_line(line, lineno) + [1.0])  # a 17-field line's score
+    return ([v[0] for v in values], [v[1] for v in values],
+            np.array([v[_BOX] + [v[_SCORE]] for v in values], dtype=np.float64))
 
 
 def parse_sequence(source: Iterable[str] | IO[str]) -> SequenceDetections:
     """Group a stream of records into per-frame records, keeping per-frame order."""
-    lines = list(source)
     table = _Table()
+    table.lines = lines = list(source)
+    table.frames, table.track_ids, table.confidences, table.boxes = [], [], [], []
     numbers = [np.empty((0, 5))]
+    # the chunks before a walked chunk passed, so its first bad line is the file's
     for start in range(0, len(lines), _CHUNK):
-        chunk = lines[start:start + _CHUNK]
-        numbers.append(_convert(chunk, table))
-        if numbers[-1] is None:
-            # earlier chunks passed, so the first bad line is in this one
-            for lineno, line in enumerate(chunk, start=start + 1):
-                if not line.strip():
-                    raise FormatError("blank line", lineno)
-                parse_label_line(line, lineno)
-            raise AssertionError("the column checks rejected a chunk the line grammar accepts")
+        frames, track_ids, rows = _read_chunk(lines[start:start + _CHUNK], start)
+        table.frames += frames
+        table.track_ids += track_ids
+        table.confidences += rows[:, 4].tolist()
+        table.boxes += map(tuple, rows[:, :4].tolist())
+        numbers.append(rows)
     table.numbers = np.concatenate(numbers)
     seq = SequenceDetections()
     frames = seq.frames
@@ -200,6 +194,12 @@ def write_tracking_results(tracks: Iterable["Tracklet"], sink: IO[str]) -> None:
     for track in tracks:
         if track.id is None or track.id < 0:
             raise ValueError("every tracklet must carry an assigned non-negative ID")
-        rows += [(frame, track.id, det._table.tails[det._row]) for frame, det in track.detections]
+        rows += [(frame, track.id, det) for frame, det in track.detections]
     rows.sort(key=itemgetter(0, 1))
-    sink.write("".join(map("%d %d %s\n".__mod__, rows)))
+    written = []
+    for frame, track_id, det in rows:
+        tokens = det._table.lines[det._row].split()
+        # a 17-field line is written with the score 1.0 it is read with
+        tail = tokens[2:] if len(tokens) == N_DETECTION_FIELDS else tokens[2:] + ["1.0"]
+        written.append("%d %d %s\n" % (frame, track_id, " ".join(tail)))
+    sink.write("".join(written))

@@ -665,6 +665,84 @@ def test_search_on_a_mutated_table_exits_cleanly(tmp_path_factory, profiled_tabl
         assert out.read_text() and plot.read_text()
 
 
+@st.composite
+def _mutated_tracking_files(draw):
+    """A well-formed tracking file of a few objects over a few frames, after zero
+    to three hostile edits, each to a drawn line."""
+    lines = [label_line(frame, slot, slot_box(slot, frame), score=0.9) + "\n"
+             for frame in range(draw(st.integers(1, 6)))
+             for slot in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        fields = lines[at].split()
+        kind = draw(st.sampled_from(["truncated", "token", "blank", "fields", "huge",
+                                     "repeated-id", "gap"]))
+        if kind == "truncated":
+            lines[at] = lines[at][:draw(st.integers(0, len(lines[at]) - 1))] + "\n"
+            continue
+        if kind == "blank":
+            lines.insert(at, draw(st.sampled_from(["\n", " \n", "\t\n"])))
+            continue
+        if len(fields) < 10:  # truncated by an earlier edit
+            continue
+        if kind == "token":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(
+                ["1.0x", "nan", "-inf", "1e400", "-1", "#", '"', "1_0", "٣", "3.0", "0x10"]))
+        elif kind == "fields":
+            fields = fields[:16] if draw(st.booleans()) else fields[:18] + ["1.0"] * (
+                19 - min(len(fields), 18))
+        elif kind == "huge":  # finite values at and beyond what the reader bounds
+            value = draw(st.sampled_from([2.0 ** 510, 2.0 ** 511, 1e308, 5e-324, -0.0,
+                                          1.7976931348623157e308]))
+            if draw(st.booleans()):
+                fields[6:10] = [repr(-value), repr(-value), repr(value), repr(value)]
+            else:
+                fields[draw(st.sampled_from([6, 7, 8, 9, 10, 13, 17]))] = repr(value)
+        elif kind == "repeated-id":  # slot 0's ID, which every frame has
+            fields[1] = "0"
+        else:  # this line and every later one move far ahead
+            gap = draw(st.sampled_from([10 ** 6, 2 ** 62, 2 ** 63 + 5, 10 ** 30]))
+            for later in range(at, len(lines)):
+                frame, _, rest = lines[later].partition(" ")
+                if frame.isdigit():
+                    lines[later] = f"{int(frame) + gap} {rest}"
+            continue
+        lines[at] = " ".join(fields) + "\n"
+    return lines
+
+
+def _run_cleanly(argv):
+    """``execute(argv)``'s exit status and stderr; no warning may be raised."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = execute(argv)
+    assert code in (0, 1)
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    return code, err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mutated_tracking_files(), _mutated_tracking_files())
+def test_track_and_evaluate_on_mutated_files_exit_cleanly(tmp_path_factory, gt_lines, hyp_lines):
+    tmp = tmp_path_factory.mktemp("mutated")
+    gt, hyp, out = tmp / "gt.txt", tmp / "hyp.txt", tmp / "tracks.txt"
+    gt.write_text("".join(gt_lines))
+    hyp.write_text("".join(hyp_lines))
+    code, err = _run_cleanly(["track", "--dets", str(hyp), "--out", str(out), "--t-birth", "1"])
+    if code == 1:
+        assert re.fullmatch(rf"error: {re.escape(str(hyp))}:\d+: .*\n", err), err
+        assert not out.exists()
+    else:
+        assert out.exists()
+    code, err = _run_cleanly(["evaluate", "--gt", str(gt), "--hyp", str(hyp)])
+    if code == 1:
+        assert re.fullmatch(rf"error: ({re.escape(str(gt))}|{re.escape(str(hyp))}):\d+: .*\n",
+                            err), err
+
+
 def test_assoc_debug_random(capsys):
     assert execute(["assoc-debug", "--random", "2,3", "--seed", "5"]) == 0
     out = capsys.readouterr().out

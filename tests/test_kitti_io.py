@@ -1,8 +1,10 @@
 import io
 import math
+import operator
 import re
 import string
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -341,26 +343,28 @@ def _grammar_walk(lines) -> list[list]:
 
 def _oracle(lines):
     """parse_sequence's answer from the one-line grammar: per frame, in file order,
-    each line's field values and the tail it is written with."""
+    each line's number, its field values and the tail it is written with."""
     frames = {}
-    for line, values in zip(lines, _grammar_walk(lines)):
-        frames.setdefault(values[0], []).append((values, _echoed_tail(line)))
+    for lineno, (line, values) in enumerate(zip(lines, _grammar_walk(lines)), start=1):
+        frames.setdefault(values[0], []).append((lineno, values, _echoed_tail(line)))
     return frames
 
 
 def _assert_matches_oracle(lines):
-    """Each record holds the grammar's values of its line bit for bit, and is
-    written with the tokens that were read."""
+    """Each record holds the grammar's values of its line bit for bit, in its box
+    tuple and in its number row, and is written with the tokens that were read."""
     seq = parse_sequence(lines)
     expected = _oracle(lines)
     assert list(seq.frames) == list(expected)
     for frame, rows in expected.items():
         got = seq.frames[frame]
         assert len(got) == len(rows)
-        for d, (values, tail) in zip(got, rows):
-            assert type(d.frame) is int and d.frame == frame
+        for d, (lineno, values, tail) in zip(got, rows):
+            assert type(d.frame) is int and d.frame == frame and d.lineno == lineno
             assert _same_bits(_record_fields(d), _read_fields(values))
             assert _written_tail(d) == tail
+        assert _same_bits(tuple(number_rows(got).ravel().tolist()),
+                          tuple(x for d in got for x in (*d.box, d.confidence)))
     return seq
 
 
@@ -469,6 +473,112 @@ def _kitti_lines(draw, min_size=1, max_size=12):
 @given(_kitti_lines())
 def test_parse_sequence_equals_the_line_grammar(lines):
     _assert_matches_oracle(lines)
+
+
+# spellings that Python's int or float reads and np.loadtxt refuses: Unicode
+# digits and an underscore between two digits
+_DIGITS = {"arabic-indic": str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"),
+           "fullwidth": str.maketrans("0123456789", "０１２３４５６７８９")}
+_ECHO_TOKENS = ("-0.0", "0.0", "-0", "5e-324", "4.9e-324", "2.2250738585072014e-308", "1e-400",
+                "1e400", "-1e400", "inf", "-inf", "Infinity", "-Infinity", "nan", "NaN", "-nan")
+_BAD_TOKENS = ("#", '"', "1.0x", "0x10", "1e", "nan(1)", "1__0", "3.0")
+_GAPS = (" ", "\t", "\x0b", "\x1c", "  ", " \t")
+
+
+@st.composite
+def _spelled_files(draw):
+    """Tracking files spelled every way the line grammar reads: numbers in repr,
+    %.17g and non-ASCII or underscored digits, frames and IDs beyond int64, signed
+    zeros, subnormals and 1e400, inf and nan in the echoed fields, '#' and '"'
+    tokens, 17- and 18-field lines, whitespace gaps that str.split splits on,
+    and leading and trailing blanks; sometimes with a few bad tokens."""
+    # each a file-wide choice, so that np.loadtxt can read some whole files
+    spellings = draw(st.sampled_from([("ascii",)] * 2 + [("ascii",) * 3 + (*_DIGITS, "_")]))
+    widths = draw(st.sampled_from([(N_LABEL_FIELDS,), (N_DETECTION_FIELDS,),
+                                   (N_LABEL_FIELDS, N_DETECTION_FIELDS)]))
+    beyond_int64 = draw(st.sampled_from([False, False, True]))
+
+    def spell(token: str) -> str:
+        how = draw(st.sampled_from(spellings))
+        if how in _DIGITS:
+            return token.translate(_DIGITS[how])
+        pair = re.search(r"\d\d", token)
+        return token if how == "ascii" or pair is None else (
+            token[:pair.start() + 1] + "_" + token[pair.start() + 1:])
+
+    def integer(low: int) -> str:
+        values = st.integers(low, 12)
+        if beyond_int64:
+            big = st.integers(2 ** 63 - 2, 2 ** 65)
+            values |= big if low == 0 else big | big.map(operator.neg)
+        return spell(draw(st.sampled_from(["%d", "%+d", "%03d"])) % draw(values))
+
+    def number(value: float) -> str:
+        return spell(draw(st.sampled_from([repr, "%.17g".__mod__]))(value))
+
+    def echo() -> str:
+        return (draw(st.sampled_from(_ECHO_TOKENS)) if draw(st.booleans())
+                else number(draw(st.floats(allow_nan=False))))
+
+    coord = st.floats(-2.0 ** 510, 2.0 ** 510) | st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.0 ** 510, -2.0 ** 510])
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        left, right = sorted((draw(coord), draw(coord)))
+        top, bottom = sorted((draw(coord), draw(coord)))
+        tokens = [integer(0), integer(-1),
+                  draw(st.sampled_from(["Car", "#", '"', 'a"b#', "DontCare"])),
+                  echo(), integer(-1), echo(),
+                  *map(number, (left, top, right, bottom)), *(echo() for _ in range(7)),
+                  number(draw(st.floats(0, 1)))][:draw(st.sampled_from(widths))]
+        lines.append(draw(st.sampled_from(["", " ", "\t\x1c"])) + draw(st.sampled_from(_GAPS)).join(
+            tokens) + draw(st.sampled_from(["\n", " \n", "\x0b\n", "", "\t"])))
+    for _ in range(draw(st.integers(0, 2)) * draw(st.booleans())):
+        at = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[at].split()
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_BAD_TOKENS))
+        lines[at] = " ".join(tokens)
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spelled_files(), st.sampled_from([1, 2, 3, 2048]))
+def test_every_spelling_reads_as_the_line_grammar_reads_it(lines, chunk):
+    # short chunks put canonical and grammar-only chunks in one file
+    import paretotrack.kitti_io as kitti_io
+
+    with mock.patch.object(kitti_io, "_CHUNK", chunk):
+        try:
+            _grammar_walk(lines)
+        except FormatError as expected:
+            with pytest.raises(FormatError) as got:
+                parse_sequence(lines)
+            assert (str(got.value), got.value.lineno) == (str(expected), expected.lineno)
+        else:
+            _assert_matches_oracle(lines)
+
+
+def test_a_chunk_that_numpy_refuses_is_read_by_the_line_grammar_alone(monkeypatch):
+    import paretotrack.kitti_io as kitti_io
+
+    walked = []
+
+    def counting(line, lineno=None):
+        walked.append(lineno)
+        return parse_label_line(line, lineno)
+
+    monkeypatch.setattr(kitti_io, "parse_label_line", counting)
+    lines = [label_line(i // 50, i % 50, (i, i + 0.5, i + 10.25, i + 20.0)) + "\n"
+             for i in range(5000)]
+    # the second of three 2048-line chunks: an underscored token, a tab, Unicode
+    # digits and a 17-field line
+    lines[2100] = lines[2100].replace(" 0.0 0 -1.2 ", " 0.0 0_0 -1.2 ")
+    lines[2500] = lines[2500].replace(" ", "\t", 3)
+    lines[3000] = lines[3000].replace(" 30.0 ", " ٣0.0 ")
+    lines[4000] = lines[4000].rsplit(" ", 1)[0] + "\n"
+    seq = _assert_matches_oracle(lines)
+    assert walked == list(range(2049, 4097))
+    assert [d.lineno for dets in seq.frames.values() for d in dets] == list(range(1, 5001))
 
 
 _FAULTS = ("fields", "number", "blank", "box", "frame", "non-finite", "huge")
