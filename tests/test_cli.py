@@ -683,14 +683,13 @@ def _mutated_tracking_files(draw):
         if kind == "blank":
             lines.insert(at, draw(st.sampled_from(["\n", " \n", "\t\n"])))
             continue
-        if len(fields) < 10:  # truncated by an earlier edit
+        if len(fields) != 18:  # broken by an earlier edit
             continue
         if kind == "token":
             fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(
                 ["1.0x", "nan", "-inf", "1e400", "-1", "#", '"', "1_0", "٣", "3.0", "0x10"]))
         elif kind == "fields":
-            fields = fields[:16] if draw(st.booleans()) else fields[:18] + ["1.0"] * (
-                19 - min(len(fields), 18))
+            fields = fields[:16] if draw(st.booleans()) else fields + ["1.0"]
         elif kind == "huge":  # finite values at and beyond what the reader bounds
             value = draw(st.sampled_from([2.0 ** 510, 2.0 ** 511, 1e308, 5e-324, -0.0,
                                           1.7976931348623157e308]))
