@@ -26,7 +26,8 @@ import numpy as np
 from . import nas
 from .assoc import objective_value, solve_exact
 from .kitti_io import parse_sequence, write_tracking_results
-from .latency import LatencyLookupError, LatencyTable, ScriptedClock, nominal_cost_ms, profile_op
+# profile_op is unused here; perfbench/tracing.py times it under this name
+from .latency import LatencyLookupError, LatencyTable, profile_op
 from .metrics import clear_mot, format_report_kv, format_report_table
 from .nas.search import max_latency_ms
 from .scoring import BaselineScorer, ScorerConfig, ScoreSet
@@ -180,35 +181,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- profile-latency
 
-def _busy_workload(cost_ms: float):
-    # calibration-free stand-in: loop length proportional to the nominal cost
-    iters = max(1, int(cost_ms * 2000))
-
-    def work():
-        acc = 0
-        for i in range(iters):
-            acc += i * i
-        return acc
-
-    return work
-
-
 def _cmd_profile_latency(args: argparse.Namespace) -> int:
     if not args.out:
         raise CliError("profile-latency requires --out")
-    space = nas.init_search_space(nas.SpaceConfig(channels=args.channels,
-                                                  resolution=args.resolution))
-    table = LatencyTable()
-    for kind in space.kinds():
-        for cfg in space.op_configs(kind):
-            cost = nominal_cost_ms(cfg)
-            if args.clock == "synthetic":
-                entry = profile_op(lambda: None, clock=ScriptedClock([cost]),
-                                   warmup=args.warmup, reps=args.reps)
-            else:
-                entry = profile_op(_busy_workload(cost),
-                                   warmup=args.warmup, reps=args.reps)
-            table.add(cfg, entry)
+    table = nas.nominal_table(nas.init_search_space(
+        nas.SpaceConfig(channels=args.channels, resolution=args.resolution)))
     buf = io.StringIO()
     table.write(buf)
     _atomic_write(args.out, buf.getvalue())
@@ -393,12 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iou", type=float, default=0.5)
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("profile-latency", help="measure per-op latencies into a table")
+    p = sub.add_parser("profile-latency", help="write the nominal per-op latency table")
     common(p)
     p.add_argument("--out")
-    p.add_argument("--clock", choices=("synthetic", "real"), default="synthetic")
-    p.add_argument("--warmup", type=int, default=10)
-    p.add_argument("--reps", type=int, default=100)
+    p.add_argument("--clock", choices=("synthetic",), default="synthetic",
+                   help="only the nominal cost model, so the table prices each op as "
+                        "a search without a table does; a table measured on the "
+                        "target device is given to search instead")
     p.add_argument("--channels", type=int, default=nas.SpaceConfig.channels)
     p.add_argument("--resolution", type=int, default=nas.SpaceConfig.resolution)
     p.set_defaults(func=_cmd_profile_latency)

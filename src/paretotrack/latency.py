@@ -207,7 +207,7 @@ def softmax_weights(logits) -> np.ndarray:
 
 
 def nominal_cost_ms(cfg: OpConfig) -> float:
-    """Deterministic synthetic cost model for demo tables and scripted clocks."""
+    """Deterministic synthetic cost model: the entries of `nas.nominal_table`."""
     scale = (cfg.in_channels * cfg.out_channels) / 256.0
     area = (cfg.resolution / 32.0) ** 2 / cfg.stride
     return _OP_COST_FACTOR[cfg.op_name] * scale * area

@@ -68,10 +68,6 @@ class SearchSpace:
         """Edge instances sharing one logit vector: every branch, every cell."""
         return self.config.branches * self.cell_count(kind)
 
-    def total_edges(self) -> int:
-        """Edges across all cells (branches share the cells' structure)."""
-        return sum(self.cell_count(k) * self.n_positions for k in self.kinds())
-
     def op_configs(self, kind: str) -> list[OpConfig]:
         """Each op of CANDIDATE_OPS, in order, on one edge of a cell kind."""
         c, r = self.config.channels, self.config.resolution

@@ -29,8 +29,8 @@ UNIT_INTERVAL = Rule("in (0, 1]", lambda x: 0 < x <= 1)
 # larger side.
 AT_MOST_500 = Rule("<= 500", lambda x: x <= 500)
 # The largest channels and resolution of a search space: the dearest nominal
-# cost is then about 1.4e9 ms, so neither it nor any sum that profile_op forms
-# over its repetitions (durations and their squared deviations) can overflow.
+# cost is then about 1.4e9 ms, so neither it nor any sum of such costs that
+# the search forms can overflow.
 AT_MOST_4096 = Rule("<= 4096", lambda x: x <= 4096)
 
 # The largest magnitude of a box coordinate, an association score, a score

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import logging
+import math
 import os
 import re
 import stat
@@ -19,6 +20,8 @@ from paretotrack.cli import build_parser, emit_plot_data, execute
 from paretotrack.latency import CANDIDATE_OPS, LatencyTable
 from paretotrack.nas.pareto import ParetoPoint
 from paretotrack.nas.space import DiscreteArch
+from paretotrack.settings import AT_LEAST_1, AT_MOST_4096, BOUNDED, UNIT_INTERVAL
+from test_golden import C06_FLAGS, C06_LAMBDAS
 
 
 def _write_detections(path, n_frames=6, n_objects=2, score=0.9):
@@ -137,7 +140,7 @@ def test_outputs_get_the_umask_mode(tmp_path, capsys, umask):
     out = tmp_path / "table.txt"
     old = os.umask(umask)
     try:
-        assert execute(["profile-latency", "--out", str(out), "--reps", "1"]) == 0
+        assert execute(["profile-latency", "--out", str(out)]) == 0
     finally:
         os.umask(old)
     assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
@@ -328,8 +331,6 @@ def test_search_rejects_negative_or_non_finite_learning_rate(tmp_path, capsys,
     ("search", "--resolution", "0", ">= 1"),
     ("search", "--channels", "4097", "<= 4096"),
     ("search", "--resolution", "4097", "<= 4096"),
-    ("profile-latency", "--reps", "0", ">= 1"),
-    ("profile-latency", "--warmup", "-1", ">= 0"),
     ("profile-latency", "--channels", "0", ">= 1"),
     ("profile-latency", "--resolution", "0", ">= 1"),
     ("profile-latency", "--channels", "4097", "<= 4096"),
@@ -361,55 +362,94 @@ def test_profile_latency_synthetic_deterministic(tmp_path, capsys):
     b = tmp_path / "b.txt"
     for out in (a, b):
         assert execute(["profile-latency", "--out", str(out),
-                        "--clock", "synthetic", "--reps", "10"]) == 0
+                        "--clock", "synthetic"]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().startswith("latency-table v1\n")
 
 
-def test_profile_latency_real_clock_smoke(tmp_path, capsys):
-    out = tmp_path / "real.txt"
-    assert execute(["profile-latency", "--out", str(out), "--clock", "real",
-                    "--warmup", "1", "--reps", "3"]) == 0
-    table = LatencyTable.read(out.read_text().splitlines(keepends=True))
-    assert len(table) == 18  # 9 ops x 2 cell kinds
-    assert all(entry.mean_ms >= 0.0 for _, entry in table.items())
+@pytest.mark.parametrize("channels, resolution", [(16, 32), (1, 1), (4096, 4096)])
+def test_profile_latency_writes_the_nominal_table(tmp_path, capsys, channels, resolution):
+    out = tmp_path / "table.txt"
+    assert execute(["profile-latency", "--out", str(out), "--channels", str(channels),
+                    "--resolution", str(resolution)]) == 0
+    nominal = io.StringIO()
+    nas.nominal_table(nas.init_search_space(
+        nas.SpaceConfig(channels=channels, resolution=resolution))).write(nominal)
+    assert out.read_bytes() == nominal.getvalue().encode()
 
 
-# each profile-latency setting at its rules' edges, just past them and far past
-_PROFILE_VALUES = {
-    "channels": [-1, 0, 1, 2, 16, 4096, 4097, 10 ** 155, 10 ** 200],
-    "resolution": [-1, 0, 1, 32, 4096, 4097, 10 ** 300],
-    "reps": [-1, 0, 1, 2, 3],
-    "warmup": [-1, 0, 1, 2],
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--lambdas", ",".join(repr(x) for x in C06_LAMBDAS[::32])] + C06_FLAGS,
+], ids=["default", "c06"])
+def test_search_on_a_profiled_table_equals_a_table_less_search(tmp_path, capsys, flags):
+    table = tmp_path / "table.txt"
+    assert execute(["profile-latency", "--out", str(table)]) == 0
+    runs = []
+    for name, extra in (("profiled", ["--table", str(table)]), ("nominal", [])):
+        front, plot = tmp_path / f"front-{name}.txt", tmp_path / f"plot-{name}.txt"
+        assert execute(["search", "--out", str(front), "--plot-data", str(plot)]
+                       + extra + flags) == 0
+        runs.append((front.read_bytes(), plot.read_bytes()))
+    assert runs[0] == runs[1]
+
+
+# a score weight at the edges of its rule, just past them and far past; 10**20
+# and 2**511 are spelled as integers
+_WEIGHT = ((BOUNDED,), [0.0, -1.0, 10 ** 20, 2.0 ** 510, -(2.0 ** 510),
+                        math.nextafter(2.0 ** 510, math.inf), 2 ** 511, -(2 ** 511), 1e308,
+                        math.nan, math.inf, -math.inf])
+_COUNT = ((AT_LEAST_1,), [-1, 0, 1, 2, 10 ** 20, 2 ** 511])
+
+# each setting of a subcommand: its rules, and values at their edges, just past
+# them and far past
+_HOSTILE_SETTINGS = {
+    "track": {"t-birth": _COUNT, "t-death": _COUNT, "w-iou": _WEIGHT, "w-det": _WEIGHT,
+              "terminal-score": _WEIGHT},
+    "evaluate": {"iou": ((UNIT_INTERVAL,), [-1.0, 0.0, 5e-324, 0.5, 1.0,
+                                            math.nextafter(1.0, 2.0), 10 ** 20, 2 ** 511,
+                                            math.nan, math.inf, -math.inf])},
+    "profile-latency": {
+        "channels": ((AT_LEAST_1, AT_MOST_4096), [-1, 0, 1, 2, 16, 4096, 4097, 10 ** 155,
+                                                  10 ** 200]),
+        "resolution": ((AT_LEAST_1, AT_MOST_4096), [-1, 0, 1, 32, 4096, 4097, 10 ** 300]),
+    },
 }
 
 
+@pytest.mark.parametrize("command", sorted(_HOSTILE_SETTINGS))
 @settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_profile_latency_on_hostile_settings_exits_cleanly(tmp_path_factory, data):
+@given(data=st.data())
+def test_hostile_settings_exit_cleanly(tmp_path_factory, command, data):
+    hostile = _HOSTILE_SETTINGS[command]
     values = {flag: data.draw(st.sampled_from(options), label=flag)
-              for flag, options in _PROFILE_VALUES.items() if data.draw(st.booleans())}
-    tmp = tmp_path_factory.mktemp("profile")
-    out = tmp / "table.txt"
-    argv = ["profile-latency", "--clock", "synthetic", "--out", str(out)]
+              for flag, (_, options) in hostile.items() if data.draw(st.booleans())}
+    broken = {(flag, rule.text) for flag, value in values.items()
+              for rule in hostile[flag][0] if not rule.holds(value)}
+    tmp = tmp_path_factory.mktemp(command)
+    out, dets = tmp / "out.txt", tmp / "dets.txt"
+    _write_detections(dets)
+    argv = {"track": ["track", "--dets", str(dets), "--out", str(out)],
+            "evaluate": ["evaluate", "--gt", str(dets), "--hyp", str(dets)],
+            "profile-latency": ["profile-latency", "--clock", "synthetic",
+                                "--out", str(out)]}[command]
     if data.draw(st.booleans(), label="via config"):
-        (tmp / "run.cfg").write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        (tmp / "run.cfg").write_text("".join(f"{k}={v!r}\n" for k, v in values.items()))
         argv += ["--config", str(tmp / "run.cfg")]
-    else:
-        argv += [arg for k, v in values.items() for arg in (f"--{k}", str(v))]
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = execute(argv)
-    assert code in (0, 1)
-    assert not caught
-    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    else:  # '--flag=value', so that a value such as '-inf' is not taken for a flag
+        argv += [f"--{k}={v!r}" for k, v in values.items()]
+    code, err = _run_cleanly(argv)
+    assert code == (1 if broken else 0), err
     if code == 1:
-        flag = re.fullmatch(r"error: --(\S+) (\S+) must be [^\n]+\n", err.getvalue())
-        assert flag and int(flag[2]) == values[flag[1]], err.getvalue()
+        # one of the broken settings, named by its flag, its value and its rule
+        named = re.fullmatch(r"error: --(\S+) (\S+) must be ([^\n]+)\n", err)
+        assert named and (named[1], named[3]) in broken, err
+        got, drawn = float(named[2]), float(values[named[1]])
+        assert got == drawn or math.isnan(got) and math.isnan(drawn), err
         assert not out.exists()
-    else:
+    elif command == "track":
+        assert out.exists()
+    elif command == "profile-latency":
         space = nas.init_search_space(nas.SpaceConfig(
             channels=values.get("channels", 16), resolution=values.get("resolution", 32)))
         table = LatencyTable.read(out.read_text().splitlines(keepends=True))
@@ -488,7 +528,7 @@ def test_search_plot_data_with_an_empty_architecture(tmp_path, capsys):
 def _table_with(tmp_path, field, value):
     """A profiled table whose fourth line has ``field`` set to ``value``."""
     table = tmp_path / "table.txt"
-    assert execute(["profile-latency", "--out", str(table), "--reps", "1"]) == 0
+    assert execute(["profile-latency", "--out", str(table)]) == 0
     lines = table.read_text().splitlines(keepends=True)
     lines[3] = re.sub(rf"\b{field}=\S+", f"{field}={value}", lines[3])
     table.write_text("".join(lines))
@@ -522,7 +562,7 @@ def test_search_bad_table_entry_names_the_file_and_line(tmp_path, capsys, field,
 ], ids=["zero-latencies", "missing-entry"])
 def test_search_rejects_a_table_it_cannot_price_with(tmp_path, capsys, edit, reason):
     table = tmp_path / "table.txt"
-    assert execute(["profile-latency", "--out", str(table), "--reps", "1"]) == 0
+    assert execute(["profile-latency", "--out", str(table)]) == 0
     table.write_text(edit(table.read_text()))
     out, plot = tmp_path / "front.txt", tmp_path / "plot.txt"
     assert execute(["search", "--table", str(table), "--out", str(out),
@@ -573,7 +613,7 @@ def test_search_skips_a_diverging_lambda_alone(tmp_path, capsys, caplog, action)
 
 def test_search_names_a_duplicate_table_entry(tmp_path, capsys):
     table = tmp_path / "table.txt"
-    assert execute(["profile-latency", "--out", str(table), "--reps", "1"]) == 0
+    assert execute(["profile-latency", "--out", str(table)]) == 0
     lines = table.read_text().splitlines(keepends=True)
     table.write_text("".join(lines + [lines[2].replace("mean_ms=", "mean_ms=9")]))
     out = tmp_path / "front.txt"
@@ -587,10 +627,10 @@ def test_search_names_a_duplicate_table_entry(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def profiled_table(tmp_path_factory):
-    """The lines of a synthetic-clock profiled table, header first."""
+    """The lines of a profiled table, header first."""
     table = tmp_path_factory.mktemp("profiled") / "table.txt"
     with contextlib.redirect_stdout(io.StringIO()):
-        assert execute(["profile-latency", "--out", str(table), "--reps", "1"]) == 0
+        assert execute(["profile-latency", "--out", str(table)]) == 0
     return table.read_text().splitlines(keepends=True)
 
 

@@ -3,8 +3,10 @@
 The track/evaluate digest was computed with the object-per-line KITTI reader
 and writer; any later change to parsing, tracking, evaluation or formatting
 that moves a byte of either output fails here.  The search digest was
-computed with the per-row softmax and one stage-1 run per lambda; it pins the
-front and plot files on four flag sets, the last the full 129-lambda c06 sweep.
+computed with the per-row softmax and one stage-1 run per lambda, once
+`profile-latency` wrote the nominal table (it had summed a scripted clock's
+steps, off by a few ulps); it pins the front and plot files on four flag sets,
+the last the full 129-lambda c06 sweep.
 The assoc-debug digest was computed once the score lines printed plain floats
 (they had printed numpy scalar reprs); it pins the printed scores, flags and the
 `objective=` line on four random instances and one scores file.
@@ -20,10 +22,10 @@ import numpy as np
 from paretotrack.cli import execute
 
 GOLDEN_SHA256 = "43ba1c4661fcbb464349459c9152c287cd1a2c0ec88b90aa08e99fc13db6a819"
-SEARCH_SHA256 = "bfc87c6304116869dd7fd27b075cb98cc731a31916c364d4fb0b2af72df27e41"
+SEARCH_SHA256 = "644cbfb525de1f871155a6e181bf2041c5e061f26dfeb64c0b7197441fdb05ae"
 ASSOC_DEBUG_SHA256 = "2eb0e57311d76bbb2b0c74b4d58c6571db95e7e6728841654c9f02e8e539ce74"
 
-# The c06 problem's 129 lambdas, on a synthetic-clock table.
+# The c06 problem's 129 lambdas, on a profiled table.
 C06_LAMBDAS = np.logspace(-3, 2.5, 129).tolist()
 C06_FLAGS = ["--normal-cells", "1", "--reduction-cells", "0", "--nodes", "3",
              "--epochs", "200", "--theta-iters", "2", "--alpha-lr", "0.5",

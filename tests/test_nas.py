@@ -29,15 +29,13 @@ def small_space(**overrides):
 def test_space_three_nodes_three_edges():
     space = small_space(reduction_cells=0)
     assert space.positions == ((0, 1), (0, 2), (1, 2))
-    assert space.total_edges() == 3
 
 
 def test_space_shared_logits_per_kind():
     space = small_space(nodes=4)
-    # two cells, 4 nodes each: 6 positions per cell, 12 edges total,
-    # logits shared per (position, kind)
+    # two cells, 4 nodes each: 6 positions per cell, logits shared per
+    # (position, kind)
     assert space.n_positions == 6
-    assert space.total_edges() == 12
     arch = nas.ArchLogits.zeros(space)
     assert set(arch.by_kind) == {"normal", "reduction"}
     assert arch.by_kind["normal"].shape == (6, len(CANDIDATE_OPS))
@@ -519,7 +517,8 @@ class _OpOnEveryEdgeOverflowsTheta(nas.OpCostSurrogate):
 
     def __init__(self, space, op, **kwargs):
         super().__init__(space, **kwargs)
-        self.op_index, self.edges = space.ops.index(op), space.total_edges()
+        self.op_index = space.ops.index(op)
+        self.edges = sum(space.cell_count(k) * space.n_positions for k in space.kinds())
 
     def grad(self, weights, theta, split="train"):
         g_w, g_theta = super().grad(weights, theta, split)
