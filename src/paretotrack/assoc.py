@@ -156,7 +156,7 @@ def _lex_refine(adjusted: np.ndarray, target: float) -> list[tuple[int, int]]:
         sub = g[np.ix_(free_rows, free_cols)]
         pairs = positive_matching(sub)
         total = [g[free_rows[i], free_cols[j]] for i, j in pairs]
-        return math.fsum(sorted(forced_gain + total))
+        return math.fsum(forced_gain + total)
 
     for i in range(n):
         for j in range(m):

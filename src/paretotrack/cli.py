@@ -226,8 +226,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
                                      theta_lr=args.theta_lr)
     space = nas.init_search_space(nas.SpaceConfig(
         normal_cells=args.normal_cells, reduction_cells=args.reduction_cells,
-        nodes=args.nodes, branches=args.branches, channels=args.channels,
-        resolution=args.resolution,
+        nodes=args.nodes, channels=args.channels, resolution=args.resolution,
     ))
     surrogate = (nas.OpCostSurrogate if args.surrogate == "op-cost"
                  else nas.QuadraticSurrogate)(space, theta_dim=args.theta_dim, seed=args.seed)
@@ -392,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normal-cells", type=int, default=nas.SpaceConfig.normal_cells)
     p.add_argument("--reduction-cells", type=int, default=nas.SpaceConfig.reduction_cells)
     p.add_argument("--nodes", type=int, default=nas.SpaceConfig.nodes)
-    p.add_argument("--branches", type=int, default=nas.SpaceConfig.branches)
     p.add_argument("--channels", type=int, default=nas.SpaceConfig.channels)
     p.add_argument("--resolution", type=int, default=nas.SpaceConfig.resolution)
     p.add_argument("--epochs", type=int, default=nas.Stage1Budget.epochs)

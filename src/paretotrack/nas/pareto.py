@@ -5,10 +5,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..latency import LatencyTable
-from ..settings import RATE, check
+from ..settings import RATE, SettingError
 from .search import (Stage1Budget, Stage1Result, Stage2Budget, Stage2Result, stage1_search,
                      stage2_train)
 from .space import DiscreteArch, SearchSpace, discrete_latency, discretize
@@ -77,6 +77,16 @@ def sweep_point(space: SearchSpace, evaluator: SurrogateEvaluator, table: Latenc
     return ParetoPoint(latency, trained.best_val_loss, arch=arch, lambda_used=lam)
 
 
+def _per_row(stage: Callable[[list], list], rows: list) -> list:
+    """What `stage` returns for `rows`, or the exception it raises once per row."""
+    if not rows:
+        return []
+    try:
+        return stage(rows)
+    except Exception as exc:
+        return [exc] * len(rows)
+
+
 def pareto_sweep(
     space: SearchSpace,
     evaluator: SurrogateEvaluator,
@@ -95,36 +105,25 @@ def pareto_sweep(
     """
     if not lambdas:
         raise ValueError("need at least one lambda")
-    outcomes: dict[int, object] = {}
-    for i, lam in enumerate(lambdas):
-        try:
-            check("lambda", lam, RATE)
-        except Exception as exc:
-            outcomes[i] = exc
-    valid = [i for i in range(len(lambdas)) if i not in outcomes]
-    try:
-        searched = stage1_search(space, evaluator, table, [lambdas[i] for i in valid],
-                                 stage1_budget, seed)
-    except Exception as exc:
-        searched = [exc] * len(valid)
-    outcomes.update(zip(valid, searched))
-    for i in valid:
-        if isinstance(outcomes[i], Stage1Result):
-            outcomes[i] = discretize(outcomes[i].arch, space)
-    distinct = list(dict.fromkeys(outcomes[i] for i in valid
-                                  if isinstance(outcomes[i], DiscreteArch)))
-    trained: list[Stage2Result | Exception] = []
-    if distinct:
-        try:
-            trained = stage2_train(space, distinct, evaluator, stage2_budget, seed)
-        except Exception as exc:
-            trained = [exc] * len(distinct)
+    # per lambda: the lambda while it is valid, then its discretized
+    # architecture, or the exception that failed it
+    outcomes = [lam if RATE.holds(lam) else SettingError("lambda", lam, RATE.text)
+                for lam in lambdas]
+    valid = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
+    searched = _per_row(lambda lams: stage1_search(space, evaluator, table, lams,
+                                                   stage1_budget, seed),
+                        [lambdas[i] for i in valid])
+    for i, result in zip(valid, searched):
+        outcomes[i] = (discretize(result.arch, space) if isinstance(result, Stage1Result)
+                       else result)
+    distinct = list(dict.fromkeys(o for o in outcomes if isinstance(o, DiscreteArch)))
+    trained = _per_row(lambda archs: stage2_train(space, archs, evaluator, stage2_budget,
+                                                  seed), distinct)
     scored = {arch: (discrete_latency(arch, space, table), outcome)
               for arch, outcome in zip(distinct, trained)}
     points = []
-    for i, lam in enumerate(lambdas):
-        outcome = outcomes[i]
-        if not isinstance(outcome, Exception):
+    for lam, outcome in zip(lambdas, outcomes):
+        if isinstance(outcome, DiscreteArch):
             try:
                 points.append(sweep_point(space, evaluator, table, lam, outcome, scored))
                 continue

@@ -18,6 +18,8 @@ from ..latency import CANDIDATE_OPS, LatencyEntry, LatencyTable, OpConfig, nomin
 from ..settings import AT_LEAST_0, AT_LEAST_1, AT_LEAST_2, AT_MOST_4096, check
 
 KINDS = ("normal", "reduction")
+# the image and LiDAR encoders: both share each cell kind's logits and are both priced
+BRANCHES = 2
 
 
 @dataclass(frozen=True)
@@ -25,7 +27,6 @@ class SpaceConfig:
     normal_cells: int = 1
     reduction_cells: int = 1
     nodes: int = 3
-    branches: int = 2  # image + lidar encoders share the logits
     channels: int = 16
     resolution: int = 32
 
@@ -35,7 +36,7 @@ class SpaceConfig:
         check("reduction_cells", self.reduction_cells, AT_LEAST_0)
         if self.normal_cells + self.reduction_cells < 1:
             raise ValueError("need at least one cell")
-        for name in ("branches", "channels", "resolution"):
+        for name in ("channels", "resolution"):
             check(name, getattr(self, name), AT_LEAST_1)
         for name in ("channels", "resolution"):
             check(name, getattr(self, name), AT_MOST_4096)
@@ -66,7 +67,7 @@ class SearchSpace:
 
     def instance_count(self, kind: str) -> int:
         """Edge instances sharing one logit vector: every branch, every cell."""
-        return self.config.branches * self.cell_count(kind)
+        return BRANCHES * self.cell_count(kind)
 
     def op_configs(self, kind: str) -> list[OpConfig]:
         """Each op of CANDIDATE_OPS, in order, on one edge of a cell kind."""

@@ -144,8 +144,8 @@ def test_c05_latency_model_matches_recomputation():
         normal = int(rng.integers(0, 4))
         space = nas.init_search_space(nas.SpaceConfig(
             normal_cells=normal, reduction_cells=int(rng.integers(0 if normal else 1, 4)),
-            nodes=int(rng.integers(2, 6)), branches=int(rng.integers(1, 4)),
-            channels=int(rng.integers(1, 64)), resolution=int(rng.integers(1, 256)),
+            nodes=int(rng.integers(2, 6)), channels=int(rng.integers(1, 64)),
+            resolution=int(rng.integers(1, 256)),
         ))
         table = LatencyTable()
         for kind in space.kinds():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import label_line, slot_box
 from paretotrack import cli, nas
 from paretotrack.cli import build_parser, emit_plot_data, execute
-from paretotrack.latency import CANDIDATE_OPS, LatencyTable
+from paretotrack.latency import CANDIDATE_OPS, LatencyEntry, LatencyTable, OpConfig
 from paretotrack.nas.pareto import ParetoPoint
 from paretotrack.nas.space import DiscreteArch
 from paretotrack.settings import AT_LEAST_1, AT_MOST_4096, BOUNDED, UNIT_INTERVAL
@@ -238,20 +238,22 @@ def test_seed_from_config_equals_seed_flag(tmp_path, capsys):
     assert by_config.read_bytes() != by_default.read_bytes()
 
 
+def _long_options():
+    """(subcommand, option, action) for every long option of every subcommand but
+    --help and --config, read from the parser that execute() builds."""
+    (commands,) = (action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    return [(command, option[2:], action)
+            for command, parser in commands.items()
+            for action in parser._actions if action.dest not in ("help", "config")
+            for option in action.option_strings if option.startswith("--")]
+
+
 def _long_flags():
-    """(subcommand, flag, value) for every long flag each subcommand's help lists."""
-    cases = []
-    for command in ("track", "evaluate", "profile-latency", "search", "assoc-debug"):
-        help_text = io.StringIO()
-        with contextlib.redirect_stdout(help_text), pytest.raises(SystemExit):
-            build_parser().parse_args([command, "--help"])
-        flags = dict(re.findall(r"(?<![\w-])--([a-z][\w-]*)(?: \{([\w,-]+)\})?",
-                                help_text.getvalue()))
-        for flag, choices in sorted(flags.items()):
-            if flag not in ("help", "config"):
-                value = choices.split(",")[-1] if choices else "7"
-                cases.append(pytest.param(command, flag, value, id=f"{command}-{flag}"))
-    return cases
+    """(subcommand, flag, value) for every long flag, with a value the flag accepts."""
+    return [pytest.param(command, flag, action.choices[-1] if action.choices else "7",
+                         id=f"{command}-{flag}")
+            for command, flag, action in _long_options()]
 
 
 @pytest.mark.parametrize("command, flag, value", _long_flags())
@@ -267,6 +269,116 @@ def test_every_long_flag_is_a_config_key(tmp_path, monkeypatch, command, flag, v
     assert by_config.pop("config") == str(cfg)
     assert by_flag.pop("config") is None
     assert by_config == by_flag
+
+
+# The files a command reads or writes: its inputs, not its settings.
+_PATHS = {"dets", "gt", "hyp", "scores", "table", "out", "plot-data"}
+# Options kept although no input makes them change their command's output, and why.
+_KEPT = {
+    "jobs": "perfbench/workloads.py passes --jobs 1, and c10 and "
+            "test_search_deterministic_across_jobs pass several values",
+    "clock": "perfbench/workloads.py passes profile-latency --clock synthetic",
+}
+_SEARCH = ["--lambdas", "0.001,0.01,0.1,1,10,100"]
+# (command, option) -> (other flags, a value, another value whose output differs)
+_TWO_VALUES = {
+    ("track", "t-birth"): ([], "3", "7"),
+    ("track", "t-death"): ([], "5", "1"),
+    ("track", "w-iou"): ([], "1", "0.1"),
+    ("track", "w-det"): ([], "1", "0.1"),
+    ("track", "terminal-score"): ([], "-0.2", "-0.5"),
+    ("evaluate", "iou"): ([], "0.5", "0.3"),
+    ("profile-latency", "channels"): ([], "16", "48"),
+    ("profile-latency", "resolution"): ([], "32", "64"),
+    ("search", "seed"): (_SEARCH, "0", "1"),
+    ("search", "lambdas"): ([], "0.01,0.1,1,10", "0.001,0.01,0.1,1,10,100"),
+    ("search", "normal-cells"): (_SEARCH, "1", "2"),
+    ("search", "reduction-cells"): (_SEARCH, "1", "0"),
+    ("search", "nodes"): (_SEARCH, "3", "4"),
+    # the nominal table prices every op in proportion at either setting, so
+    # only a table with one hand-edited row shows that they are read
+    ("search", "channels"): (_SEARCH + ["--table", "table.txt"], "16", "48"),
+    ("search", "resolution"): (_SEARCH + ["--table", "table.txt"], "32", "64"),
+    ("search", "epochs"): (_SEARCH, "50", "20"),
+    ("search", "theta-iters"): (_SEARCH + ["--surrogate", "quadratic", "--alpha-lr", "50"],
+                                "0", "1"),
+    ("search", "alpha-lr"): (_SEARCH, "0.05", "0.1"),
+    ("search", "theta-lr"): (_SEARCH, "0.01", "0.05"),
+    ("search", "stage2-iters"): (_SEARCH, "200", "50"),
+    # at this rate the quadratic's theta loss falls and then grows, so its
+    # best checkpoint depends on which iterations are evaluated
+    ("search", "eval-interval"): (_SEARCH + ["--surrogate", "quadratic", "--theta-lr", "0.65",
+                                             "--stage2-iters", "20"], "10", "1"),
+    ("search", "surrogate"): (_SEARCH, "op-cost", "quadratic"),
+    ("search", "theta-dim"): (_SEARCH, "4", "2"),
+    ("assoc-debug", "seed"): (["--random", "3,4"], "0", "1"),
+    ("assoc-debug", "random"): ([], "3,4", "4,3"),
+}
+
+
+# the input flags of each command, on the files that _write_guard_inputs writes
+_INPUTS = {"track": ["--dets", "dets.txt", "--out", "out.txt"],
+           "evaluate": ["--gt", "gt.txt", "--hyp", "hyp.txt"],
+           "profile-latency": ["--out", "out.txt"], "search": ["--out", "out.txt"],
+           "assoc-debug": []}
+
+
+def _write_guard_inputs(directory):
+    # a steady object, one that misses frames 4 and 5, and one that jumps 40
+    # pixels a frame, so that consecutive boxes overlap at IoU 0.2
+    dets = [label_line(f, 0, slot_box(0, f)) for f in range(8)]
+    dets += [label_line(f, 1, slot_box(1, f)) for f in (0, 1, 2, 3, 6, 7, 8, 9)]
+    dets += [label_line(f, 2, (300.0 + 40 * f, 200.0, 360.0 + 40 * f, 230.0))
+             for f in range(8)]
+    (directory / "dets.txt").write_text("\n".join(dets) + "\n")
+    # the hypothesis overlaps the ground truth at IoU 36/84
+    (directory / "gt.txt").write_text("".join(
+        label_line(f, 0, (10.0, 10.0, 70.0, 40.0)) + "\n" for f in range(4)))
+    (directory / "hyp.txt").write_text("".join(
+        label_line(f, 0, (34.0, 10.0, 94.0, 40.0)) + "\n" for f in range(4)))
+    entries = {}
+    for channels, resolution in ((16, 32), (48, 32), (16, 64)):
+        entries.update(nas.nominal_table(nas.init_search_space(nas.SpaceConfig(
+            channels=channels, resolution=resolution))).items())
+    cheap = OpConfig("sep_conv_7", 16, 16, 32, 1)
+    entries[cheap] = LatencyEntry(entries[cheap].mean_ms / 10, 0.0, 1)
+    with open(directory / "table.txt", "w") as sink:
+        LatencyTable(entries).write(sink)
+
+
+@pytest.mark.parametrize("command, option", [
+    pytest.param(command, option, id=f"{command}-{option}")
+    for command, option, _ in _long_options() if option not in _PATHS | set(_KEPT)])
+def test_every_setting_changes_its_commands_output(tmp_path, monkeypatch, capsys,
+                                                  command, option):
+    assert (command, option) in _TWO_VALUES, (
+        f"{command} --{option}: give two values whose outputs differ, or keep it in "
+        "_KEPT with the reason it stays")
+    _write_guard_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    flags, *values = _TWO_VALUES[command, option]
+    out = tmp_path / "out.txt"
+    outputs = []
+    for value in values:
+        capsys.readouterr()
+        assert execute([command, *_INPUTS[command], *flags, f"--{option}", value]) == 0
+        printed = capsys.readouterr().out
+        if command == "search":
+            # every front line but its latency_ms, which a setting can only rescale
+            fields = [dict(tok.split("=", 1) for tok in line.split())
+                      for line in out.read_text().splitlines()]
+            outputs.append([(f["lambda"], f["loss"], f["arch"]) for f in fields])
+        elif command in ("track", "profile-latency"):
+            outputs.append(out.read_bytes())
+        else:
+            outputs.append(printed)
+    assert outputs[0] != outputs[1], f"{command} --{option} {values[0]} and {values[1]}"
+
+
+def test_the_setting_guard_names_only_existing_options():
+    options = {(command, option) for command, option, _ in _long_options()}
+    assert set(_TWO_VALUES) <= options
+    assert set(_KEPT) <= {option for _, option in options}
 
 
 @pytest.mark.parametrize("command", ["track", "evaluate", "profile-latency"])
@@ -326,7 +438,6 @@ def test_search_rejects_negative_or_non_finite_learning_rate(tmp_path, capsys,
     ("search", "--nodes", "1", ">= 2"),
     ("search", "--normal-cells", "-1", ">= 0"),
     ("search", "--reduction-cells", "-1", ">= 0"),
-    ("search", "--branches", "0", ">= 1"),
     ("search", "--channels", "0", ">= 1"),
     ("search", "--resolution", "0", ">= 1"),
     ("search", "--channels", "4097", "<= 4096"),

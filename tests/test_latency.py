@@ -21,7 +21,7 @@ from paretotrack.latency import (
 )
 from paretotrack.nas import ArchLogits, SpaceConfig, init_search_space
 from paretotrack.nas.search import arch_weights
-from paretotrack.nas.space import edge_latencies, weighted_latency
+from paretotrack.nas.space import BRANCHES, edge_latencies, weighted_latency
 
 def test_op_config_validation():
     with pytest.raises(ValueError):
@@ -114,10 +114,10 @@ def test_softmax_of_rows_equals_each_row_alone(logits):
         assert weights[index].tobytes() == softmax_weights(logits[index]).tobytes()
 
 
-# One edge of one cell on one branch, 16 channels at resolution 32: the relaxed
-# latency of the search's model is then the softmax-weighted mean of the table row.
+# One edge of one cell, 16 channels at resolution 32: the relaxed latency of the
+# search's model is then BRANCHES times the softmax-weighted mean of the table row.
 EDGE = init_search_space(SpaceConfig(normal_cells=1, reduction_cells=0, nodes=2,
-                                     branches=1, channels=16, resolution=32))
+                                     channels=16, resolution=32))
 
 
 def _table(values):
@@ -134,13 +134,13 @@ def test_expected_latency_single_op():
     table = _table({op: 9.0 for op in CANDIDATE_OPS} | {"identity": 5.0})
     logits = np.zeros(len(CANDIDATE_OPS))
     logits[CANDIDATE_OPS.index("identity")] = 1e3
-    assert _relaxed_latency(logits, table) == 5.0
+    assert _relaxed_latency(logits, table) == BRANCHES * 5.0
 
 
 def test_expected_latency_equal_weights():
     table = _table({op: 10.0 * (i + 1) for i, op in enumerate(CANDIDATE_OPS)})
     lat = _relaxed_latency(np.zeros(len(CANDIDATE_OPS)), table)
-    assert abs(lat - 5.0 * (len(CANDIDATE_OPS) + 1)) < 1e-12 * lat
+    assert abs(lat - BRANCHES * 5.0 * (len(CANDIDATE_OPS) + 1)) < 1e-12 * lat
 
 
 def test_expected_latency_ln2_weights():
@@ -149,7 +149,7 @@ def test_expected_latency_ln2_weights():
     logits = np.zeros(n)
     logits[CANDIDATE_OPS.index("identity")] = math.log(2)
     # identity weighs 2 / (n + 1), every other op 1 / (n + 1)
-    assert abs(_relaxed_latency(logits, table) - 20.0 * n / (n + 1)) < 1e-12
+    assert abs(_relaxed_latency(logits, table) - BRANCHES * 20.0 * n / (n + 1)) < 1e-12
 
 
 def test_expected_latency_missing_entry_names_config():
@@ -172,7 +172,7 @@ def test_expected_latency_bounds(rng):
     table = _table(vals)
     for _ in range(50):
         lat = _relaxed_latency(rng.normal(size=len(CANDIDATE_OPS)), table)
-        assert min(vals.values()) <= lat <= max(vals.values())
+        assert BRANCHES * min(vals.values()) <= lat <= BRANCHES * max(vals.values())
 
 
 def test_expected_latency_one_hot_limit():
@@ -182,7 +182,7 @@ def test_expected_latency_one_hot_limit():
     for idx, op in enumerate(CANDIDATE_OPS):
         logits = np.zeros(len(CANDIDATE_OPS))
         logits[idx] += 50.0
-        assert abs(_relaxed_latency(logits, table) - vals[op]) <= 1e-6 * rng_range
+        assert abs(_relaxed_latency(logits, table) - BRANCHES * vals[op]) <= 1e-6 * rng_range
 
 
 def test_table_exact_match_only():

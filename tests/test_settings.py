@@ -24,7 +24,11 @@ _CASES = [
     (lambda v: nas.SpaceConfig(nodes=v), "nodes", 1, ">= 2"),
     (lambda v: nas.SpaceConfig(normal_cells=v), "normal_cells", -1, ">= 0"),
     (lambda v: nas.SpaceConfig(reduction_cells=v), "reduction_cells", -1, ">= 0"),
-    (lambda v: nas.SpaceConfig(branches=v), "branches", 0, ">= 1"),
+    # a test id carries its row's index: a new row fills a freed index, so that
+    # the ids of the rows after it stay as they are
+    (lambda v: nas.total_loss(_SPACE, nas.ArchLogits.zeros(_SPACE), [0.0] * 4,
+                              nas.OpCostSurrogate(_SPACE), None, v),
+     "lambda", -math.inf, "finite and >= 0"),
     (lambda v: nas.SpaceConfig(channels=v), "channels", 0, ">= 1"),
     (lambda v: nas.SpaceConfig(resolution=v), "resolution", 0, ">= 1"),
     (lambda v: nas.Stage1Budget(epochs=v), "epochs", 0, ">= 1"),
