@@ -12,7 +12,6 @@ from .search import (
     total_loss,
 )
 from .space import (
-    ArchLogits,
     DiscreteArch,
     SearchSpace,
     SpaceConfig,

@@ -114,7 +114,7 @@ def pareto_sweep(
                                                    stage1_budget, seed),
                         [lambdas[i] for i in valid])
     for i, result in zip(valid, searched):
-        outcomes[i] = (discretize(result.arch, space) if isinstance(result, Stage1Result)
+        outcomes[i] = (discretize(result.logits, space) if isinstance(result, Stage1Result)
                        else result)
     distinct = list(dict.fromkeys(o for o in outcomes if isinstance(o, DiscreteArch)))
     trained = _per_row(lambda archs: stage2_train(space, archs, evaluator, stage2_budget,

@@ -23,8 +23,8 @@ import numpy as np
 
 from ..latency import LatencyTable, softmax_weights
 from ..settings import AT_LEAST_0, AT_LEAST_1, RATE, check
-from .space import (ArchLogits, DiscreteArch, SearchSpace, edge_latencies,
-                    one_hot_weights, weighted_latency)
+from .space import (DiscreteArch, SearchSpace, edge_latencies, one_hot_weights,
+                    weighted_latency)
 from .surrogate import SurrogateEvaluator
 
 
@@ -64,7 +64,7 @@ class Stage2Budget:
 
 @dataclass
 class Stage1Result:
-    arch: ArchLogits
+    logits: dict[str, np.ndarray]  # one (positions, ops) array per cell kind
     theta: np.ndarray
     best_val_loss: float
     val_history: list[float] = field(default_factory=list)
@@ -78,16 +78,21 @@ class Stage2Result:
 
 
 def max_latency_ms(space: SearchSpace, table: LatencyTable) -> float:
-    """Latency of the architecture putting all weight on the slowest op per edge."""
+    """Latency of the architecture putting all weight on the slowest op per edge: the
+    latency term's scale, so a table pricing every op of the space at 0 ms raises ValueError."""
     lats = edge_latencies(space, table)
     one_hot = {kind: np.eye(len(v))[[np.argmax(v)] * space.n_positions]
                for kind, v in lats.items()}
-    return weighted_latency(one_hot, lats)
+    norm = weighted_latency(one_hot, lats)
+    if norm == 0.0:
+        raise ValueError("every op of the search space costs 0 ms, "
+                         "so the latency term has no scale")
+    return norm
 
 
-def arch_weights(space: SearchSpace, arch: ArchLogits) -> dict[str, np.ndarray]:
+def arch_weights(space: SearchSpace, logits: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Per-kind softmax weights, row per edge position."""
-    return {kind: softmax_weights(arch.by_kind[kind]) for kind in space.kinds()}
+    return {kind: softmax_weights(logits[kind]) for kind in space.kinds()}
 
 
 def _objective(evaluator: SurrogateEvaluator, weights: dict[str, np.ndarray],
@@ -96,12 +101,12 @@ def _objective(evaluator: SurrogateEvaluator, weights: dict[str, np.ndarray],
     """Per row: surrogate loss plus lambda times the relaxed latency over `norm`."""
     losses = np.array(evaluator.loss(weights, theta, split))
     lats = np.array(weighted_latency(weights, lat_vectors))
-    return np.where(lams > 0.0, losses + lams * (lats / norm), losses)
+    return losses + lams * (lats / norm)
 
 
 def total_loss(
     space: SearchSpace,
-    arch: ArchLogits,
+    logits: dict[str, np.ndarray],
     theta: np.ndarray,
     evaluator: SurrogateEvaluator,
     table: LatencyTable,
@@ -113,9 +118,9 @@ def total_loss(
     The latency term is expected latency divided by the max-latency
     architecture's value, so it lies in (0, 1] and lambda values stay
     comparable across tables.  A table whose every op costs 0 ms gives the
-    latency term no scale: any lambda > 0 then gives a non-finite loss.
+    latency term no scale, so it raises ValueError whatever the lambda.
     """
-    weights = {kind: w[None] for kind, w in arch_weights(space, arch).items()}
+    weights = {kind: w[None] for kind, w in arch_weights(space, logits).items()}
     lams = np.array([check("lambda", lam, RATE)])
     with np.errstate(all="ignore"):
         return float(_objective(evaluator, weights, np.asarray(theta)[None], split, lams,
@@ -131,15 +136,14 @@ def _latency_terms(lat_vectors: dict[str, np.ndarray], norm: float,
 
 
 def _logit_gradient(weights: dict[str, np.ndarray], theta: np.ndarray,
-                    evaluator: SurrogateEvaluator, priced: np.ndarray,
+                    evaluator: SurrogateEvaluator,
                     terms: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Gradient w.r.t. the logits whose softmax is `weights`, with each row's
-    latency term from `terms` added only where `priced`, as a run with its
-    lambda alone does."""
+    latency term from `terms` added."""
     g_w, _ = evaluator.grad(weights, theta, "train")
     grads = {}
     for kind, w in weights.items():
-        g = np.where(priced, g_w[kind] + terms[kind], g_w[kind])
+        g = g_w[kind] + terms[kind]
         # d loss / d logits = W * (g - (W . g)) per row
         dot = (w * g).sum(axis=-1, keepdims=True)
         grads[kind] = w * (g - dot)
@@ -150,8 +154,7 @@ def _alpha_gradient(weights: dict[str, np.ndarray], theta: np.ndarray,
                     evaluator: SurrogateEvaluator, lat_vectors: dict[str, np.ndarray],
                     norm: float, lams: np.ndarray | float) -> dict[str, np.ndarray]:
     """Exact gradient of total_loss w.r.t. the logits whose softmax is `weights`, per row."""
-    return _logit_gradient(weights, theta, evaluator, np.asarray(lams)[..., None, None] > 0.0,
-                           _latency_terms(lat_vectors, norm, lams))
+    return _logit_gradient(weights, theta, evaluator, _latency_terms(lat_vectors, norm, lams))
 
 
 def stage1_search(
@@ -171,8 +174,9 @@ def stage1_search(
     """
     lams = np.array([check("lambda", lam, RATE) for lam in lambdas], dtype=np.float64)
     rng = np.random.default_rng(seed)
-    logits = {kind: np.repeat(v[None], len(lams), axis=0)
-              for kind, v in ArchLogits.random(space, rng).by_kind.items()}
+    shape = (space.n_positions, len(space.ops))
+    logits = {kind: np.repeat(rng.normal(0.0, 1e-2, size=shape)[None], len(lams), axis=0)
+              for kind in space.kinds()}
     theta = np.repeat(rng.normal(0.0, 0.5, size=(1, evaluator.theta_dim)), len(lams), axis=0)
     lat_vectors = edge_latencies(space, table)
     norm = max_latency_ms(space, table)
@@ -184,20 +188,19 @@ def stage1_search(
     diverged: dict[int, SearchDivergedError] = {}
 
     def keep(ok: np.ndarray, epoch: int, message: str) -> None:
-        nonlocal live, lams, theta, logits, weights, priced, terms
+        nonlocal live, lams, theta, logits, weights, terms
         if not ok.all():
             diverged.update((i, SearchDivergedError(epoch, message)) for i in live[~ok].tolist())
-            live, lams, theta, priced = live[ok], lams[ok], theta[ok], priced[ok]
+            live, lams, theta = live[ok], lams[ok], theta[ok]
             logits, weights, terms = ({kind: v[ok] for kind, v in d.items()}
                                       for d in (logits, weights, terms))
 
     # the finiteness checks find a diverging row; a warning would fail every row
     with np.errstate(all="ignore"):
         weights = {kind: softmax_weights(v) for kind, v in logits.items()}
-        priced = lams[:, None, None] > 0.0
         terms = _latency_terms(lat_vectors, norm, lams)
         for epoch in range(budget.epochs):
-            grads = _logit_gradient(weights, theta, evaluator, priced, terms)
+            grads = _logit_gradient(weights, theta, evaluator, terms)
             for kind in logits:
                 logits[kind] -= budget.alpha_lr * grads[kind]
             if not all(np.isfinite(v).all() for v in logits.values()):
@@ -222,7 +225,7 @@ def stage1_search(
                 best_theta[rows] = theta[better]
             keep(ok, epoch, "non-finite loss")
     return [diverged[i] if i in diverged else Stage1Result(
-        arch=ArchLogits({kind: v[i] for kind, v in best_logits.items()}), theta=best_theta[i],
+        logits={kind: v[i] for kind, v in best_logits.items()}, theta=best_theta[i],
         best_val_loss=float(best_val[i]),
         val_history=history[np.isfinite(history[:, i]), i].tolist()) for i in range(len(best_val))]
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..latency import CANDIDATE_OPS, LatencyEntry, LatencyTable, OpConfig, nominal_cost_ms
+from ..latency import (CANDIDATE_OPS, LatencyEntry, LatencyTable, OpConfig, nominal_cost_ms,
+                       softmax_weights)
 from ..settings import AT_LEAST_0, AT_LEAST_1, AT_LEAST_2, AT_MOST_4096, check
 
 KINDS = ("normal", "reduction")
@@ -89,34 +90,6 @@ def nominal_table(space: SearchSpace) -> LatencyTable:
                          for kind in space.kinds() for cfg in space.op_configs(kind)})
 
 
-class ArchLogits:
-    """One (positions x ops) logits matrix per cell kind present in the space."""
-
-    def __init__(self, by_kind: dict[str, np.ndarray]):
-        self.by_kind = {}
-        for kind, arr in by_kind.items():
-            mat = np.asarray(arr, dtype=np.float64)
-            if mat.ndim != 2:
-                raise ValueError(f"logits for {kind!r} must be 2D")
-            if not np.isfinite(mat).all():
-                raise ValueError(f"logits for {kind!r} must be finite")
-            self.by_kind[kind] = mat
-
-    @classmethod
-    def zeros(cls, space: SearchSpace) -> "ArchLogits":
-        return cls({
-            k: np.zeros((space.n_positions, len(space.ops))) for k in space.kinds()
-        })
-
-    @classmethod
-    def random(cls, space: SearchSpace, rng: np.random.Generator,
-               scale: float = 1e-2) -> "ArchLogits":
-        return cls({
-            k: rng.normal(0.0, scale, size=(space.n_positions, len(space.ops)))
-            for k in space.kinds()
-        })
-
-
 @dataclass(frozen=True)
 class DiscreteArch:
     """Retained edges after pruning: per kind, ((from, to), op) in edge order."""
@@ -127,26 +100,24 @@ class DiscreteArch:
         return [(e, op) for k, e, op in self.edges if k == kind]
 
 
-def discretize(arch: ArchLogits, space: SearchSpace) -> DiscreteArch:
-    """Collapse relaxed logits to one op per edge, dropping weak structure.
+def discretize(logits: dict[str, np.ndarray], space: SearchSpace) -> DiscreteArch:
+    """Collapse relaxed logits, one (positions, ops) array per cell kind, to
+    one op per edge, dropping weak structure.
 
     Per edge the argmax-weight op is kept (ties to the lowest op index) unless
     it is `none`, which deletes the edge.  Each node then keeps at most its
     two highest-weight incoming edges (ties to the lowest edge index).
     """
-    from .search import arch_weights
-
     ops = space.ops
     none_idx = ops.index("none")
+    retained: list[tuple[str, tuple[int, int], str]] = []
     for kind in space.kinds():
-        logits = arch.by_kind[kind]
-        if logits.shape != (space.n_positions, len(ops)):
+        if np.shape(logits[kind]) != (space.n_positions, len(ops)):
             raise ValueError(
-                f"logits for {kind!r} shaped {logits.shape}, expected "
+                f"logits for {kind!r} shaped {np.shape(logits[kind])}, expected "
                 f"({space.n_positions}, {len(ops)})"
             )
-    retained: list[tuple[str, tuple[int, int], str]] = []
-    for kind, weights in arch_weights(space, arch).items():
+        weights = softmax_weights(logits[kind])
         best = weights.argmax(axis=1)  # argmax takes the lowest index on ties
         chosen = [(pos, edge, int(best[pos]), float(weights[pos, best[pos]]))
                   for pos, edge in enumerate(space.positions) if best[pos] != none_idx]

@@ -80,6 +80,14 @@ class IdentityScorer:
         )
 
 
+def kind_logits(space, rng=None, scale=1e-2):
+    """Stage-one logits, one (positions, ops) array per cell kind of `space`:
+    zeros, or drawn from `rng` with the calls `stage1_search` draws its start with."""
+    shape = (space.n_positions, len(space.ops))
+    return {kind: np.zeros(shape) if rng is None else rng.normal(0.0, scale, size=shape)
+            for kind in space.kinds()}
+
+
 def random_scoreset(rng, n, m, lo=-2.0, hi=2.0) -> ScoreSet:
     return ScoreSet(
         rng.uniform(lo, hi, m),

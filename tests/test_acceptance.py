@@ -152,16 +152,14 @@ def test_c05_latency_model_matches_recomputation():
             for cfg in space.op_configs(kind):
                 table.add(cfg, LatencyEntry(float(rng.uniform(0.01, 20.0)), 0.0, 1))
         lats = edge_latencies(space, table)
-        arch = nas.ArchLogits({
-            kind: rng.uniform(-4, 4, (space.n_positions, len(space.ops)))
-            for kind in space.kinds()
-        })
-        got = weighted_latency(arch_weights(space, arch), lats)
+        logits = {kind: rng.uniform(-4, 4, (space.n_positions, len(space.ops)))
+                  for kind in space.kinds()}
+        got = weighted_latency(arch_weights(space, logits), lats)
         # independent recomputation: plain softmax and nested loops
         expected = 0.0
         for kind in space.kinds():
             for pos in range(space.n_positions):
-                exps = [math.exp(v) for v in arch.by_kind[kind][pos]]
+                exps = [math.exp(v) for v in logits[kind][pos]]
                 denom = sum(exps)
                 expected += space.instance_count(kind) * sum(
                     (e / denom) * table.get(cfg).mean_ms
@@ -173,8 +171,8 @@ def test_c05_latency_model_matches_recomputation():
         hot_ops = {kind: rng.integers(len(space.ops), size=space.n_positions)
                    for kind in space.kinds()}
         for kind, idx in hot_ops.items():
-            arch.by_kind[kind][np.arange(space.n_positions), idx] += 50.0
-        one = weighted_latency(arch_weights(space, arch), lats)
+            logits[kind][np.arange(space.n_positions), idx] += 50.0
+        one = weighted_latency(arch_weights(space, logits), lats)
         exact = math.fsum(float(lats[kind][i]) for kind, idx in hot_ops.items() for i in idx)
         spread = math.fsum(space.n_positions * float(np.ptp(lats[kind])) for kind in lats)
         assert abs(one - exact) <= 1e-6 * max(spread, 1e-30)
@@ -234,7 +232,7 @@ def test_c07_lambda_trend():
     lambdas = (0.01, 0.1, 1.0, 10.0)
     # per seed one batch over the lambdas; row by lambda, column by seed
     latencies = np.transpose([
-        [discrete_latency(nas.discretize(result.arch, space), space, table)
+        [discrete_latency(nas.discretize(result.logits, space), space, table)
          for result in nas.stage1_search(space, evaluator, table, lambdas, budget, seed)]
         for seed in range(5)])
     medians = [float(np.median(row)) for row in latencies]

@@ -19,7 +19,7 @@ from paretotrack.latency import (
     profile_op,
     softmax_weights,
 )
-from paretotrack.nas import ArchLogits, SpaceConfig, init_search_space
+from paretotrack.nas import SpaceConfig, init_search_space
 from paretotrack.nas.search import arch_weights
 from paretotrack.nas.space import BRANCHES, edge_latencies, weighted_latency
 
@@ -126,8 +126,8 @@ def _table(values):
 
 
 def _relaxed_latency(logits, table):
-    arch = ArchLogits({"normal": np.asarray(logits, dtype=np.float64)[None, :]})
-    return weighted_latency(arch_weights(EDGE, arch), edge_latencies(EDGE, table))
+    by_kind = {"normal": np.asarray(logits, dtype=np.float64)[None, :]}
+    return weighted_latency(arch_weights(EDGE, by_kind), edge_latencies(EDGE, table))
 
 
 def test_expected_latency_single_op():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nominal_table
+from conftest import kind_logits, nominal_table
 from paretotrack import nas
 from paretotrack.latency import CANDIDATE_OPS, LatencyEntry, LatencyTable, OpConfig
 from paretotrack.nas.search import arch_weights, max_latency_ms
@@ -36,9 +36,11 @@ def test_space_shared_logits_per_kind():
     # two cells, 4 nodes each: 6 positions per cell, logits shared per
     # (position, kind)
     assert space.n_positions == 6
-    arch = nas.ArchLogits.zeros(space)
-    assert set(arch.by_kind) == {"normal", "reduction"}
-    assert arch.by_kind["normal"].shape == (6, len(CANDIDATE_OPS))
+    table = nominal_table(space)
+    ev = nas.QuadraticSurrogate(space, seed=0)
+    (res,) = nas.stage1_search(space, ev, table, [0.5], nas.Stage1Budget(epochs=1))
+    assert set(res.logits) == {"normal", "reduction"}
+    assert all(v.shape == (6, len(CANDIDATE_OPS)) for v in res.logits.values())
 
 
 def test_space_single_node_rejected():
@@ -68,11 +70,11 @@ def test_op_configs_pin_each_kind_and_the_op_order():
 
 def _logits_for(space, mapping):
     """Logits peaked on the named op per position; everything else at 0."""
-    arch = nas.ArchLogits.zeros(space)
+    logits = kind_logits(space)
     for kind, rows in mapping.items():
         for pos, (op, height) in rows.items():
-            arch.by_kind[kind][pos, space.ops.index(op)] = height
-    return arch
+            logits[kind][pos, space.ops.index(op)] = height
+    return logits
 
 
 def test_discretize_argmax_retained():
@@ -91,32 +93,49 @@ def test_discretize_drops_none_edges():
 def test_discretize_top2_per_node():
     space = small_space(reduction_cells=0, nodes=4)
     # node 3 has incoming edges (0,3), (1,3), (2,3); give them ordered weights
-    arch = nas.ArchLogits.zeros(space)
+    logits = kind_logits(space)
     weights = {(0, 3): 2.0, (1, 3): 3.0, (2, 3): 1.0}
     for pos, edge in enumerate(space.positions):
         if edge in weights:
-            arch.by_kind["normal"][pos, space.ops.index("sep_conv_3")] = weights[edge]
+            logits["normal"][pos, space.ops.index("sep_conv_3")] = weights[edge]
         else:
-            arch.by_kind["normal"][pos, space.ops.index("identity")] = 4.0
-    da = nas.discretize(arch, space)
+            logits["normal"][pos, space.ops.index("identity")] = 4.0
+    da = nas.discretize(logits, space)
     into_3 = [e for k, e, op in da.edges if e[1] == 3]
     assert sorted(into_3) == [(0, 3), (1, 3)]  # (2,3) pruned as weakest
 
 
 def test_discretize_tie_prefers_lowest_op_index():
     space = small_space(reduction_cells=0, nodes=2)
-    arch = nas.ArchLogits.zeros(space)  # all logits equal: argmax is index 0, 'none'
-    assert nas.discretize(arch, space).edges == ()
+    logits = kind_logits(space)  # all logits equal: argmax is index 0, 'none'
+    assert nas.discretize(logits, space).edges == ()
 
 
 def test_discretize_idempotent_on_one_hot():
     space = small_space(nodes=3)
     rng = np.random.default_rng(3)
-    arch = nas.ArchLogits.random(space, rng, scale=2.0)
-    da = nas.discretize(arch, space)
+    da = nas.discretize(kind_logits(space, rng, scale=2.0), space)
     weights = one_hot_weights(da, space)
-    hot = nas.ArchLogits({k: 50.0 * v for k, v in weights.items()})
+    hot = {k: 50.0 * v for k, v in weights.items()}
     assert nas.discretize(hot, space) == da
+
+
+def test_discretize_rejects_a_kind_of_the_wrong_shape():
+    space = small_space(nodes=3)
+    logits = kind_logits(space)
+    logits["reduction"] = np.zeros((2, len(space.ops)))
+    with pytest.raises(ValueError, match=r"^logits for 'reduction' shaped \(2, 9\), "
+                                         r"expected \(3, 9\)$"):
+        nas.discretize(logits, space)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_discretize_rejects_non_finite_logits(bad):
+    space = small_space(nodes=3)
+    logits = kind_logits(space)
+    logits["normal"][1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        nas.discretize(logits, space)
 
 
 # ------------------------------------------------------------- total loss
@@ -126,10 +145,10 @@ def test_total_loss_lambda_zero_equals_evaluator():
     table = nominal_table(space)
     ev = nas.QuadraticSurrogate(space, seed=0)
     rng = np.random.default_rng(0)
-    arch = nas.ArchLogits.random(space, rng)
+    logits = kind_logits(space, rng)
     theta = rng.normal(size=ev.theta_dim)
-    assert nas.total_loss(space, arch, theta, ev, table, 0.0) == ev.loss(
-        arch_weights(space, arch), theta, "train"
+    assert nas.total_loss(space, logits, theta, ev, table, 0.0) == ev.loss(
+        arch_weights(space, logits), theta, "train"
     )
 
 
@@ -138,11 +157,11 @@ def test_total_loss_latency_term_linear_in_lambda():
     table = nominal_table(space)
     ev = nas.QuadraticSurrogate(space, seed=0)
     rng = np.random.default_rng(1)
-    arch = nas.ArchLogits.random(space, rng)
+    logits = kind_logits(space, rng)
     theta = rng.normal(size=ev.theta_dim)
-    base = nas.total_loss(space, arch, theta, ev, table, 0.0)
-    one = nas.total_loss(space, arch, theta, ev, table, 1.0)
-    two = nas.total_loss(space, arch, theta, ev, table, 2.0)
+    base = nas.total_loss(space, logits, theta, ev, table, 0.0)
+    one = nas.total_loss(space, logits, theta, ev, table, 1.0)
+    two = nas.total_loss(space, logits, theta, ev, table, 2.0)
     assert abs((two - base) - 2 * (one - base)) < 1e-12
 
 
@@ -151,9 +170,9 @@ def test_search_rejects_negative_or_non_finite_lambda(lam):
     space = small_space(reduction_cells=0)
     table = nominal_table(space)
     ev = nas.QuadraticSurrogate(space, seed=0)
-    arch = nas.ArchLogits.random(space, np.random.default_rng(0))
+    logits = kind_logits(space, np.random.default_rng(0))
     with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
-        nas.total_loss(space, arch, np.zeros(ev.theta_dim), ev, table, lam)
+        nas.total_loss(space, logits, np.zeros(ev.theta_dim), ev, table, lam)
     with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
         nas.stage1_search(space, ev, table, [lam], nas.Stage1Budget(epochs=1))
 
@@ -173,8 +192,8 @@ def test_total_loss_normalized_latency_in_unit_interval(rng):
     space = small_space()
     table = nominal_table(space)
     for _ in range(20):
-        arch = nas.ArchLogits.random(space, rng, scale=3.0)
-        ratio = (weighted_latency(arch_weights(space, arch), edge_latencies(space, table))
+        logits = kind_logits(space, rng, scale=3.0)
+        ratio = (weighted_latency(arch_weights(space, logits), edge_latencies(space, table))
                  / max_latency_ms(space, table))
         assert 0.0 < ratio <= 1.0
 
@@ -196,10 +215,10 @@ def test_total_loss_minimal_at_cheapest_arch():
 
     best_combo, best_val = None, math.inf
     for i, j in itertools.product(range(len(space.ops)), repeat=2):
-        arch = nas.ArchLogits.zeros(space)
-        arch.by_kind["normal"][0, i] = 60.0
-        arch.by_kind["reduction"][0, j] = 60.0
-        val = nas.total_loss(space, arch, np.zeros(1), ZeroLoss(), table, 1.0)
+        logits = kind_logits(space)
+        logits["normal"][0, i] = 60.0
+        logits["reduction"][0, j] = 60.0
+        val = nas.total_loss(space, logits, np.zeros(1), ZeroLoss(), table, 1.0)
         if val < best_val:
             best_combo, best_val = (space.ops[i], space.ops[j]), val
     assert best_combo == ("none", "none")
@@ -247,7 +266,12 @@ def test_latency_model_agrees_with_table_sums(problem):
         (kind, edge, space.ops[int(np.argmax(lats[kind]))])
         for kind in space.kinds() for edge in space.positions
     ))
-    assert max_latency_ms(space, table) == nas.discrete_latency(slowest, space, table)
+    slowest_ms = nas.discrete_latency(slowest, space, table)
+    if slowest_ms == 0.0:  # every op costs 0 ms: the latency term has no scale
+        with pytest.raises(ValueError, match="the latency term has no scale"):
+            max_latency_ms(space, table)
+    else:
+        assert max_latency_ms(space, table) == slowest_ms
 
 
 # ------------------------------------------------------------- stage 1
@@ -261,7 +285,7 @@ def test_stage1_quadratic_reaches_known_minimizer():
         budget=nas.Stage1Budget(epochs=3000, theta_iters=2, alpha_lr=2.0, theta_lr=0.2),
         seed=2,
     )
-    weights = arch_weights(space, res.arch)
+    weights = arch_weights(space, res.logits)
     err = max(np.abs(weights[k] - ev.weight_targets[k]).max() for k in weights)
     assert err < 1e-3
 
@@ -276,7 +300,7 @@ def test_stage1_huge_lambda_selects_cheapest_ops():
         seed=0,
     )
     # 'none' has zero latency: everything is pruned away
-    assert nas.discretize(res.arch, space).edges == ()
+    assert nas.discretize(res.logits, space).edges == ()
 
 
 def test_stage1_single_step_budget():
@@ -290,14 +314,14 @@ def test_stage1_single_step_budget():
     from paretotrack.nas.search import _alpha_gradient
 
     rng = np.random.default_rng(7)
-    arch0 = nas.ArchLogits.random(space, rng)
+    logits0 = kind_logits(space, rng)
     theta0 = rng.normal(0.0, 0.5, size=ev.theta_dim)
-    grads = _alpha_gradient(arch_weights(space, arch0), theta0, ev,
+    grads = _alpha_gradient(arch_weights(space, logits0), theta0, ev,
                             edge_latencies(space, table),
                             max_latency_ms(space, table), 0.5)
     for kind in space.kinds():
-        expected = arch0.by_kind[kind] - 0.05 * grads[kind]
-        assert np.allclose(res.arch.by_kind[kind], expected, rtol=0, atol=0)
+        expected = logits0[kind] - 0.05 * grads[kind]
+        assert np.allclose(res.logits[kind], expected, rtol=0, atol=0)
 
 
 def test_stage1_divergence_reports_epoch():
@@ -320,7 +344,7 @@ def test_stage1_deterministic():
     (a,) = nas.stage1_search(space, ev, table, [0.5], budget, seed=9)
     (b,) = nas.stage1_search(space, ev, table, [0.5], budget, seed=9)
     for kind in space.kinds():
-        assert np.array_equal(a.arch.by_kind[kind], b.arch.by_kind[kind])
+        assert np.array_equal(a.logits[kind], b.logits[kind])
     assert a.best_val_loss == b.best_val_loss
 
 
@@ -329,18 +353,18 @@ def _stage1_alone(space, ev, table, lam, budget, seed):
     from paretotrack.nas.search import _alpha_gradient
 
     rng = np.random.default_rng(seed)
-    arch = nas.ArchLogits.random(space, rng)
+    logits = {kind: rng.normal(0.0, 1e-2, size=(space.n_positions, len(space.ops)))
+              for kind in space.kinds()}
     theta = rng.normal(0.0, 0.5, size=ev.theta_dim)
     lats, norm = edge_latencies(space, table), max_latency_ms(space, table)
     best, history = None, []
-    weights = arch_weights(space, arch)
+    weights = arch_weights(space, logits)
     for epoch in range(budget.epochs):
         grads = _alpha_gradient(weights, theta, ev, lats, norm, lam)
-        logits = {k: arch.by_kind[k] - budget.alpha_lr * grads[k] for k in space.kinds()}
+        logits = {k: logits[k] - budget.alpha_lr * grads[k] for k in space.kinds()}
         if not all(np.isfinite(v).all() for v in logits.values()):
             return nas.SearchDivergedError(epoch, "non-finite logits")
-        arch = nas.ArchLogits(logits)
-        weights = arch_weights(space, arch)
+        weights = arch_weights(space, logits)
         for _ in range(budget.theta_iters):
             theta = theta - budget.theta_lr * ev.grad(weights, theta, "train")[1]
         val = ev.loss(weights, theta, "val")
@@ -350,7 +374,7 @@ def _stage1_alone(space, ev, table, lam, budget, seed):
             return nas.SearchDivergedError(epoch)
         history.append(val)
         if best is None or val < best[0]:
-            best = (val, arch, theta)
+            best = (val, logits, theta)
     return nas.Stage1Result(best[1], best[2], best[0], history)
 
 
@@ -358,9 +382,8 @@ def _same_bits(a, b):
     if isinstance(a, nas.SearchDivergedError):
         return isinstance(b, nas.SearchDivergedError) and str(a) == str(b)
     return (not isinstance(b, nas.SearchDivergedError)
-            and a.arch.by_kind.keys() == b.arch.by_kind.keys()
-            and all(a.arch.by_kind[k].tobytes() == b.arch.by_kind[k].tobytes()
-                    for k in a.arch.by_kind)
+            and a.logits.keys() == b.logits.keys()
+            and all(a.logits[k].tobytes() == b.logits[k].tobytes() for k in a.logits)
             and a.theta.tobytes() == b.theta.tobytes()
             and type(a.best_val_loss) is type(b.best_val_loss) is float
             and a.best_val_loss.hex() == b.best_val_loss.hex()
@@ -411,12 +434,31 @@ def test_stage1_diverging_row_leaves_the_others_alone():
         assert _same_bits(row, nas.stage1_search(space, ev, table, [lam], budget, seed=0)[0])
 
 
+_NO_SCALE = "every op of the search space costs 0 ms, so the latency term has no scale"
+
+
+def _zero_table(space):
+    """Every op configuration of `space` priced at 0 ms."""
+    return LatencyTable({cfg: LatencyEntry(0.0, 0.0, 1) for cfg, _ in nominal_table(space).items()})
+
+
+def test_stage1_refuses_a_table_with_no_latency_scale():
+    space = small_space()
+    table = _zero_table(space)
+    ev = nas.OpCostSurrogate(space, seed=0)
+    for lams in ([0.0], [1.0], [0.0, 1.0]):
+        with pytest.raises(ValueError, match=f"^{_NO_SCALE}$"):
+            nas.stage1_search(space, ev, table, lams, nas.Stage1Budget(epochs=1))
+    with pytest.raises(ValueError, match=f"^{_NO_SCALE}$"):
+        nas.total_loss(space, kind_logits(space), np.zeros(ev.theta_dim), ev, table, 0.0)
+
+
 # ------------------------------------------------------------- stage 2
 
 def test_stage2_converges_to_analytic_minimizer():
     space = small_space()
     ev = nas.QuadraticSurrogate(space, theta_dim=4, seed=5)
-    arch = nas.discretize(nas.ArchLogits.zeros(space), space)
+    arch = nas.discretize(kind_logits(space), space)
     (res,) = nas.stage2_train(space, [arch], ev,
                               nas.Stage2Budget(iters=2000, eval_interval=50, theta_lr=0.2),
                               seed=3)
@@ -426,7 +468,7 @@ def test_stage2_converges_to_analytic_minimizer():
 def test_stage2_zero_budget_returns_initial_theta():
     space = small_space()
     ev = nas.QuadraticSurrogate(space, seed=1)
-    arch = nas.discretize(nas.ArchLogits.zeros(space), space)
+    arch = nas.discretize(kind_logits(space), space)
     (res,) = nas.stage2_train(space, [arch], ev, nas.Stage2Budget(iters=0), seed=11)
     rng = np.random.default_rng(11)
     theta0 = rng.normal(0.0, 0.5, size=ev.theta_dim)
@@ -436,7 +478,7 @@ def test_stage2_zero_budget_returns_initial_theta():
 def test_stage2_best_checkpoints_non_increasing():
     space = small_space()
     ev = nas.QuadraticSurrogate(space, seed=6)
-    arch = nas.discretize(nas.ArchLogits.zeros(space), space)
+    arch = nas.discretize(kind_logits(space), space)
     (res,) = nas.stage2_train(space, [arch], ev,
                               nas.Stage2Budget(iters=300, eval_interval=10, theta_lr=0.15),
                               seed=1)
@@ -534,7 +576,7 @@ def test_stage2_diverging_row_leaves_the_others_alone(caplog):
     stage1 = nas.Stage1Budget(epochs=30, theta_iters=2, alpha_lr=0.5, theta_lr=0.2)
     stage2 = nas.Stage2Budget(iters=200, eval_interval=20, theta_lr=0.2)
     lambdas = np.logspace(-3, 2.5, 8).tolist()
-    archs = [nas.discretize(r.arch, space)
+    archs = [nas.discretize(r.logits, space)
              for r in nas.stage1_search(space, ev, table, lambdas, stage1, seed=0)]
     slowest = DiscreteArch(edges=tuple(("normal", e, "sep_conv_7") for e in space.positions))
     failing = [lam for lam, arch in zip(lambdas, archs) if arch == slowest]
@@ -660,6 +702,18 @@ def test_pareto_sweep_logs_each_failing_lambda_in_order(caplog):
             ("-1.0", "lambda must be finite and >= 0, got -1.0"))]
 
 
+def test_pareto_sweep_skips_every_lambda_on_a_table_with_no_latency_scale(caplog):
+    space = small_space(reduction_cells=0)
+    ev = nas.OpCostSurrogate(space, seed=0)
+    lams = [0.0, 1.0, 0.5]
+    with caplog.at_level("WARNING"):
+        pts = nas.pareto_sweep(space, ev, _zero_table(space), lams,
+                               nas.Stage1Budget(epochs=2), nas.Stage2Budget(iters=2), seed=0)
+    assert pts == []
+    assert [(r.getMessage(), r.exc_info) for r in caplog.records] == [
+        (f"lambda={lam} failed, skipping: {_NO_SCALE}", None) for lam in lams]
+
+
 def test_pareto_sweep_trains_each_distinct_architecture_once(monkeypatch):
     from paretotrack.nas import pareto
 
@@ -678,7 +732,7 @@ def test_pareto_sweep_trains_each_distinct_architecture_once(monkeypatch):
     front = nas.pareto_sweep(space, ev, table, lambdas, budget,
                              nas.Stage2Budget(iters=40, eval_interval=10, theta_lr=0.2),
                              seed=0)
-    archs = [nas.discretize(r.arch, space)
+    archs = [nas.discretize(r.logits, space)
              for r in nas.stage1_search(space, ev, table, lambdas, budget, seed=0)]
     distinct = list(dict.fromkeys(archs))  # in first-seen order
     assert trained == [distinct] and len(distinct) < len(lambdas)

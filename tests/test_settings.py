@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from conftest import kind_logits
 from paretotrack import nas
 from paretotrack.latency import LatencyEntry, OpConfig, profile_op
 from paretotrack.metrics import clear_mot, match_frame
@@ -26,7 +27,7 @@ _CASES = [
     (lambda v: nas.SpaceConfig(reduction_cells=v), "reduction_cells", -1, ">= 0"),
     # a test id carries its row's index: a new row fills a freed index, so that
     # the ids of the rows after it stay as they are
-    (lambda v: nas.total_loss(_SPACE, nas.ArchLogits.zeros(_SPACE), [0.0] * 4,
+    (lambda v: nas.total_loss(_SPACE, kind_logits(_SPACE), [0.0] * 4,
                               nas.OpCostSurrogate(_SPACE), None, v),
      "lambda", -math.inf, "finite and >= 0"),
     (lambda v: nas.SpaceConfig(channels=v), "channels", 0, ">= 1"),
