@@ -132,12 +132,14 @@ def _cmd_track(args: argparse.Namespace) -> int:
     weights = ScorerConfig(w_iou=args.w_iou, w_det=args.w_det,
                            terminal_score=args.terminal_score)
     seq = _read(args.dets, parse_sequence)
-    # the baseline scorer's s_det, checked here so that an overflow names its line
-    overflows = [d for dets in seq.frames.values() for d in dets
-                 if not BOUNDED.holds(weights.det_score(d.confidence))]
-    if overflows:
-        first = min(overflows, key=lambda d: d.lineno)
-        raise CliError(f"{args.dets}:{first.lineno}: score {first.confidence!r} "
+    # the baseline scorer's s_det, checked here so that an overflow names its
+    # line; the first row that fails is the smallest line
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_det = weights.det_score(seq.table.numbers[:, 4])
+        overflows = np.flatnonzero(~BOUNDED.holds(s_det))
+    if len(overflows):
+        row = int(overflows[0])
+        raise CliError(f"{args.dets}:{row + 1}: score {seq.table.confidences[row]!r} "
                        f"weighted by --w-det {args.w_det!r} must be {BOUNDED.text}")
     tracks = run_sequence(seq, BaselineScorer(weights), cfg)
     buf = io.StringIO()

@@ -63,9 +63,11 @@ _DTYPES = {n: np.dtype([(name, {int: "i8", float: "f8", str: "U1"}[conv])
 
 class _Table:
     """One file as read: the frame, track ID and confidence of each line, its
-    box tuple, the line itself and a (rows, 5) array of box and confidence."""
+    box tuple, the line itself and a (rows, 5) array of box and confidence;
+    and the records of each frame, in line order, keyed by frame in file order."""
 
-    __slots__ = ("frames", "track_ids", "confidences", "boxes", "lines", "numbers")
+    __slots__ = ("frames", "track_ids", "confidences", "boxes", "lines", "numbers",
+                 "frame_records")
 
 
 class KittiRecord:
@@ -100,9 +102,11 @@ def number_rows(records: Sequence[KittiRecord]) -> np.ndarray:
 
 @dataclass
 class SequenceDetections:
-    """Per-frame records of one sequence, keyed by frame index."""
+    """Per-frame records of one sequence, keyed by frame index, and the table
+    of the file they were read from."""
 
     frames: dict[int, list[KittiRecord]] = field(default_factory=dict)
+    table: _Table | None = None
 
 
 def parse_label_line(line: str, lineno: int | None = None) -> list:
@@ -180,10 +184,11 @@ def parse_sequence(source: Iterable[str] | IO[str]) -> SequenceDetections:
         table.boxes += map(tuple, rows[:, :4].tolist())
         numbers.append(rows)
     table.numbers = np.concatenate(numbers)
-    seq = SequenceDetections()
+    seq = SequenceDetections(table=table)
     frames = seq.frames
     for row, frame in enumerate(table.frames):
         frames.setdefault(frame, []).append(KittiRecord(table, row))
+    table.frame_records = dict(frames)
     return seq
 
 

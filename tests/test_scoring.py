@@ -1,19 +1,22 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import boxes, make_detection, slot_box
+from conftest import boxes, label_line, make_detection, slot_box
+from paretotrack import scoring
 from paretotrack.geometry import iou_2d
+from paretotrack.kitti_io import parse_sequence
 from paretotrack.scoring import (
     BaselineScorer,
     ScorerConfig,
     ScoreSet,
     baseline_scores,
 )
-from paretotrack.tracker import Tracklet
+from paretotrack.tracker import TrackerConfig, TrackerState, Tracklet, step
 
 
 def _tracklet(slot, frame=0, score=0.9):
@@ -157,3 +160,95 @@ def test_baseline_equals_scalar_recomputation(tracks, dets, w_iou, w_det, termin
     assert _bits(got.s_det_curr) == _bits(w_det * (2.0 * d.confidence - 1.0) for d in dets)
     assert _bits(got.s_in) == [terminal.hex()] * len(dets)
     assert _bits(got.s_out) == [terminal.hex()] * len(tracks)
+
+
+def _families(scores: ScoreSet) -> list:
+    return [(name, getattr(scores, name).dtype, getattr(scores, name).shape,
+             _bits(getattr(scores, name).ravel())) for name in _FAMILIES]
+
+
+@st.composite
+def _detection_lines(draw):
+    """Lines of 1-10 frames of 0-4 detections each, and a frame of at least one."""
+    lines = []
+    for frame in range(draw(st.integers(1, 10))):
+        for slot in range(draw(st.integers(0, 4))):
+            lines.append(label_line(frame, slot, draw(boxes()), draw(st.floats(0.0, 1.0))))
+    return lines or [label_line(0, 0, draw(boxes()), 0.5)]
+
+
+def _frame_reversed(lines):
+    """The lines with their frames in reverse order, each frame's lines in file order."""
+    return sorted(lines, key=lambda line: -int(line.split()[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_baseline_scorer_equals_baseline_scores_bit_for_bit(data):
+    # one stateful scorer across tracking runs on several tables, from sorted and
+    # frame-reversed files; each run scores every frame index, an empty frame
+    # with [], and may pass a subset or a reordering of a frame's detections, or
+    # the same records from a second table; small bounds split a run into many
+    # blocks
+    cfg = ScorerConfig(*(data.draw(_bounded) for _ in range(3)))
+    lines = data.draw(_detection_lines())
+    scorer = BaselineScorer(cfg)
+    bound = data.draw(st.sampled_from([1, 4, 12, 40, scoring.BLOCK_ENTRIES]))
+    with mock.patch.object(scoring, "BLOCK_ENTRIES", bound):
+        for _run in range(data.draw(st.integers(1, 3))):
+            file = _frame_reversed(lines) if data.draw(st.booleans()) else lines
+            tables = [parse_sequence(file)]
+            if data.draw(st.booleans()):
+                # the same records at other rows of a longer file
+                far = label_line(1000, 0, (0.0, 0.0, 1.0, 1.0), 0.5)
+                tables.append(parse_sequence([far] * len(file) + file))
+            seq = tables[0]
+            state = TrackerState(config=TrackerConfig(t_birth=data.draw(st.integers(1, 3)),
+                                                      t_death=data.draw(st.integers(1, 3))))
+            for frame in range(min(seq.frames), max(seq.frames) + 1):
+                dets = seq.frames.get(frame, [])
+                picks = range(len(dets))
+                if dets and data.draw(st.booleans()):
+                    picks = data.draw(st.permutations(picks))[:data.draw(
+                        st.integers(0, len(dets)))]
+                dets = [data.draw(st.sampled_from(tables)).frames[frame][k] for k in picks]
+                want = baseline_scores(state.active, dets, cfg=cfg)
+                assert _families(scorer(state.active, dets)) == _families(want)
+                step(state, frame, dets, want)
+
+
+def _track_until_error(scorer, seq):
+    """Step every frame of ``seq`` until scoring raises: the frame, the error and the state."""
+    state = TrackerState(config=TrackerConfig(t_birth=2, t_death=2))
+    for frame in sorted(seq.frames):
+        try:
+            scores = scorer(state.active, seq.frames[frame])
+        except (ValueError, RuntimeWarning) as exc:
+            error = (frame, type(exc), str(exc))
+            break
+        step(state, frame, seq.frames[frame], scores)
+    else:
+        error = None
+    tracks = [(t.id, [(f, d.lineno) for f, d in t.detections])
+              for t in state.active + state.retired]
+    return error, tracks, state.next_id
+
+
+@pytest.mark.parametrize("bound", [8, scoring.BLOCK_ENTRIES])
+@pytest.mark.parametrize("overflow", ["ignore", "warn"])
+def test_an_overflowing_weighted_score_fails_at_its_own_frame(bound, overflow):
+    # frame 6's second detection has a confidence whose weighted score is inf: the
+    # block that holds it must neither warn nor raise before frame 6, and must
+    # leave the tracker where per-frame baseline_scores leaves it; a RuntimeWarning
+    # is an error in this suite, so overflow="warn" raises it at the frame instead
+    lines = [label_line(frame, slot, slot_box(slot, frame),
+                        1e308 if (frame, slot) == (6, 1) else 0.9)
+             for frame in range(10) for slot in range(2)]
+    seq = parse_sequence(lines)
+    with mock.patch.object(scoring, "BLOCK_ENTRIES", bound), np.errstate(over=overflow):
+        got = _track_until_error(BaselineScorer(), seq)
+        want = _track_until_error(baseline_scores, seq)
+    assert want[0][0] == 6
+    assert got == want
+    if overflow == "ignore":
+        assert want[0][1:] == (ValueError, "s_det_curr contains non-finite values")
