@@ -63,11 +63,21 @@ _DTYPES = {n: np.dtype([(name, {int: "i8", float: "f8", str: "U1"}[conv])
 
 class _Table:
     """One file as read: the frame, track ID and confidence of each line, its
-    box tuple, the line itself and a (rows, 5) array of box and confidence;
-    and the records of each frame, in line order, keyed by frame in file order."""
+    box tuple, the line itself and a (rows, 5) array of box and confidence."""
 
     __slots__ = ("frames", "track_ids", "confidences", "boxes", "lines", "numbers",
-                 "frame_records")
+                 "_rows_by_frame")
+
+    def rows_by_frame(self) -> tuple[list[int], dict[int, list[int]]]:
+        """The file's frames in increasing order, and each frame's rows in line
+        order; built on the first call and kept.  Only a scorer asks for them,
+        so reading a file does not pay for them."""
+        if self._rows_by_frame is None:
+            rows = {}
+            for row, frame in enumerate(self.frames):
+                rows.setdefault(frame, []).append(row)
+            self._rows_by_frame = (sorted(rows), rows)
+        return self._rows_by_frame
 
 
 class KittiRecord:
@@ -172,6 +182,7 @@ def _walk(chunk: list[str], start: int) -> tuple[list[int], list[int], np.ndarra
 def parse_sequence(source: Iterable[str] | IO[str]) -> SequenceDetections:
     """Group a stream of records into per-frame records, keeping per-frame order."""
     table = _Table()
+    table._rows_by_frame = None
     table.lines = lines = list(source)
     table.frames, table.track_ids, table.confidences, table.boxes = [], [], [], []
     numbers = [np.empty((0, 5))]
@@ -188,7 +199,6 @@ def parse_sequence(source: Iterable[str] | IO[str]) -> SequenceDetections:
     frames = seq.frames
     for row, frame in enumerate(table.frames):
         frames.setdefault(frame, []).append(KittiRecord(table, row))
-    table.frame_records = dict(frames)
     return seq
 
 

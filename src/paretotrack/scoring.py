@@ -13,13 +13,14 @@ frame's five families out of it.  Each entry is an elementwise function of one
 pair of rows, so a bigger matrix gives the same bits.  BLOCK_ENTRIES bounds a
 block so that building one stays rare: on the sparse benchmark input 3.6 % of
 frames build a block, where a bound of half the size made 5.1 % build and
-moved the frame loop's 95th-percentile frame onto the builds; and a dense
-frame and the next one never fit together, so dense frames keep one
-`baseline_scores` call each.
+moved the frame loop's 95th-percentile frame onto the builds; and once
+tracklets exist a dense frame and the next one do not fit together, so dense
+frames keep one `baseline_scores` call each.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -196,8 +197,6 @@ class BaselineScorer:
     def __init__(self, cfg: ScorerConfig = ScorerConfig()):
         self.cfg = cfg
         self._block: _Block | None = None
-        # (table, its frames in order, each frame's place in that order)
-        self._frames: tuple | None = None
 
     def __call__(self, tracklets, detections) -> ScoreSet:
         block = self._block
@@ -214,18 +213,14 @@ class BaselineScorer:
         if not detections:
             return None
         table = detections[0]._table
-        if self._frames is None or self._frames[0] is not table:
-            order = sorted(table.frame_records)
-            self._frames = (table, order, {frame: k for k, frame in enumerate(order)})
-        _, order, place = self._frames
-        frame_records = table.frame_records
+        frames, rows = table.rows_by_frame()
         # a frame of s rows joins while (rows A) x (rows B) stays in bounds;
         # rows A are then the tracklets and the rows B had before it
         n, n_curr = len(tracklets), len(detections)
-        start = stop = place[detections[0].frame] + 1
+        start = stop = bisect_right(frames, detections[0].frame)
         last = n_curr
-        while stop < len(order):
-            s = len(frame_records[order[stop]])
+        while stop < len(frames):
+            s = len(rows[frames[stop]])
             if (n + n_curr) * (n_curr + s) > BLOCK_ENTRIES:
                 break
             n_curr += s
@@ -236,8 +231,8 @@ class BaselineScorer:
         prev = [track.detections[-1][1] for track in tracklets]
         if any(record._table is not table for record in prev + list(detections)):
             return None
-        curr = list(detections)
-        for frame in order[start:stop]:
-            curr += frame_records[frame]
-        return _Block(table, [record._row for record in prev], [det._row for det in curr],
+        curr_rows = [det._row for det in detections]
+        for frame in frames[start:stop]:
+            curr_rows += rows[frame]
+        return _Block(table, [record._row for record in prev], curr_rows,
                       n + n_curr - last, self.cfg)
