@@ -154,20 +154,22 @@ def _cmd_track(args: argparse.Namespace) -> int:
 def _frames_of(lines: list[str]) -> dict[int, list]:
     """(track_id, box) per frame of a tracking file's lines; a track_id repeated
     within a frame is a FormatError."""
+    table = parse_sequence(lines).table
+    objects = list(zip(table.track_ids, table.boxes))
     frames = {}
     repeats = []
-    for frame, dets in parse_sequence(lines).frames.items():
-        objs = frames[frame] = [(d.track_id, d.box) for d in dets]
+    for frame, rows in table.rows_by_frame()[1].items():
+        objs = frames[frame] = [objects[row] for row in rows]
         if len(dict(objs)) != len(objs):
             seen = set()
-            for d in dets:
-                if d.track_id in seen:
-                    repeats.append(d)
-                seen.add(d.track_id)
+            for row in rows:
+                if table.track_ids[row] in seen:
+                    repeats.append(row)
+                seen.add(table.track_ids[row])
     if repeats:
-        first = min(repeats, key=lambda record: record.lineno)
-        raise FormatError(f"duplicate track_id {first.track_id} in frame {first.frame}",
-                          first.lineno)
+        row = min(repeats)
+        raise FormatError(f"duplicate track_id {table.track_ids[row]} in frame "
+                          f"{table.frames[row]}", row + 1)
     return frames
 
 

@@ -16,10 +16,16 @@ all its field values, which builds its records or raises `settings.FormatError`
 for its first bad line; either way every value has the grammar's bits.  A
 record holds what the program reads of its line: the frame, the track ID, the
 box, the confidence (the score, or 1.0 on a 17-field line) and the line number.
+The box tuples are built from the table's number array when first read, so
+`track`, which never reads them, does not pay for them.
 `write_tracking_results` writes a result line as the frame, the track ID and
-the line's tokens after its track ID, joined by single spaces only for the
-lines it writes; so a number is written as it was spelled, and
-parse(write(x)) reproduces every field bit for bit.
+the line's tokens after its track ID, so a number is written as it was
+spelled, and parse(write(x)) reproduces every field bit for bit.  A line that
+is already canonical (18 fields, one space between fields, no other
+whitespace and a closing newline) gives its tail by one slice; any other line
+is split and its tokens joined by single spaces.  Whether a chunk's lines are
+canonical is decided for the whole chunk the first time the writer asks, so
+reading a file does not pay for it.
 """
 
 from __future__ import annotations
@@ -62,11 +68,36 @@ _DTYPES = {n: np.dtype([(name, {int: "i8", float: "f8", str: "U1"}[conv])
 
 
 class _Table:
-    """One file as read: the frame, track ID and confidence of each line, its
-    box tuple, the line itself and a (rows, 5) array of box and confidence."""
+    """One file as read: the frame, track ID and confidence of each line, the
+    line itself, a (rows, 5) array of box and confidence, and the field count
+    of each `chunk`-line chunk as numpy read it (0 for a chunk that the
+    grammar walked)."""
 
-    __slots__ = ("frames", "track_ids", "confidences", "boxes", "lines", "numbers",
-                 "_rows_by_frame")
+    __slots__ = ("frames", "track_ids", "confidences", "lines", "numbers", "chunk",
+                 "chunk_fields", "_boxes", "_canonical", "_rows_by_frame")
+
+    def __init__(self, lines: list[str]):
+        self.lines = lines
+        self.chunk = _CHUNK
+        self.frames, self.track_ids, self.confidences, self.chunk_fields = [], [], [], []
+        self._boxes = self._canonical = self._rows_by_frame = None
+
+    @property
+    def boxes(self) -> list[tuple[float, float, float, float]]:
+        """Each line's (left, top, right, bottom) tuple; built on the first read and kept."""
+        if self._boxes is None:
+            self._boxes = list(map(tuple, self.numbers[:, :4].tolist()))
+        return self._boxes
+
+    def canonical(self) -> list[bool]:
+        """Whether each chunk's lines are all canonical, so that a line's tokens
+        after its track ID are the line after its second space; decided on the
+        first call and kept.  Only the writer asks."""
+        if self._canonical is None:
+            self._canonical = [
+                n == N_DETECTION_FIELDS and _canonical(self.lines[start:start + self.chunk])
+                for start, n in zip(range(0, len(self.lines), self.chunk), self.chunk_fields)]
+        return self._canonical
 
     def rows_by_frame(self) -> tuple[list[int], dict[int, list[int]]]:
         """The file's frames in increasing order, and each frame's rows in line
@@ -145,11 +176,23 @@ def parse_label_line(line: str, lineno: int | None = None) -> list:
     return values
 
 
-def _read_chunk(chunk: list[str], start: int) -> tuple[list[int], list[int], np.ndarray]:
-    """The frames, the track IDs and the (lines, 5) box and confidence rows of
-    ``chunk``, whose first line is line ``start + 1``: read by one `np.loadtxt` call
-    and checked by whole columns, or walked with the line grammar if numpy refuses
-    a line or a check fails."""
+def _canonical(chunk: list[str]) -> bool:
+    """Whether every line of a chunk that numpy read with 18 fields has one space
+    between fields, no other whitespace and a closing newline.  numpy refuses a
+    newline inside a line, and each line has at least 17 separators, so the
+    counts over the whole chunk decide it for every line."""
+    text = "".join(chunk)
+    n = len(chunk)
+    # str.split() also splits at \x85, \xa0 and other non-ASCII spaces
+    return (text.isascii() and not any(c in text for c in "\t\r\x0b\x0c\x1c\x1d\x1e\x1f")
+            and text.count(" ") == (N_DETECTION_FIELDS - 1) * n and text.count("\n") == n)
+
+
+def _read_chunk(chunk: list[str], start: int) -> tuple[list[int], list[int], np.ndarray, int]:
+    """The frames, the track IDs, the (lines, 5) box and confidence rows and the
+    field count of ``chunk``, whose first line is line ``start + 1``: read by one
+    `np.loadtxt` call and checked by whole columns, or walked with the line
+    grammar (field count 0) if numpy refuses a line or a check fails."""
     try:
         dtype = _DTYPES[len(chunk[0].split())]
         with warnings.catch_warnings():  # older numpy reads '3.0' as an int, with this warning
@@ -165,10 +208,10 @@ def _read_chunk(chunk: list[str], start: int) -> tuple[list[int], list[int], np.
             and (np.abs(numbers[:, :4]) <= MAGNITUDE_LIMIT).all() and np.isfinite(score).all()
             and (left <= right).all() and (top <= bottom).all()):
         return _walk(chunk, start)
-    return rows["frame"].tolist(), rows["track_id"].tolist(), numbers
+    return rows["frame"].tolist(), rows["track_id"].tolist(), numbers, len(dtype)
 
 
-def _walk(chunk: list[str], start: int) -> tuple[list[int], list[int], np.ndarray]:
+def _walk(chunk: list[str], start: int) -> tuple[list[int], list[int], np.ndarray, int]:
     """`_read_chunk`'s answer from the line grammar's values; the first bad line raises."""
     values = []
     for lineno, line in enumerate(chunk, start=start + 1):
@@ -176,23 +219,21 @@ def _walk(chunk: list[str], start: int) -> tuple[list[int], list[int], np.ndarra
             raise FormatError("blank line", lineno)
         values.append(parse_label_line(line, lineno) + [1.0])  # a 17-field line's score
     return ([v[0] for v in values], [v[1] for v in values],
-            np.array([v[_BOX] + [v[_SCORE]] for v in values], dtype=np.float64))
+            np.array([v[_BOX] + [v[_SCORE]] for v in values], dtype=np.float64), 0)
 
 
 def parse_sequence(source: Iterable[str] | IO[str]) -> SequenceDetections:
     """Group a stream of records into per-frame records, keeping per-frame order."""
-    table = _Table()
-    table._rows_by_frame = None
-    table.lines = lines = list(source)
-    table.frames, table.track_ids, table.confidences, table.boxes = [], [], [], []
+    table = _Table(list(source))
+    lines, chunk = table.lines, table.chunk
     numbers = [np.empty((0, 5))]
     # the chunks before a walked chunk passed, so its first bad line is the file's
-    for start in range(0, len(lines), _CHUNK):
-        frames, track_ids, rows = _read_chunk(lines[start:start + _CHUNK], start)
+    for start in range(0, len(lines), chunk):
+        frames, track_ids, rows, n_fields = _read_chunk(lines[start:start + chunk], start)
         table.frames += frames
         table.track_ids += track_ids
         table.confidences += rows[:, 4].tolist()
-        table.boxes += map(tuple, rows[:, :4].tolist())
+        table.chunk_fields.append(n_fields)
         numbers.append(rows)
     table.numbers = np.concatenate(numbers)
     seq = SequenceDetections(table=table)
@@ -204,7 +245,8 @@ def parse_sequence(source: Iterable[str] | IO[str]) -> SequenceDetections:
 
 def write_tracking_results(tracks: Iterable["Tracklet"], sink: IO[str]) -> None:
     """Write one line per (tracklet, frame) membership, sorted by frame then track id:
-    the frame, the track ID and the record's tokens after its track ID."""
+    the frame, the track ID and the record's tokens after its track ID, joined
+    by single spaces."""
     rows = []
     for track in tracks:
         if track.id is None or track.id < 0:
@@ -212,8 +254,16 @@ def write_tracking_results(tracks: Iterable["Tracklet"], sink: IO[str]) -> None:
         rows += [(frame, track.id, det) for frame, det in track.detections]
     rows.sort(key=itemgetter(0, 1))
     written = []
+    table = None
     for frame, track_id, det in rows:
-        tokens = det._table.lines[det._row].split()
+        if det._table is not table:  # a run of one table's records asks it once
+            table = det._table
+            lines, chunk, canonical = table.lines, table.chunk, table.canonical()
+        line = lines[det._row]
+        if canonical[det._row // chunk]:
+            written.append("%d %d %s" % (frame, track_id, line.split(" ", 2)[2]))
+            continue
+        tokens = line.split()
         # a 17-field line is written with the score 1.0 it is read with
         tail = tokens[2:] if len(tokens) == N_DETECTION_FIELDS else tokens[2:] + ["1.0"]
         written.append("%d %d %s\n" % (frame, track_id, " ".join(tail)))

@@ -210,13 +210,14 @@ class BaselineScorer:
 
     def _build(self, tracklets, detections) -> _Block | None:
         """The block of this call's frame and the frames after it, or None."""
-        if not detections:
+        # a frame of s rows joins while (rows A) x (rows B) stays in bounds;
+        # rows A are then the tracklets and the rows B had before it.  With
+        # s >= 1, no frame joins when even one row would not fit.
+        n, n_curr = len(tracklets), len(detections)
+        if not detections or (n + n_curr) * (n_curr + 1) > BLOCK_ENTRIES:
             return None
         table = detections[0]._table
         frames, rows = table.rows_by_frame()
-        # a frame of s rows joins while (rows A) x (rows B) stays in bounds;
-        # rows A are then the tracklets and the rows B had before it
-        n, n_curr = len(tracklets), len(detections)
         start = stop = bisect_right(frames, detections[0].frame)
         last = n_curr
         while stop < len(frames):

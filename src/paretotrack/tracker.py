@@ -91,8 +91,9 @@ def step(
             where = "before" if frame < last else "at"
             raise ValueError(f"frame {frame} is {where} a tracklet's last frame {last}")
     solution = solve_exact(scores)
+    # every active tracklet ends before this frame, checked above
     for i, j in solution.link_pairs:
-        state.active[i].append(frame, detections[j])
+        state.active[i].detections.append((frame, detections[j]))
     # f_in is 1 only on unmatched detections; an unmatched one without it is
     # dropped as a false positive
     for j in solution.f_in.nonzero()[0].tolist():
@@ -114,11 +115,10 @@ def apply_birth_death(state: TrackerState, frame: int) -> TrackerState:
     cfg = state.config
     survivors, ripe, retiring = [], [], []
     for track in state.active:
-        misses = frame - track.last_frame
+        last = track.detections[-1][0]
+        misses = frame - last
         if misses < 0:
-            raise ValueError(
-                f"frame {frame} is before a tracklet's last frame {track.last_frame}"
-            )
+            raise ValueError(f"frame {frame} is before a tracklet's last frame {last}")
         if track.id is None:
             if misses:
                 continue  # never confirmed: a wrong detection
@@ -148,11 +148,15 @@ def run_sequence(
     age tracklets: before a frame is scored, the lifecycle rules run once at
     the frame before it.  Misses are counted from each tracklet's last frame,
     so that ends where stepping each empty frame would, and a gap of any
-    length costs the same.
+    length costs the same.  After a stepped frame the rules have just run
+    there, so the frame after it skips them.
     """
     state = TrackerState(config=cfg)
+    stepped = None
     for frame in sorted(f for f, dets in seq.frames.items() if dets):
-        apply_birth_death(state, frame - 1)
+        if frame - 1 != stepped:
+            apply_birth_death(state, frame - 1)
+        stepped = frame
         detections = seq.frames[frame]
         step(state, frame, detections, scorer(state.active, detections))
     confirmed = state.retired + [t for t in state.active if t.id is not None]

@@ -250,6 +250,78 @@ def test_parse_inverts_format(values):
     assert parse_label_line(line) == values[:-1] + [confidence]
 
 
+# every blank that str.split splits on but a canonical line never holds
+_BLANKS = ("\t", "  ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+           "\u2003")
+
+
+@st.composite
+def _result_files(draw):
+    """Result files whose lines are canonical or respelled with double spaces,
+    leading or trailing blanks, \\r\\n endings or any blank in _BLANKS, with
+    17- and 18-field lines, a last line with no newline, or, as library callers
+    pass them, no newlines at all."""
+    # half the blanks are spaces, so that a line respelled with spaces alone,
+    # which only the space count tells from a canonical line, is common
+    blank = st.sampled_from([" ", "  "]) | st.sampled_from(_BLANKS)
+    lines = []
+    for k in range(draw(st.integers(1, 10))):
+        frame = draw(st.integers(0, 4))
+        line = label_line(frame, k, slot_box(k, frame), draw(st.sampled_from([0.1, 0.5, 0.9])))
+        tokens = line.split(" ")[:draw(st.sampled_from([N_DETECTION_FIELDS, N_LABEL_FIELDS]))]
+        gaps = [" "] * (len(tokens) - 1) + ["\n"]
+        for respelling in draw(st.sets(st.sampled_from(["gap", "lead", "trail", "crlf"]))):
+            if respelling == "gap":
+                gaps[draw(st.integers(0, len(tokens) - 2))] = draw(blank).replace(" ", "  ")
+            elif respelling == "lead":
+                tokens[0] = draw(blank) + tokens[0]
+            elif respelling == "trail":
+                tokens[-1] += draw(blank)
+            else:
+                gaps[-1] = "\r\n"
+        lines.append("".join(t + g for t, g in zip(tokens, gaps)))
+    ending = draw(st.sampled_from(["every", "all but the last", "none"]))
+    if ending == "all but the last":
+        lines[-1] = lines[-1].rstrip("\r\n")
+    elif ending == "none":
+        lines = [line.rstrip("\r\n") for line in lines]
+    return lines
+
+
+def _split_and_join(lines: list[str], tracks) -> str:
+    """The result file of `tracks` written from their records' lines: each line
+    split at blanks and its tokens after the track ID joined by single spaces."""
+    rows = sorted((frame, track.id, det.lineno) for track in tracks
+                  for frame, det in track.detections)
+    out = []
+    for frame, track_id, lineno in rows:
+        tail = lines[lineno - 1].split()[2:]
+        tail += ["1.0"] * (N_DETECTION_FIELDS - 2 - len(tail))  # a 17-field line's score
+        out.append(" ".join([str(frame), str(track_id), *tail]) + "\n")
+    return "".join(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_result_files(), st.sampled_from([1, 2, 3, 2048]))
+def test_the_writer_gives_the_bytes_of_split_and_join(lines, chunk):
+    # short chunks put canonical chunks, whose tails are sliced, next to
+    # respelled ones, whose tokens are joined
+    import paretotrack.kitti_io as kitti_io
+
+    with mock.patch.object(kitti_io, "_CHUNK", chunk):
+        seq = parse_sequence(lines)
+        tracks = [Tracklet(id=d.lineno, detections=[(f, d)])
+                  for f, dets in seq.frames.items() for d in dets]
+        sink = io.StringIO()
+        write_tracking_results(tracks, sink)
+        assert sink.getvalue() == _split_and_join(lines, tracks)
+        # a chunk is sliced exactly when each of its lines is canonical
+        canonical = [len(line.split()) == N_DETECTION_FIELDS
+                     and line == " ".join(line.split()) + "\n" for line in lines]
+        assert seq.table.canonical() == [all(canonical[start:start + chunk])
+                                         for start in range(0, len(lines), chunk)]
+
+
 _FIELD_NAMES = ("frame", "track_id", "type", "truncated", "occluded", "alpha",
                 "bbox_left", "bbox_top", "bbox_right", "bbox_bottom",
                 "height", "width", "length", "x", "y", "z", "rotation_y", "score")

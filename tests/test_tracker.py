@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import IdentityScorer, make_detection, random_gt_sequence, slot_box
-from paretotrack.kitti_io import SequenceDetections
+from conftest import IdentityScorer, label_line, make_detection, random_gt_sequence, slot_box
+from paretotrack.kitti_io import SequenceDetections, parse_sequence
 from paretotrack.scoring import BaselineScorer, ScorerConfig, ScoreSet
 from paretotrack.tracker import (
     TrackerConfig,
@@ -290,18 +290,37 @@ def _summary(tracks):
             for t in tracks]
 
 
+def _runs(t_death):
+    """Runs of consecutive frames, each after a gap (1 = none) and with the
+    slots detected on each of its frames; the long gaps straddle t_death (or
+    3000 frames, so that walking them stays quick)."""
+    long_gaps = sorted({max(1, min(t_death, 3000) + d) for d in (-1, 0, 1, 2)})
+    return st.lists(
+        st.tuples(st.integers(1, 4) | st.sampled_from(long_gaps),
+                  st.integers(1, 4),
+                  st.dictionaries(st.integers(0, 3), st.sampled_from([0.1, 0.5, 0.9]),
+                                  min_size=1, max_size=3)),
+        min_size=1, max_size=5)
+
+
 @pytest.mark.parametrize("t_death", [1, 5, 3000, 10**6])
-def test_run_sequence_gap_skip_matches_frame_walk(t_death):
-    # two bursts 4000 frames apart with one lone detection in between; with
-    # t_death=3000 the first tracklets are still alive at the lone detection
-    seq = SequenceDetections()
-    for f in [*range(0, 6), *range(4000, 4006)]:
-        seq.frames[f] = [_det(f, 0), _det(f, 1)]
-    seq.frames[2000] = [_det(2000, 2)]
-    cfg = TrackerConfig(t_birth=2, t_death=t_death)
-    expected = _summary(_walk_every_frame(seq, IdentityScorer(), cfg))
-    assert _summary(run_sequence(seq, IdentityScorer(), cfg)) == expected
-    assert expected
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), t_birth=st.integers(1, 3),
+       make_scorer=st.sampled_from([IdentityScorer, BaselineScorer]))
+def test_run_sequence_gap_skip_matches_frame_walk(t_death, data, t_birth, make_scorer):
+    # run_sequence skips the lifecycle call after a stepped frame and every
+    # empty frame of a gap; walking each frame index must give the same tracks
+    lines, frame = [], -1
+    for gap, length, slots in data.draw(_runs(t_death)):
+        frame += gap
+        for f in range(frame, frame + length):
+            lines += [label_line(f, slot, slot_box(slot, f), conf)
+                      for slot, conf in sorted(slots.items())]
+        frame += length - 1
+    seq = parse_sequence(lines)  # one table, so the baseline scorer builds blocks
+    cfg = TrackerConfig(t_birth=t_birth, t_death=t_death)
+    expected = _summary(_walk_every_frame(seq, make_scorer(), cfg))
+    assert _summary(run_sequence(seq, make_scorer(), cfg)) == expected
 
 
 def test_run_sequence_huge_frame_gap_finishes_quickly():
