@@ -155,7 +155,7 @@ def _frames_of(lines: list[str]) -> dict[int, list]:
     """(track_id, box) per frame of a tracking file's lines; a track_id repeated
     within a frame is a FormatError."""
     table = parse_sequence(lines).table
-    objects = list(zip(table.track_ids, table.boxes))
+    objects = list(zip(table.track_ids, table.numbers[:, :4].tolist()))
     frames = {}
     repeats = []
     for frame, rows in table.rows_by_frame()[1].items():

@@ -12,12 +12,14 @@ areas overflows; the other float fields may be inf or nan.
 `np.loadtxt` call checked by whole columns.  A chunk that numpy refuses (`1_0`,
 Unicode digits, ints beyond int64, 17- and 18-field lines mixed) or that fails
 a check is walked with `parse_label_line`, the grammar of one line as a list of
-all its field values, which builds its records or raises `settings.FormatError`
+all its field values, which reads the chunk or raises `settings.FormatError`
 for its first bad line; either way every value has the grammar's bits.  A
 record holds what the program reads of its line: the frame, the track ID, the
 box, the confidence (the score, or 1.0 on a 17-field line) and the line number.
-The box tuples are built from the table's number array when first read, so
-`track`, which never reads them, does not pay for them.
+The records are built, frame by frame, on the first read of
+`SequenceDetections.frames`, and the box tuples from the table's number array
+on the first read of a box, so `evaluate`, which reads the table's columns,
+builds neither, and `track` builds no box tuple.
 `write_tracking_results` writes a result line as the frame, the track ID and
 the line's tokens after its track ID, so a number is written as it was
 spelled, and parse(write(x)) reproduces every field bit for bit.  A line that
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
@@ -101,8 +102,9 @@ class _Table:
 
     def rows_by_frame(self) -> tuple[list[int], dict[int, list[int]]]:
         """The file's frames in increasing order, and each frame's rows in line
-        order; built on the first call and kept.  Only a scorer asks for them,
-        so reading a file does not pay for them."""
+        order; built on the first call and kept.  A scorer, `evaluate` and the
+        first read of `SequenceDetections.frames` ask for them, so reading a
+        file does not pay for them."""
         if self._rows_by_frame is None:
             rows = {}
             for row, frame in enumerate(self.frames):
@@ -141,13 +143,25 @@ def number_rows(records: Sequence[KittiRecord]) -> np.ndarray:
     return np.array([r._table.numbers[r._row] for r in records]).reshape(-1, 5)
 
 
-@dataclass
 class SequenceDetections:
     """Per-frame records of one sequence, keyed by frame index, and the table
-    of the file they were read from."""
+    of the file they were read from.  A parsed file's records are built from
+    the table's rows by frame on the first read of `frames` and kept here,
+    never on the table, so that no reference cycle keeps a file alive."""
 
-    frames: dict[int, list[KittiRecord]] = field(default_factory=dict)
-    table: _Table | None = None
+    def __init__(self, frames: dict[int, list[KittiRecord]] | None = None,
+                 table: _Table | None = None):
+        self._frames = frames
+        self.table = table
+
+    @property
+    def frames(self) -> dict[int, list[KittiRecord]]:
+        """Each frame's records in line order, frames in the order first seen."""
+        if self._frames is None:
+            self._frames = {} if self.table is None else {
+                frame: [KittiRecord(self.table, row) for row in rows]
+                for frame, rows in self.table.rows_by_frame()[1].items()}
+        return self._frames
 
 
 def parse_label_line(line: str, lineno: int | None = None) -> list:
@@ -223,7 +237,8 @@ def _walk(chunk: list[str], start: int) -> tuple[list[int], list[int], np.ndarra
 
 
 def parse_sequence(source: Iterable[str] | IO[str]) -> SequenceDetections:
-    """Group a stream of records into per-frame records, keeping per-frame order."""
+    """Read and check a stream of lines into one table; the per-frame records
+    are built from it on the first read of `frames`."""
     table = _Table(list(source))
     lines, chunk = table.lines, table.chunk
     numbers = [np.empty((0, 5))]
@@ -236,11 +251,7 @@ def parse_sequence(source: Iterable[str] | IO[str]) -> SequenceDetections:
         table.chunk_fields.append(n_fields)
         numbers.append(rows)
     table.numbers = np.concatenate(numbers)
-    seq = SequenceDetections(table=table)
-    frames = seq.frames
-    for row, frame in enumerate(table.frames):
-        frames.setdefault(frame, []).append(KittiRecord(table, row))
-    return seq
+    return SequenceDetections(table=table)
 
 
 def write_tracking_results(tracks: Iterable["Tracklet"], sink: IO[str]) -> None:
