@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import logging
 import math
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import label_line, slot_box
-from paretotrack import cli, nas
+from paretotrack import cli, kitti_io, nas
 from paretotrack.cli import build_parser, emit_plot_data, execute
 from paretotrack.latency import CANDIDATE_OPS, LatencyEntry, LatencyTable, OpConfig
 from paretotrack.nas.pareto import ParetoPoint
@@ -1062,6 +1063,54 @@ def test_evaluate_names_a_repeated_record(tmp_path, capsys, flag):
     assert execute(argv) == 1
     # lines 6 and 7 both repeat a record of their frame; the first is named
     assert capsys.readouterr().err == f"error: {bad}:6: duplicate track_id 1 in frame 1\n"
+
+
+def _swapped_pair(tmp_path):
+    """A ground truth of 4 objects over 50 frames and a hypothesis, in reverse
+    frame order, in which objects 0 and 1 swap IDs from frame 25 on and object 2
+    is missing at frame 37; line 71 of each holds a 0_0 token that numpy refuses."""
+    gt = [label_line(f, k, slot_box(k, f)) for f in range(50) for k in range(4)]
+    hyp = [label_line(f, 1 - k if f >= 25 and k < 2 else k, slot_box(k, f))
+           for f in reversed(range(50)) for k in range(4) if (f, k) != (37, 2)]
+    paths = []
+    for name, lines in (("gt.txt", gt), ("hyp.txt", hyp)):
+        lines[70] = lines[70].replace(" 0.0 0 -1.2 ", " 0.0 0_0 -1.2 ")
+        paths.append(tmp_path / name)
+        paths[-1].write_text("\n".join(lines) + "\n")
+    return paths
+
+
+# sha256 of the evaluate report and of the track output on `_swapped_pair`'s
+# files, from the reader that built one record per line
+SWAPPED_EVALUATE_SHA256 = "a66cb8b89656db368bd52eb7af9ed6718e386ec68b34f5e1d2c14429da246396"
+SWAPPED_TRACK_SHA256 = "235febe5a99d122a47d9fcceddec3c301624bdde74087cd2a5d4f880234a683e"
+
+
+def test_evaluate_builds_no_record(tmp_path, capsys, monkeypatch):
+    gt, hyp = _swapped_pair(tmp_path)
+    walk, walked = kitti_io._walk, []
+
+    def walking(chunk, start):
+        walked.append(start)
+        return walk(chunk, start)
+
+    def no_record(*args):
+        raise AssertionError("evaluate built a KittiRecord")
+
+    # 32-line chunks: each file is read in 7 chunks, and its third is walked
+    monkeypatch.setattr(kitti_io, "_CHUNK", 32)
+    monkeypatch.setattr(kitti_io, "_walk", walking)
+    monkeypatch.setattr(kitti_io.KittiRecord, "__init__", no_record)
+    assert execute(["evaluate", "--gt", str(gt), "--hyp", str(hyp)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("MOTA=0.9850\nFP=0\nFN=1\nIDSW=2\nGT=200\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == SWAPPED_EVALUATE_SHA256
+    assert walked == [64, 64]
+    monkeypatch.undo()
+    monkeypatch.setattr(kitti_io, "_CHUNK", 32)
+    assert execute(["track", "--dets", str(gt), "--out", str(tmp_path / "tracks.txt")]) == 0
+    digest = hashlib.sha256((tmp_path / "tracks.txt").read_bytes()).hexdigest()
+    assert digest == SWAPPED_TRACK_SHA256
 
 
 def test_search_logs_one_line_per_skipped_lambda_and_no_traceback(tmp_path):

@@ -1,20 +1,24 @@
+import gc
 import io
 import math
 import operator
 import re
 import string
 import warnings
+import weakref
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import label_line, make_detection, slot_box
+from conftest import boxes, label_line, make_detection, slot_box
+from paretotrack.cli import _frames_of
 from paretotrack.geometry import iou_matrix
 from paretotrack.kitti_io import (
     N_DETECTION_FIELDS,
     N_LABEL_FIELDS,
+    KittiRecord,
     number_rows,
     parse_label_line,
     parse_sequence,
@@ -801,3 +805,58 @@ def test_a_bad_line_walks_only_its_own_chunk(monkeypatch):
                        match="^line 4500: field 'bbox_left' is not finite: 'nan'$"):
         parse_sequence(lines)
     assert walked == list(range(4097, 4501))
+
+
+@st.composite
+def _walked_files(draw):
+    """Files of unsorted frames, each (frame, track ID) once, 17- and 18-field
+    lines, and one line with a 0_0 token that sends its chunk to the line grammar."""
+    objects = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(-1, 9)),
+                            min_size=2, max_size=40, unique=True))
+    lines = []
+    for frame, track_id in objects:
+        line = label_line(frame, track_id, draw(boxes()), score=draw(st.floats(0, 1)))
+        lines.append(line.rsplit(" ", 1)[0] if draw(st.booleans()) else line)
+    at = draw(st.integers(0, len(lines) - 1))
+    lines[at] = lines[at].replace(" 0.0 0 -1.2 ", " 0.0 0_0 -1.2 ")
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(_walked_files(), st.sampled_from([1, 2, 3, 5]))
+def test_frames_built_on_first_read_equal_the_eager_grouping(lines, chunk):
+    import paretotrack.kitti_io as kitti_io
+
+    with mock.patch.object(kitti_io, "_CHUNK", chunk):
+        seq = parse_sequence(lines)
+        frames_of = _frames_of(lines)
+    assert 0 in seq.table.chunk_fields
+    # the grouping that the reader made while reading, before frames was built on demand
+    eager = {}
+    for row, frame in enumerate(seq.table.frames):
+        eager.setdefault(frame, []).append(KittiRecord(seq.table, row))
+
+    def fields(records):
+        return [(r.frame, r.track_id, r.box, r.confidence, r.lineno) for r in records]
+
+    assert list(seq.frames) == list(eager)
+    for frame, records in eager.items():
+        assert fields(seq.frames[frame]) == fields(records)
+    assert list(frames_of) == list(eager)
+    assert frames_of == {f: [(r.track_id, list(r.box)) for r in recs]
+                         for f, recs in seq.frames.items()}
+
+
+def test_a_read_sequence_is_freed_by_reference_counting():
+    # records kept on the table would make a cycle (table -> records -> table)
+    # that keeps a parsed file alive until the cycle collector runs
+    lines = [label_line(f, k, slot_box(k, f)) for f in range(5) for k in range(3)]
+    gc.disable()
+    try:
+        seq = parse_sequence(lines)
+        assert seq.frames[2][1].box == slot_box(1, 2)
+        refs = [weakref.ref(seq), weakref.ref(seq.table.numbers)]
+        del seq
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
