@@ -196,12 +196,18 @@ def softmax_weights(logits) -> np.ndarray:
     """Stable (max-subtracted) softmax along the last axis: weights summing to 1.
 
     Each row of a (rows, ops) matrix gets, bit for bit, the row's own softmax.
+    These are the checks; `_softmax` is the kernel, for float64 logits already checked.
     """
     arr = np.atleast_1d(np.asarray(logits, dtype=np.float64))
     if arr.shape[-1] == 0:
         raise ValueError("softmax of an empty vector")
     if not np.isfinite(arr).all():
         raise ValueError("softmax input must be finite")
+    return _softmax(arr)
+
+
+def _softmax(arr: np.ndarray) -> np.ndarray:
+    """`softmax_weights` unchecked: a non-finite row gives a non-finite row, not an error."""
     e = np.exp(arr - arr.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 

@@ -3,14 +3,15 @@
 Stage 1 alternates a gradient step on the architecture logits with inner
 gradient steps on the model parameters, both against the combined objective
 loss + lambda * normalized expected latency, evaluating on the validation
-split each epoch and keeping the best logits.  It runs a list of lambdas as
-one batch, a (lambdas, positions, ops) logits tensor per cell kind, and each
-row does bit for bit what a run with its lambda alone would.  Stage 2
-freezes pruned architectures and trains their parameters on the plain loss,
-checkpointing the best validation value at a fixed interval.  It runs a list
-of architectures as one batch, a (architectures, positions, ops) one-hot
-stack per cell kind, and each row does bit for bit what a run with its
-architecture alone would.
+split each epoch and keeping the best logits.  Stage 2 freezes pruned
+architectures and trains their parameters on the plain loss, checkpointing
+the best validation value at a fixed interval.
+
+Each stage runs its list of lambdas or architectures as one batch, which the
+evaluator sees as a (rows, positions, ops) stack per cell kind, and each row
+does bit for bit what a run with its lambda or architecture alone would.  Rows never mix, so a row
+whose values turn non-finite is masked and stays in the batch: only its
+SearchDivergedError is read, and a stage stops once every row has diverged.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..latency import LatencyTable, softmax_weights
+from ..latency import LatencyTable, _softmax, softmax_weights
 from ..settings import AT_LEAST_0, AT_LEAST_1, RATE, check
 from .space import (DiscreteArch, SearchSpace, edge_latencies, one_hot_weights,
                     weighted_latency)
@@ -99,9 +100,8 @@ def _objective(evaluator: SurrogateEvaluator, weights: dict[str, np.ndarray],
                theta: np.ndarray, split: str, lams: np.ndarray,
                lat_vectors: dict[str, np.ndarray], norm: float) -> np.ndarray:
     """Per row: surrogate loss plus lambda times the relaxed latency over `norm`."""
-    losses = np.array(evaluator.loss(weights, theta, split))
-    lats = np.array(weighted_latency(weights, lat_vectors))
-    return losses + lams * (lats / norm)
+    losses = evaluator.loss(weights, theta, split)
+    return np.add(losses, lams * np.divide(weighted_latency(weights, lat_vectors), norm))
 
 
 def total_loss(
@@ -174,60 +174,59 @@ def stage1_search(
     """
     lams = np.array([check("lambda", lam, RATE) for lam in lambdas], dtype=np.float64)
     rng = np.random.default_rng(seed)
-    shape = (space.n_positions, len(space.ops))
-    logits = {kind: np.repeat(rng.normal(0.0, 1e-2, size=shape)[None], len(lams), axis=0)
-              for kind in space.kinds()}
+    kinds = space.kinds()
+    # one (lambdas, kinds, positions, ops) array, so that each epoch checks, softmaxes
+    # and keeps the logits of every kind in one pass; the evaluator gets a view per kind
+    logits = np.repeat(rng.normal(0.0, 1e-2, size=(len(kinds), space.n_positions,
+                                                   len(space.ops)))[None], len(lams), axis=0)
     theta = np.repeat(rng.normal(0.0, 0.5, size=(1, evaluator.theta_dim)), len(lams), axis=0)
     lat_vectors = edge_latencies(space, table)
     norm = max_latency_ms(space, table)
-    live = np.arange(len(lams))  # batch row -> index in `lambdas`
-    best_logits = {kind: v.copy() for kind, v in logits.items()}
-    best_theta, best_val = theta.copy(), np.full(len(lams), math.inf)
-    # validation totals by epoch and lambda; NaN where a row was not validated
-    history = np.full((budget.epochs, len(lams)), math.nan)
-    diverged: dict[int, SearchDivergedError] = {}
+    best_logits, best_theta, best_val = logits.copy(), theta.copy(), np.full(len(lams), math.inf)
+    history = np.empty((budget.epochs, len(lams)))  # validation totals by epoch and lambda
+    alive, any_alive = np.ones(len(lams), dtype=bool), len(lams) > 0
+    diverged: dict[int, SearchDivergedError] = {}  # row -> its first non-finite epoch
 
-    def keep(ok: np.ndarray, epoch: int, message: str) -> None:
-        nonlocal live, lams, theta, logits, weights, terms
-        if not ok.all():
-            diverged.update((i, SearchDivergedError(epoch, message)) for i in live[~ok].tolist())
-            live, lams, theta = live[ok], lams[ok], theta[ok]
-            logits, weights, terms = ({kind: v[ok] for kind, v in d.items()}
-                                      for d in (logits, weights, terms))
-
-    # the finiteness checks find a diverging row; a warning would fail every row
+    # rows never mix, so a diverged row stays in the batch and only its error is read;
+    # the finiteness checks find a diverging row, and a warning would fail every row
     with np.errstate(all="ignore"):
-        weights = {kind: softmax_weights(v) for kind, v in logits.items()}
+        weights = dict(zip(kinds, softmax_weights(logits).swapaxes(0, 1)))
         terms = _latency_terms(lat_vectors, norm, lams)
         for epoch in range(budget.epochs):
             grads = _logit_gradient(weights, theta, evaluator, terms)
-            for kind in logits:
-                logits[kind] -= budget.alpha_lr * grads[kind]
-            if not all(np.isfinite(v).all() for v in logits.values()):
-                keep(np.logical_and.reduce([np.isfinite(v).all(axis=(1, 2))
-                                            for v in logits.values()]), epoch, "non-finite logits")
-            if not live.size:
+            for k, kind in enumerate(kinds):
+                logits[:, k] -= budget.alpha_lr * grads[kind]
+            if not np.isfinite(logits).all():
+                any_alive = _mark_diverged(alive, np.isfinite(logits).all(axis=(1, 2, 3)),
+                                           diverged, epoch, "non-finite logits")
+            if not any_alive:
                 break
             # these weights serve the theta steps, the validation and the next alpha step
-            weights = {kind: softmax_weights(v) for kind, v in logits.items()}
+            weights = dict(zip(kinds, _softmax(logits).swapaxes(0, 1)))
             for _ in range(budget.theta_iters):
                 _, g_theta = evaluator.grad(weights, theta, "train")
-                theta = theta - budget.theta_lr * g_theta
-            vals = _objective(evaluator, weights, theta, "val", lams, lat_vectors, norm)
-            history[epoch, live] = vals
-            ok = np.isfinite(vals)
-            better = ok & (vals < best_val[live])
-            if better.any():
-                rows = live[better]
-                best_val[rows] = vals[better]
-                for kind, v in logits.items():
-                    best_logits[kind][rows] = v[better]
-                best_theta[rows] = theta[better]
-            keep(ok, epoch, "non-finite loss")
-    return [diverged[i] if i in diverged else Stage1Result(
-        logits={kind: v[i] for kind, v in best_logits.items()}, theta=best_theta[i],
-        best_val_loss=float(best_val[i]),
-        val_history=history[np.isfinite(history[:, i]), i].tolist()) for i in range(len(best_val))]
+                theta -= budget.theta_lr * g_theta
+            vals = history[epoch] = _objective(evaluator, weights, theta, "val", lams,
+                                               lat_vectors, norm)
+            better = vals < best_val  # a diverging row's best is never read
+            np.copyto(best_val, vals, where=better)
+            np.copyto(best_logits, logits, where=better[:, None, None, None])
+            np.copyto(best_theta, theta, where=better[:, None])
+            if not np.isfinite(vals).all():
+                any_alive = _mark_diverged(alive, np.isfinite(vals), diverged, epoch)
+    return [Stage1Result(
+        logits=dict(zip(kinds, best_logits[i])), theta=best_theta[i],
+        best_val_loss=float(best_val[i]), val_history=history[:, i].tolist())
+        if live else diverged[i] for i, live in enumerate(alive.tolist())]
+
+
+def _mark_diverged(alive: np.ndarray, ok: np.ndarray, diverged: dict[int, SearchDivergedError],
+                   step: int, message: str = "non-finite loss", unit: str = "epoch") -> bool:
+    """Mark the alive rows that are not `ok` diverged at `step`; whether any row is left."""
+    diverged.update((i, SearchDivergedError(step, message, unit))
+                    for i in np.flatnonzero(alive & ~ok).tolist())
+    alive &= ok
+    return bool(alive.any())
 
 
 def stage2_train(
@@ -250,33 +249,27 @@ def stage2_train(
     hot = [one_hot_weights(arch, space) for arch in archs]
     weights = {kind: np.array([h[kind] for h in hot]).reshape(
         len(archs), space.n_positions, len(space.ops)) for kind in space.kinds()}
-    live = np.arange(len(archs))  # batch row -> index in `archs`
-    diverged: dict[int, SearchDivergedError] = {}
+    alive = np.ones(len(archs), dtype=bool)
+    diverged: dict[int, SearchDivergedError] = {}  # row -> its first non-finite checkpoint
 
-    # a non-finite checkpoint finds a diverging row; a warning would fail every row
+    # as in stage 1, a diverged row stays in the batch and only its error is read
     with np.errstate(all="ignore"):
-        vals = evaluator.loss(weights, theta, "val")
-        best_val, best_theta = np.array(vals, dtype=np.float64), theta.copy()
-        history = [[val] for val in vals]
+        vals = np.array(evaluator.loss(weights, theta, "val"), dtype=np.float64)
+        best_val, best_theta = vals.copy(), theta.copy()
+        history = [vals]  # validation losses by checkpoint and architecture
         for t in range(1, budget.iters + 1):
             _, g_theta = evaluator.grad(weights, theta, "train")
             theta = theta - budget.theta_lr * g_theta
             if t % budget.eval_interval == 0 or t == budget.iters:
                 vals = np.array(evaluator.loss(weights, theta, "val"), dtype=np.float64)
                 ok = np.isfinite(vals)
-                if not ok.all():
-                    diverged.update((i, SearchDivergedError(t, unit="iteration"))
-                                    for i in live[~ok].tolist())
-                    live, vals, theta = live[ok], vals[ok], theta[ok]
-                    weights = {kind: v[ok] for kind, v in weights.items()}
-                    if not live.size:
-                        break
-                better = vals < best_val[live]
-                if better.any():
-                    best_val[live[better]] = vals[better]
-                    best_theta[live[better]] = theta[better]
-                for i, val in zip(live.tolist(), vals.tolist()):
-                    history[i].append(val)
-    return [diverged[i] if i in diverged else Stage2Result(
-        params=best_theta[i], best_val_loss=float(best_val[i]), val_history=history[i])
-        for i in range(len(archs))]
+                if not (ok.all() or _mark_diverged(alive, ok, diverged, t, unit="iteration")):
+                    break
+                better = vals < best_val
+                np.copyto(best_val, vals, where=better)
+                np.copyto(best_theta, theta, where=better[:, None])
+                history.append(vals)
+    history = np.array(history)
+    return [Stage2Result(params=best_theta[i], best_val_loss=float(best_val[i]),
+                         val_history=history[:, i].tolist())
+            if live else diverged[i] for i, live in enumerate(alive.tolist())]
