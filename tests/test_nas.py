@@ -1,9 +1,10 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import kind_logits, nominal_table
@@ -392,24 +393,40 @@ def _same_bits(a, b):
 
 @st.composite
 def _batch_problems(draw):
-    """A small space, either surrogate, a budget and lambdas with 0 and repeats."""
+    """A small space, either surrogate, a budget and lambdas with 0 and repeats.
+
+    Lambdas near the float maximum overflow the logits, a theta rate of 1e6
+    overflows the loss, and alpha rates up to 50 move the logits far: rows
+    then diverge for either reason at different epochs."""
     normal = draw(st.integers(0, 2))
     space = small_space(normal_cells=normal,
                         reduction_cells=draw(st.integers(0 if normal else 1, 1)),
                         nodes=draw(st.integers(2, 4)))
     surrogate = draw(st.sampled_from([nas.OpCostSurrogate, nas.QuadraticSurrogate]))
     ev = surrogate(space, theta_dim=draw(st.integers(0, 4)), seed=draw(st.integers(0, 99)))
-    lams = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=1, max_size=5))
+    lams = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3),
+                                   st.sampled_from([1e300, 1e308, sys.float_info.max]),
+                                   st.floats(1e300, sys.float_info.max)),
+                         min_size=1, max_size=5))
     lams += draw(st.lists(st.sampled_from(lams), max_size=3))
     budget = nas.Stage1Budget(epochs=draw(st.integers(1, 12)),
-                              theta_iters=draw(st.integers(0, 3)),
-                              alpha_lr=draw(st.floats(0.0, 2.0)),
-                              theta_lr=draw(st.floats(0.0, 0.4)))
+                              theta_iters=draw(st.integers(0, 10)),
+                              alpha_lr=draw(st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 50.0))),
+                              theta_lr=draw(st.one_of(st.floats(0.0, 0.4), st.just(1e6))))
     return space, ev, draw(st.permutations(lams)), budget, draw(st.integers(0, 99))
+
+
+def _both_reasons():
+    """A batch whose rows diverge for both reasons: two lambdas' logits at epoch 0,
+    and the other rows' loss, once theta's steps overflow, at epoch 2."""
+    space = small_space()
+    return (space, nas.OpCostSurrogate(space, seed=0), [0.1, 1e308, 1.0, sys.float_info.max, 0.1],
+            nas.Stage1Budget(epochs=6, theta_iters=10, alpha_lr=0.5, theta_lr=1e6), 0)
 
 
 @settings(max_examples=80, deadline=None)
 @given(_batch_problems())
+@example(_both_reasons())
 def test_stage1_batch_rows_equal_each_lambda_alone(problem):
     space, ev, lams, budget, seed = problem
     table = nominal_table(space)
@@ -418,7 +435,8 @@ def test_stage1_batch_rows_equal_each_lambda_alone(problem):
     for lam, row in zip(lams, batch):
         (alone,) = nas.stage1_search(space, ev, table, [lam], budget, seed)
         assert _same_bits(row, alone)
-        assert _same_bits(row, _stage1_alone(space, ev, table, lam, budget, seed))
+        with np.errstate(all="ignore"):
+            assert _same_bits(row, _stage1_alone(space, ev, table, lam, budget, seed))
 
 
 def test_stage1_diverging_row_leaves_the_others_alone():
@@ -597,6 +615,56 @@ def test_stage2_diverging_row_leaves_the_others_alone(caplog):
     kept = [lam for lam in lambdas if lam not in failing]
     assert front == nas.pareto_sweep(space, ev, table, kept, stage1, stage2, seed=0)
     assert slowest not in {p.arch for p in front}
+
+
+class _CountsLoss:
+    """Mixed into an evaluator: counts the calls of its loss, and fails a search
+    that runs on for 100 of them, long after its rows have diverged."""
+
+    loss_calls = 0
+
+    def loss(self, weights, theta, split="train"):
+        self.loss_calls += 1
+        assert self.loss_calls < 100, "the search ran on after every row diverged"
+        return super().loss(weights, theta, split)
+
+
+class _CountingCost(_CountsLoss, nas.OpCostSurrogate):
+    pass
+
+
+class _CountingOverflow(_CountsLoss, _OpOnEveryEdgeOverflowsTheta):
+    pass
+
+
+def test_stage1_stops_once_every_row_has_diverged():
+    # theta's rate of 1e6 overflows the loss at epoch 2, and lambda = 1e308 the logits
+    # at epoch 0: a million epochs end after the third validation
+    space = small_space()
+    table = nominal_table(space)
+    budget = nas.Stage1Budget(epochs=10**6, theta_iters=10, alpha_lr=0.5, theta_lr=1e6)
+    for lams, errors, calls in (
+            ([0.1, 1e308, 1.0], ["loss at epoch 2", "logits at epoch 0", "loss at epoch 2"], 3),
+            ([1e308, 1e308], ["logits at epoch 0"] * 2, 0)):
+        ev = _CountingCost(space, seed=0)
+        batch = nas.stage1_search(space, ev, table, lams, budget, seed=0)
+        assert [str(row) for row in batch] == [f"non-finite {e}" for e in errors]
+        assert ev.loss_calls == calls
+
+
+def test_stage2_stops_at_the_checkpoint_where_every_row_has_diverged():
+    # at a rate of 1e6 theta overflows on every architecture, and sooner on the one
+    # whose theta gradient is 1000 times larger: a million iterations end at the
+    # checkpoint where the other one's loss turns non-finite
+    space = small_space(reduction_cells=0)
+    ev = _CountingOverflow(space, "sep_conv_7", seed=0)
+    slowest = DiscreteArch(edges=tuple(("normal", e, "sep_conv_7") for e in space.positions))
+    budget = nas.Stage2Budget(iters=10**6, eval_interval=1, theta_lr=1e6)
+    first, last = nas.stage2_train(space, [slowest, DiscreteArch(edges=())], ev, budget, seed=0)
+    assert isinstance(first, nas.SearchDivergedError)
+    assert isinstance(last, nas.SearchDivergedError)
+    assert 0 < first.step < last.step < 100
+    assert ev.loss_calls == 1 + last.step  # the initial validation, then one per iteration
 
 
 # ------------------------------------------------------------- pareto
