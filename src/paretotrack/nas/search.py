@@ -9,9 +9,10 @@ the best validation value at a fixed interval.
 
 Each stage runs its list of lambdas or architectures as one batch, which the
 evaluator sees as a (rows, positions, ops) stack per cell kind, and each row
-does bit for bit what a run with its lambda or architecture alone would.  Rows never mix, so a row
-whose values turn non-finite is masked and stays in the batch: only its
-SearchDivergedError is read, and a stage stops once every row has diverged.
+does bit for bit what a run with its lambda or architecture alone would.
+Rows never mix, so a row whose values turn non-finite is masked and stays in
+the batch: only its SearchDivergedError is read, and a stage stops once every
+row has diverged.
 """
 
 from __future__ import annotations
