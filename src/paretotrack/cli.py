@@ -308,7 +308,7 @@ def _cmd_assoc_debug(args: argparse.Namespace) -> int:
             n, m = (int(tok) for tok in args.random.split(","))
         except ValueError:
             raise CliError("--random expects 'N,M'") from None
-        # positive_matching pads an n x m gain to a max(n, m) square, so each
+        # positive_matching's time grows with min(n, m)^2 max(n, m), so each
         # side is bounded on its own
         for rule in (AT_LEAST_0, AT_MOST_500):
             if not all(map(rule.holds, (n, m))):

@@ -17,9 +17,9 @@ for its first bad line; either way every value has the grammar's bits.  A
 record holds what the program reads of its line: the frame, the track ID, the
 box, the confidence (the score, or 1.0 on a 17-field line) and the line number.
 The records are built, frame by frame, on the first read of
-`SequenceDetections.frames`, and the box tuples from the table's number array
-on the first read of a box, so `evaluate`, which reads the table's columns,
-builds neither, and `track` builds no box tuple.
+`SequenceDetections.frames`, so `evaluate`, which reads the table's columns,
+builds none; a record's box tuple is read from the table's number array each
+time it is asked for, which `track` never does.
 `write_tracking_results` writes a result line as the frame, the track ID and
 the line's tokens after its track ID, so a number is written as it was
 spelled, and parse(write(x)) reproduces every field bit for bit.  A line that
@@ -75,20 +75,13 @@ class _Table:
     grammar walked)."""
 
     __slots__ = ("frames", "track_ids", "confidences", "lines", "numbers", "chunk",
-                 "chunk_fields", "_boxes", "_canonical", "_rows_by_frame")
+                 "chunk_fields", "_canonical", "_rows_by_frame")
 
     def __init__(self, lines: list[str]):
         self.lines = lines
         self.chunk = _CHUNK
         self.frames, self.track_ids, self.confidences, self.chunk_fields = [], [], [], []
-        self._boxes = self._canonical = self._rows_by_frame = None
-
-    @property
-    def boxes(self) -> list[tuple[float, float, float, float]]:
-        """Each line's (left, top, right, bottom) tuple; built on the first read and kept."""
-        if self._boxes is None:
-            self._boxes = list(map(tuple, self.numbers[:, :4].tolist()))
-        return self._boxes
+        self._canonical = self._rows_by_frame = None
 
     def canonical(self) -> list[bool]:
         """Whether each chunk's lines are all canonical, so that a line's tokens
@@ -128,7 +121,7 @@ class KittiRecord:
 
     frame = property(lambda self: self._table.frames[self._row])
     track_id = property(lambda self: self._table.track_ids[self._row])
-    box = property(lambda self: self._table.boxes[self._row])
+    box = property(lambda self: tuple(self._table.numbers[self._row, :4].tolist()))
     confidence = property(lambda self: self._table.confidences[self._row])
 
     @property

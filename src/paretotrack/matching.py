@@ -1,8 +1,11 @@
 """Maximum-weight bipartite matching via shortest augmenting paths.
 
-The core routine solves the square assignment problem with the classic
-Jonker-Volgenant / Hungarian potential scheme in O(n^3), run on Python lists.
-At tracking sizes the work per augmenting step is a handful of scalar
+The core routine solves the rectangular assignment problem, rows <= columns,
+with the classic Jonker-Volgenant / Hungarian potential scheme in
+O(n^2 m) for n rows and m columns, run on Python lists: each of the n rows
+augments once, by at most n steps that each scan the free columns (Crouse,
+"On implementing 2D rectangular assignment algorithms", IEEE TAES 52(4),
+2016).  At tracking sizes the work per augmenting step is a handful of scalar
 operations per column, which lists do faster than small-array numpy calls:
 on a 2-core x86 host with Python 3.11 and numpy 2.4 the list scan was about
 6x faster than a numpy column scan at n = 8, 3x at n = 45 and 1.1-1.4x at
@@ -10,11 +13,12 @@ n = 100-150, level at n = 200 and 1.5-2x slower at n = 300-400.
 
 On top of it, positive_matching() finds a maximum-total-gain matching where
 leaving a node unmatched is free and only strictly positive gains are worth
-taking: the rectangular gain matrix is padded to a square with zero "skip"
-cells, so any partial matching extends to a perfect assignment of equal
-total gain.
+taking.  It assigns each node of the smaller side (the gain is transposed
+when it has more rows than columns) on the cost -max(gain, 0), so a search
+costs O(min(n, m)^2 max(n, m)); a node that lands on a zero cell stays
+unmatched, so the optimum total is that of the best partial matching.
 
-Before padding, positive_matching() checks whether the strictly positive
+Before any search, positive_matching() checks whether the strictly positive
 cells form a partial permutation: no two of them share a row or a column.
 Then those cells, in row order, are the one optimal matching and are
 returned without a search.  They fit together, so taking all of them is
@@ -32,29 +36,29 @@ import numpy as np
 
 
 def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
-    """Minimum-cost perfect assignment on a square matrix.
+    """Minimum-cost assignment of every row to its own column, rows <= columns.
 
     Returns col_of_row: col_of_row[i] is the column assigned to row i.
     Deterministic: ties are resolved by the lowest column index scanned first.
     """
     cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise ValueError(f"cost matrix must be square, got {cost.shape}")
-    n = cost.shape[0]
+    if cost.ndim != 2 or cost.shape[0] > cost.shape[1]:
+        raise ValueError(f"cost matrix must have rows <= columns, got {cost.shape}")
+    n, m = cost.shape
     rows = cost.tolist()
 
     # 1-based; column 0 is the virtual start of each augmenting path.
     u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)  # p[j] = row matched to column j
-    way = [0] * (n + 1)
+    v = [0.0] * (m + 1)
+    p = [0] * (m + 1)  # p[j] = row matched to column j, 0 while unmatched
+    way = [0] * (m + 1)
 
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = [math.inf] * (n + 1)
+        minv = [math.inf] * (m + 1)
         used = [0]  # columns on the alternating tree, in the order reached
-        free = list(range(1, n + 1))  # the other columns, ascending
+        free = list(range(1, m + 1))  # the other columns, ascending
         while True:
             row = rows[p[j0] - 1]
             ui = u[p[j0]]
@@ -84,7 +88,9 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
             j0 = j1
 
     col_of_row = np.zeros(n, dtype=np.int64)
-    col_of_row[np.array(p[1:], dtype=np.int64) - 1] = np.arange(n)
+    for j in range(1, m + 1):
+        if p[j]:
+            col_of_row[p[j] - 1] = j - 1
     return col_of_row
 
 
@@ -105,13 +111,9 @@ def positive_matching(gain: np.ndarray) -> list[tuple[int, int]]:
         rows, cols = rows.tolist(), cols.tolist()
         if len(set(rows)) == len(rows) == len(set(cols)):
             return list(zip(rows, cols))  # the unique optimum, no search needed
-    k = max(n, m)
-    padded = np.zeros((k, k))
-    padded[:n, :m] = np.maximum(gain, 0.0)
-    col_of_row = min_cost_assignment(-padded)
-    pairs = [
-        (i, int(col_of_row[i]))
-        for i in range(n)
-        if col_of_row[i] < m and gain[i, col_of_row[i]] > 0.0
-    ]
-    return pairs
+    cost = -np.maximum(gain, 0.0)
+    if n <= m:
+        pairs = enumerate(min_cost_assignment(cost).tolist())
+    else:
+        pairs = sorted((i, j) for j, i in enumerate(min_cost_assignment(cost.T).tolist()))
+    return [(i, j) for i, j in pairs if gain[i, j] > 0.0]

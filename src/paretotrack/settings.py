@@ -25,8 +25,8 @@ AT_LEAST_1 = Rule(">= 1", lambda x: x >= 1)
 AT_LEAST_2 = Rule(">= 2", lambda x: x >= 2)
 UNIT_INTERVAL = Rule("in (0, 1]", lambda x: 0 < x <= 1)
 # The largest side of an `assoc-debug --random` instance: 500,500 solves in
-# about 4 s on a 2-core x86 host, and the time grows with the cube of the
-# larger side.
+# about 4 s on a 2-core x86 host, and the time grows with the square of the
+# smaller side times the larger.
 AT_MOST_500 = Rule("<= 500", lambda x: x <= 500)
 # The largest channels and resolution of a search space: the dearest nominal
 # cost is then about 1.4e9 ms, so neither it nor any sum of such costs that
