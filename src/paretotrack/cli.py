@@ -139,7 +139,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
         overflows = np.flatnonzero(~BOUNDED.holds(s_det))
     if len(overflows):
         row = int(overflows[0])
-        raise CliError(f"{args.dets}:{row + 1}: score {seq.table.confidences[row]!r} "
+        raise CliError(f"{args.dets}:{row + 1}: score {seq.table.numbers[row, 4].item()!r} "
                        f"weighted by --w-det {args.w_det!r} must be {BOUNDED.text}")
     tracks = run_sequence(seq, BaselineScorer(weights), cfg)
     buf = io.StringIO()

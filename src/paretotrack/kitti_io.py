@@ -18,8 +18,8 @@ record holds what the program reads of its line: the frame, the track ID, the
 box, the confidence (the score, or 1.0 on a 17-field line) and the line number.
 The records are built, frame by frame, on the first read of
 `SequenceDetections.frames`, so `evaluate`, which reads the table's columns,
-builds none; a record's box tuple is read from the table's number array each
-time it is asked for, which `track` never does.
+builds none; a record's box tuple and confidence are read from the table's
+number array each time they are asked for, which `track` never does.
 `write_tracking_results` writes a result line as the frame, the track ID and
 the line's tokens after its track ID, so a number is written as it was
 spelled, and parse(write(x)) reproduces every field bit for bit.  A line that
@@ -69,18 +69,18 @@ _DTYPES = {n: np.dtype([(name, {int: "i8", float: "f8", str: "U1"}[conv])
 
 
 class _Table:
-    """One file as read: the frame, track ID and confidence of each line, the
-    line itself, a (rows, 5) array of box and confidence, and the field count
-    of each `chunk`-line chunk as numpy read it (0 for a chunk that the
-    grammar walked)."""
+    """One file as read: the frame and track ID of each line, the line itself,
+    a (rows, 5) array of box and confidence, and the field count of each
+    `chunk`-line chunk as numpy read it (0 for a chunk that the grammar
+    walked)."""
 
-    __slots__ = ("frames", "track_ids", "confidences", "lines", "numbers", "chunk",
-                 "chunk_fields", "_canonical", "_rows_by_frame")
+    __slots__ = ("frames", "track_ids", "lines", "numbers", "chunk", "chunk_fields",
+                 "_canonical", "_rows_by_frame")
 
     def __init__(self, lines: list[str]):
         self.lines = lines
         self.chunk = _CHUNK
-        self.frames, self.track_ids, self.confidences, self.chunk_fields = [], [], [], []
+        self.frames, self.track_ids, self.chunk_fields = [], [], []
         self._canonical = self._rows_by_frame = None
 
     def canonical(self) -> list[bool]:
@@ -122,7 +122,7 @@ class KittiRecord:
     frame = property(lambda self: self._table.frames[self._row])
     track_id = property(lambda self: self._table.track_ids[self._row])
     box = property(lambda self: tuple(self._table.numbers[self._row, :4].tolist()))
-    confidence = property(lambda self: self._table.confidences[self._row])
+    confidence = property(lambda self: self._table.numbers[self._row, 4].item())
 
     @property
     def lineno(self) -> int:
@@ -142,9 +142,8 @@ class SequenceDetections:
     the table's rows by frame on the first read of `frames` and kept here,
     never on the table, so that no reference cycle keeps a file alive."""
 
-    def __init__(self, frames: dict[int, list[KittiRecord]] | None = None,
-                 table: _Table | None = None):
-        self._frames = frames
+    def __init__(self, table: _Table | None = None):
+        self._frames = None
         self.table = table
 
     @property
@@ -240,7 +239,6 @@ def parse_sequence(source: Iterable[str] | IO[str]) -> SequenceDetections:
         frames, track_ids, rows, n_fields = _read_chunk(lines[start:start + chunk], start)
         table.frames += frames
         table.track_ids += track_ids
-        table.confidences += rows[:, 4].tolist()
         table.chunk_fields.append(n_fields)
         numbers.append(rows)
     table.numbers = np.concatenate(numbers)

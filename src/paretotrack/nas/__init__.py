@@ -1,6 +1,6 @@
 """Symbolic cell search space, two-stage Pareto search and front bookkeeping."""
 
-from .pareto import ParetoPoint, dominates, hypervolume_2d, pareto_front, pareto_sweep
+from .pareto import ParetoPoint, hypervolume_2d, pareto_front, pareto_sweep
 from .search import (
     SearchDivergedError,
     Stage1Budget,

@@ -29,13 +29,6 @@ class ParetoPoint:
             raise ValueError("Pareto point coordinates must be finite")
 
 
-def dominates(a: ParetoPoint, b: ParetoPoint) -> bool:
-    """a is nowhere worse and strictly better in latency or loss."""
-    if a.latency_ms > b.latency_ms or a.track_loss > b.track_loss:
-        return False
-    return a.latency_ms < b.latency_ms or a.track_loss < b.track_loss
-
-
 def pareto_front(points: Sequence[ParetoPoint]) -> list[ParetoPoint]:
     """The non-dominated subset, latency ascending, (latency, loss) deduplicated."""
     ordered = sorted(points, key=lambda p: (p.latency_ms, p.track_loss, p.lambda_used))

@@ -7,15 +7,14 @@ confidence, is the reference implementation and the tracker's default.
 `baseline_scores` scores one call.  On a sparse frame of two or three
 detections nearly all of its cost is numpy dispatch, not arithmetic, so
 `BaselineScorer` gives the same values bit for bit from fewer numpy calls: it
-scores a run of one table's frames in a block, by one `iou_matrix` call and one
-`det_score` call, checks the block for finiteness once, and indexes each later
-frame's five families out of it.  Each entry is an elementwise function of one
-pair of rows, so a bigger matrix gives the same bits.  BLOCK_ENTRIES bounds a
-block so that building one stays rare: on the sparse benchmark input 3.6 % of
-frames build a block, where a bound of half the size made 5.1 % build and
-moved the frame loop's 95th-percentile frame onto the builds; and once
-tracklets exist a dense frame and the next one do not fit together, so dense
-frames keep one `baseline_scores` call each.
+keeps one square block over a run of one table's rows, the link and detection
+scores of every pair of them from one `link_score` call and one `det_score`
+call, checks the block for finiteness once, and answers any call whose
+records all lie among its rows by indexing.  Each entry is an elementwise
+function of one pair of rows, so a bigger matrix gives the same bits.
+BLOCK_ENTRIES bounds a block so that building one stays rare; and a dense
+frame and the next one do not fit together, so dense frames keep one
+`baseline_scores` call each.
 """
 
 from __future__ import annotations
@@ -48,6 +47,11 @@ class ScorerConfig:
         """The detection score of a confidence (or an array of them), in
         [-w_det, w_det] for confidences in [0, 1]."""
         return self.w_det * (2.0 * confidence - 1.0)
+
+    def link_score(self, a, b):
+        """The link scores of rows a by rows b, in [-w_iou, w_iou], for
+        (left, top, right, bottom, ...) rows."""
+        return self.w_iou * (2.0 * iou_matrix(a[:, :4], b[:, :4]) - 1.0)
 
 
 class ScoreSet:
@@ -95,13 +99,6 @@ class ScoreSet:
         return self.s_in.shape[0]
 
 
-def _link_and_det(rows: np.ndarray, n_prev: int, n: int, cfg: ScorerConfig):
-    """s_link of rows[:n_prev] by rows[n:], and the det_score of every row, for
-    (left, top, right, bottom, confidence) rows."""
-    s_link = cfg.w_iou * (2.0 * iou_matrix(rows[:n_prev, :4], rows[n:, :4]) - 1.0)
-    return s_link, cfg.det_score(rows[:, 4])
-
-
 def baseline_scores(
     tracklets: Sequence["Tracklet"],
     detections: Sequence[KittiRecord],
@@ -119,79 +116,78 @@ def baseline_scores(
     # one (N + M, 5) array: the tracklets' last boxes and confidences, then
     # the detections'; rows are (left, top, right, bottom, confidence)
     rows = number_rows([track.detections[-1][1] for track in tracklets] + list(detections))
-    s_link, s_det = _link_and_det(rows, n, n, cfg)
+    s_link, s_det = cfg.link_score(rows[:n], rows[n:]), cfg.det_score(rows[:, 4])
     terminal = np.full(len(rows), cfg.terminal_score)
     return ScoreSet(terminal[n:], terminal[:n], s_det[:n], s_det[n:], s_link)
 
 
-# The largest block a BaselineScorer keeps, in s_link entries (rows A x rows B).
-# Measured on a 2-core x86_64 host on the sparse benchmark input (seed 2, 800
-# frames of about 2.2 detections): at 4096 a block spans about 28 frames, so
-# 3.6 % of frames build one (about 130 us, half of it a 60 x 60 iou_matrix),
-# and a frame answered from the block spends about 8 us in scoring against
-# 40 us in baseline_scores.  At 2048, 5.1 % of frames built one and the frame
-# loop's p95 rose from 0.05 to 0.15 ms.  At 8192 a dense frame (about 45
-# detections and as many tracklets) and the next one fit together, and half
-# the dense frames built a block.
+# The largest block a BaselineScorer keeps, in s_link entries (rows squared),
+# so a block holds at most 64 rows.  Measured on a 2-core x86_64 host on the
+# sparse benchmark input (seed 2, 800 frames of about 2.2 detections): 30 of
+# the 800 frames (3.8 %) build a block, each in about 85 us, and a frame
+# answered from the block spends about 6 us in scoring against 34 us in
+# baseline_scores; the frame loop's 95th-percentile frame took 0.041 ms.  At
+# 2048 (45 rows) 43 frames (5.4 %) built one and that p95 rose to 0.14 ms, onto
+# the builds.  At 8192 (90 rows) 21 frames built one, at about 130 us each.
+# A dense frame of about 45 detections and its next frame do not fit in 64
+# rows, so the dense input builds none.
 BLOCK_ENTRIES = 4096
 
 
 class _Block:
-    """s_link and det_score for a run of frames of one table, checked finite once.
+    """s_link and det_score for every pair of a run of one table's rows,
+    checked finite once.
 
-    Rows A are the tracklets' last rows then every block frame's rows but the
-    last frame's; rows B are every block frame's rows.  `prev` and `curr` give
-    the place of a table row among rows A and rows B.
+    The rows are a call's tracklets' last rows, its detections' rows and the
+    rows of the frames after it that fit.  Each entry is a function of its two
+    rows alone, so any call whose records all lie among the rows is answered
+    by indexing, in any order.  `place` gives the place of a table row.
     """
 
-    def __init__(self, table, prev_rows: list[int], curr_rows: list[int], n_prev: int,
-                 cfg: ScorerConfig):
-        n = len(prev_rows)
-        numbers = table.numbers[prev_rows + curr_rows]
+    def __init__(self, table, rows: list[int], cfg: ScorerConfig):
+        numbers = table.numbers[rows]
         # a block may hold a frame that is not scored yet: a non-finite value
         # must not warn before its frame, where baseline_scores warns and raises
         with np.errstate(over="ignore", invalid="ignore"):
-            self.s_link, self.s_det = _link_and_det(numbers, n_prev, n, cfg)
+            self.s_link = cfg.link_score(numbers, numbers)
+            self.s_det = cfg.det_score(numbers[:, 4])
         self.finite = bool(np.isfinite(self.s_link).all() and np.isfinite(self.s_det).all())
-        self.s_det_curr = self.s_det[n:]
-        self.terminal = np.full(max(n_prev, len(curr_rows)), cfg.terminal_score)
+        self.terminal = np.full(len(rows), cfg.terminal_score)
         self.terminal.flags.writeable = False  # shared by every frame's ScoreSet
         self.table = table
-        self.prev = {row: i for i, row in enumerate(prev_rows + curr_rows[:n_prev - n])}
-        self.curr = {row: j for j, row in enumerate(curr_rows)}
+        self.place = {row: i for i, row in enumerate(rows)}
 
-    def places(self, tracklets, detections) -> tuple[list[int], list[int]] | None:
-        """The places of the tracklets' last records among rows A and of the
-        detections among rows B; None if a record is not there."""
-        prev = self._find([track.detections[-1][1] for track in tracklets], self.prev)
-        curr = None if prev is None else self._find(detections, self.curr)
-        return None if curr is None else (prev, curr)
-
-    def _find(self, records, place_of: dict[int, int]) -> list[int] | None:
+    def places(self, records) -> list[int] | None:
+        """The records' places among the rows; None if a record is not there."""
         places = []
         for record in records:
-            place = place_of.get(record._row) if record._table is self.table else None
+            place = self.place.get(record._row) if record._table is self.table else None
             if place is None:
                 return None
             places.append(place)
         return places
 
-    def scores(self, prev: list[int], curr: list[int]) -> ScoreSet:
-        return ScoreSet._checked(self.terminal[:len(curr)], self.terminal[:len(prev)],
-                                 self.s_det[prev], self.s_det_curr[curr],
-                                 self.s_link[prev][:, curr])
+    def scores(self, places: list[int], n: int) -> ScoreSet:
+        """The scores of a call whose first n places are its tracklets'."""
+        prev, curr = places[:n], places[n:]
+        s_det = self.s_det[places]
+        return ScoreSet._checked(self.terminal[:len(curr)], self.terminal[:n],
+                                 s_det[:n], s_det[n:], self.s_link[prev][:, curr])
 
 
 class BaselineScorer:
     """Callable scorer giving baseline_scores' values, for use with the tracking loop.
 
-    When every record of a call comes from one parsed table, the scorer scores
-    the call's frame and the table's frames after it in one block of at most
-    BLOCK_ENTRIES links, and answers later calls from the block by indexing.
-    A call with a record outside the block builds a new one.  A call without
-    detections, with records from several tables, or whose next frame would
-    not fit in a block, is scored by baseline_scores; so is every call while
-    the block holds a non-finite value, which raises at the frame it always did.
+    When every record of a call comes from one parsed table, the scorer keeps
+    one block of that table's rows, the call's rows and the rows of the frames
+    after it, at most BLOCK_ENTRIES entries, and answers every later call whose
+    records all lie among them by indexing.  A call with detections and a
+    record outside the block builds a new one.  A call is scored by
+    baseline_scores when it is too large to share a block with one more row,
+    or lies outside the block and builds none (it has no detections, records
+    from several tables, or a next frame that does not fit); so is every call
+    while the block holds a non-finite value, which raises at the frame it
+    always did.
     """
 
     def __init__(self, cfg: ScorerConfig = ScorerConfig()):
@@ -199,41 +195,32 @@ class BaselineScorer:
         self._block: _Block | None = None
 
     def __call__(self, tracklets, detections) -> ScoreSet:
+        n = len(tracklets)
+        if (n + len(detections) + 1) ** 2 > BLOCK_ENTRIES:  # no block holds one more row
+            return baseline_scores(tracklets, detections, cfg=self.cfg)
+        records = [track.detections[-1][1] for track in tracklets] + list(detections)
         block = self._block
-        places = None if block is None else block.places(tracklets, detections)
-        if places is None:
-            block = self._block = self._build(tracklets, detections)
-            places = None if block is None else block.places(tracklets, detections)
+        places = None if block is None else block.places(records)
+        if places is None and detections:
+            block = self._block = self._build(records)
+            places = None if block is None else block.places(records)
         if places is None or not block.finite:
             return baseline_scores(tracklets, detections, cfg=self.cfg)
-        return block.scores(*places)
+        return block.scores(places, n)
 
-    def _build(self, tracklets, detections) -> _Block | None:
-        """The block of this call's frame and the frames after it, or None."""
-        # a frame of s rows joins while (rows A) x (rows B) stays in bounds;
-        # rows A are then the tracklets and the rows B had before it.  With
-        # s >= 1, no frame joins when even one row would not fit.
-        n, n_curr = len(tracklets), len(detections)
-        if not detections or (n + n_curr) * (n_curr + 1) > BLOCK_ENTRIES:
+    def _build(self, records) -> _Block | None:
+        """The block of the records' rows and the rows of the frames after the
+        last record's, or None if the records come from several tables or no
+        frame fits."""
+        last = records[-1]
+        table = last._table
+        if any(record._table is not table for record in records):
             return None
-        table = detections[0]._table
-        frames, rows = table.rows_by_frame()
-        start = stop = bisect_right(frames, detections[0].frame)
-        last = n_curr
-        while stop < len(frames):
-            s = len(rows[frames[stop]])
-            if (n + n_curr) * (n_curr + s) > BLOCK_ENTRIES:
-                break
-            n_curr += s
-            last = s
+        frames, rows_of = table.rows_by_frame()
+        rows = [record._row for record in records]
+        start = stop = bisect_right(frames, last.frame)
+        while (stop < len(frames)
+               and (len(rows) + len(rows_of[frames[stop]])) ** 2 <= BLOCK_ENTRIES):
+            rows += rows_of[frames[stop]]
             stop += 1
-        if stop == start:
-            return None
-        prev = [track.detections[-1][1] for track in tracklets]
-        if any(record._table is not table for record in prev + list(detections)):
-            return None
-        curr_rows = [det._row for det in detections]
-        for frame in frames[start:stop]:
-            curr_rows += rows[frame]
-        return _Block(table, [record._row for record in prev], curr_rows,
-                      n + n_curr - last, self.cfg)
+        return None if stop == start else _Block(table, rows, self.cfg)

@@ -16,7 +16,7 @@ from paretotrack.scoring import (
     ScoreSet,
     baseline_scores,
 )
-from paretotrack.tracker import TrackerConfig, TrackerState, Tracklet, step
+from paretotrack.tracker import TrackerConfig, TrackerState, Tracklet, run_sequence, step
 
 
 def _tracklet(slot, frame=0, score=0.9):
@@ -252,3 +252,76 @@ def test_an_overflowing_weighted_score_fails_at_its_own_frame(bound, overflow):
     assert got == want
     if overflow == "ignore":
         assert want[0][1:] == (ValueError, "s_det_curr contains non-finite values")
+
+
+def _blocks_built(run) -> list:
+    """Every block the scorers build while ``run()`` runs."""
+    built, real = [], scoring._Block
+
+    def block(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    with mock.patch.object(scoring, "_Block", block):
+        run()
+    return built
+
+
+def _frame_loop(scorer, seq):
+    """Score and step every frame index of ``seq``, an empty frame with []."""
+    state = TrackerState(config=TrackerConfig(t_birth=1, t_death=3))
+    for frame in range(min(seq.frames), max(seq.frames) + 1):
+        dets = seq.frames.get(frame, [])
+        step(state, frame, dets, scorer(state.active, dets))
+
+
+def test_an_empty_call_between_two_frames_of_a_block_keeps_the_block():
+    # six frames of two objects fit one block; a call with no tracklets and no
+    # detections after each frame is answered without building another
+    seq = parse_sequence([label_line(frame, slot, slot_box(slot, frame))
+                          for frame in range(6) for slot in range(2)])
+    scorer = BaselineScorer()
+    state = TrackerState(config=TrackerConfig(t_birth=1, t_death=2))
+    empty = []
+
+    def run():
+        for frame in range(6):
+            step(state, frame, seq.frames[frame], scorer(state.active, seq.frames[frame]))
+            empty.append(scorer([], []))
+
+    assert len(_blocks_built(run)) == 1
+    assert all(_families(got) == _families(baseline_scores([], [])) for got in empty)
+
+
+def _sparse_lines(n_frames=400, seed=5):
+    """0-4 drifting objects a frame, some frames left out."""
+    rng = np.random.default_rng(seed)
+    return [label_line(frame, slot, slot_box(slot, frame), 0.9)
+            for frame in range(n_frames) if rng.random() < 0.8
+            for slot in range(int(rng.integers(0, 5)))]
+
+
+@pytest.mark.parametrize("bound", [1, 4, 12, 40, scoring.BLOCK_ENTRIES])
+def test_every_block_is_a_square_of_at_most_block_entries(bound):
+    seq = parse_sequence(_sparse_lines())
+    with mock.patch.object(scoring, "BLOCK_ENTRIES", bound):
+        built = _blocks_built(lambda: run_sequence(seq, BaselineScorer(),
+                                                   TrackerConfig(t_birth=1, t_death=3)))
+        built += _blocks_built(lambda: _frame_loop(BaselineScorer(), seq))
+    sides = [len(block.terminal) for block in built]
+    assert all(block.s_link.shape == (side, side) for block, side in zip(built, sides))
+    assert all(block.s_link.size <= bound for block in built)
+    if bound >= 12:  # blocks are built, and grow to near the bound
+        assert built and max(sides) ** 2 > bound // 2
+
+
+def test_a_file_of_45_boxes_a_frame_builds_no_block():
+    # 45 rows and the next frame's 45 do not fit one block, with or without
+    # tracklets, so every frame is scored by baseline_scores
+    seq = parse_sequence([label_line(frame, slot, slot_box(slot, frame))
+                          for frame in range(4) for slot in range(45)])
+    with mock.patch.object(scoring, "baseline_scores", wraps=baseline_scores) as dense:
+        built = _blocks_built(lambda: run_sequence(seq, BaselineScorer(),
+                                                   TrackerConfig(t_birth=1, t_death=3)))
+    assert built == []
+    assert dense.call_count == 4
