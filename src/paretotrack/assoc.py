@@ -100,13 +100,8 @@ def objective_value(scores: ScoreSet, sol: AssociationSolution) -> float:
     mathematical objectives always compare equal.
     """
     n, m = scores.n_prev, scores.n_curr
-    if (
-        sol.f_in.shape != (m,)
-        or sol.f_out.shape != (n,)
-        or sol.f_det_prev.shape != (n,)
-        or sol.f_det_curr.shape != (m,)
-        or sol.f_link.shape != (n, m)
-    ):
+    # f_link, f_det_prev and f_det_curr are derived from these two and the links
+    if sol.f_in.shape != (m,) or sol.f_out.shape != (n,):
         raise ValueError("solution shape does not match the score set")
     terms = []
     for values, flags in ((scores.s_in, sol.f_in), (scores.s_link, sol.f_link),

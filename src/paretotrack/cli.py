@@ -141,7 +141,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
         row = int(overflows[0])
         raise CliError(f"{args.dets}:{row + 1}: score {seq.table.numbers[row, 4].item()!r} "
                        f"weighted by --w-det {args.w_det!r} must be {BOUNDED.text}")
-    tracks = run_sequence(seq, BaselineScorer(weights), cfg)
+    tracks = run_sequence(seq.frames, BaselineScorer(weights), cfg)
     buf = io.StringIO()
     write_tracking_results(tracks, buf)
     _atomic_write(args.out, buf.getvalue())

@@ -16,10 +16,11 @@ all its field values, which reads the chunk or raises `settings.FormatError`
 for its first bad line; either way every value has the grammar's bits.  A
 record holds what the program reads of its line: the frame, the track ID, the
 box, the confidence (the score, or 1.0 on a 17-field line) and the line number.
-The records are built, frame by frame, on the first read of
-`SequenceDetections.frames`, so `evaluate`, which reads the table's columns,
-builds none; a record's box tuple and confidence are read from the table's
-number array each time they are asked for, which `track` never does.
+`parse_sequence` returns the table in a `SequenceDetections`, whose records
+are built, frame by frame, on the first read of its `frames`, the mapping that
+`track` steps; `evaluate`, which reads the table's columns, builds none.  A
+record's box tuple and confidence are read from the table's number array each
+time they are asked for, which `track` never does.
 `write_tracking_results` writes a result line as the frame, the track ID and
 the line's tokens after its track ID, so a number is written as it was
 spelled, and parse(write(x)) reproduces every field bit for bit.  A line that
@@ -137,12 +138,12 @@ def number_rows(records: Sequence[KittiRecord]) -> np.ndarray:
 
 
 class SequenceDetections:
-    """Per-frame records of one sequence, keyed by frame index, and the table
-    of the file they were read from.  A parsed file's records are built from
-    the table's rows by frame on the first read of `frames` and kept here,
-    never on the table, so that no reference cycle keeps a file alive."""
+    """A parsed file: its table, and its records keyed by frame index.  The
+    records are built from the table's rows by frame on the first read of
+    `frames` and kept here, never on the table, so that no reference cycle
+    keeps a file alive."""
 
-    def __init__(self, table: _Table | None = None):
+    def __init__(self, table: _Table):
         self._frames = None
         self.table = table
 
@@ -150,9 +151,8 @@ class SequenceDetections:
     def frames(self) -> dict[int, list[KittiRecord]]:
         """Each frame's records in line order, frames in the order first seen."""
         if self._frames is None:
-            self._frames = {} if self.table is None else {
-                frame: [KittiRecord(self.table, row) for row in rows]
-                for frame, rows in self.table.rows_by_frame()[1].items()}
+            self._frames = {frame: [KittiRecord(self.table, row) for row in rows]
+                            for frame, rows in self.table.rows_by_frame()[1].items()}
         return self._frames
 
 

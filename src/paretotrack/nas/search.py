@@ -67,7 +67,6 @@ class Stage2Budget:
 @dataclass
 class Stage1Result:
     logits: dict[str, np.ndarray]  # one (positions, ops) array per cell kind
-    theta: np.ndarray
     best_val_loss: float
     val_history: list[float] = field(default_factory=list)
 
@@ -183,7 +182,7 @@ def stage1_search(
     theta = np.repeat(rng.normal(0.0, 0.5, size=(1, evaluator.theta_dim)), len(lams), axis=0)
     lat_vectors = edge_latencies(space, table)
     norm = max_latency_ms(space, table)
-    best_logits, best_theta, best_val = logits.copy(), theta.copy(), np.full(len(lams), math.inf)
+    best_logits, best_val = logits.copy(), np.full(len(lams), math.inf)
     history = np.empty((budget.epochs, len(lams)))  # validation totals by epoch and lambda
     alive, any_alive = np.ones(len(lams), dtype=bool), len(lams) > 0
     diverged: dict[int, SearchDivergedError] = {}  # row -> its first non-finite epoch
@@ -212,12 +211,11 @@ def stage1_search(
             better = vals < best_val  # a diverging row's best is never read
             np.copyto(best_val, vals, where=better)
             np.copyto(best_logits, logits, where=better[:, None, None, None])
-            np.copyto(best_theta, theta, where=better[:, None])
             if not np.isfinite(vals).all():
                 any_alive = _mark_diverged(alive, np.isfinite(vals), diverged, epoch)
     return [Stage1Result(
-        logits=dict(zip(kinds, best_logits[i])), theta=best_theta[i],
-        best_val_loss=float(best_val[i]), val_history=history[:, i].tolist())
+        logits=dict(zip(kinds, best_logits[i])), best_val_loss=float(best_val[i]),
+        val_history=history[:, i].tolist())
         if live else diverged[i] for i, live in enumerate(alive.tolist())]
 
 

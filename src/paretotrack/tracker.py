@@ -10,16 +10,18 @@ part in association, so their hit streaks can grow.
 A tracklet records only its ID and its detections, and the lifecycle is read
 from them: it is tentative while its ID is None, a tentative tracklet's hit
 streak is its number of detections (it dies at its first miss), and at frame
-f it has missed the f - last_frame frames since its last detection.
+f it has missed f - l frames, l being the frame of its last detection.  Only
+`step` spawns and extends tracklets; `run_sequence` steps a mapping of frames
+to detections, such as a parsed file's `SequenceDetections.frames`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .assoc import AssociationSolution, solve_exact
-from .kitti_io import KittiRecord, SequenceDetections
+from .kitti_io import KittiRecord
 from .scoring import ScoreSet
 from .settings import AT_LEAST_1, check
 
@@ -40,17 +42,6 @@ class Tracklet:
 
     id: int | None
     detections: list[tuple[int, KittiRecord]]
-
-    @property
-    def last_frame(self) -> int:
-        return self.detections[-1][0]
-
-    def append(self, frame: int, det: KittiRecord) -> None:
-        if self.detections and frame <= self.last_frame:
-            raise ValueError(
-                f"detection frames must strictly increase ({frame} after {self.last_frame})"
-            )
-        self.detections.append((frame, det))
 
 
 @dataclass
@@ -137,11 +128,11 @@ def apply_birth_death(state: TrackerState, frame: int) -> TrackerState:
 
 
 def run_sequence(
-    seq: SequenceDetections,
+    frames: Mapping[int, Sequence[KittiRecord]],
     scorer: Scorer,
     cfg: TrackerConfig = TrackerConfig(),
 ) -> list[Tracklet]:
-    """Track a whole sequence and return every tracklet that was ever confirmed.
+    """Track a sequence's frames and return every tracklet that was ever confirmed.
 
     Frames with detections are stepped in key order.  The frame indices
     between them, absent or empty, are frames with zero detections, so gaps
@@ -153,11 +144,11 @@ def run_sequence(
     """
     state = TrackerState(config=cfg)
     stepped = None
-    for frame in sorted(f for f, dets in seq.frames.items() if dets):
+    for frame in sorted(f for f, dets in frames.items() if dets):
         if frame - 1 != stepped:
             apply_birth_death(state, frame - 1)
         stepped = frame
-        detections = seq.frames[frame]
+        detections = frames[frame]
         step(state, frame, detections, scorer(state.active, detections))
     confirmed = state.retired + [t for t in state.active if t.id is not None]
     return sorted(confirmed, key=lambda t: t.id)

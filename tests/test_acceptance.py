@@ -76,7 +76,7 @@ def test_c03_tracker_perfect_on_synthetic():
     cfg = TrackerConfig(t_birth=1, t_death=1)
     for _ in range(20):
         seq, gt = random_gt_sequence(rng, max_objects=10, max_frames=30)
-        tracks = run_sequence(seq, IdentityScorer(), cfg)
+        tracks = run_sequence(seq.frames, IdentityScorer(), cfg)
         hyp = {}
         for track in tracks:
             for frame, det in track.detections:

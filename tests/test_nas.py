@@ -375,8 +375,8 @@ def _stage1_alone(space, ev, table, lam, budget, seed):
             return nas.SearchDivergedError(epoch)
         history.append(val)
         if best is None or val < best[0]:
-            best = (val, logits, theta)
-    return nas.Stage1Result(best[1], best[2], best[0], history)
+            best = (val, logits)
+    return nas.Stage1Result(best[1], best[0], history)
 
 
 def _same_bits(a, b):
@@ -385,7 +385,6 @@ def _same_bits(a, b):
     return (not isinstance(b, nas.SearchDivergedError)
             and a.logits.keys() == b.logits.keys()
             and all(a.logits[k].tobytes() == b.logits[k].tobytes() for k in a.logits)
-            and a.theta.tobytes() == b.theta.tobytes()
             and type(a.best_val_loss) is type(b.best_val_loss) is float
             and a.best_val_loss.hex() == b.best_val_loss.hex()
             and [v.hex() for v in a.val_history] == [v.hex() for v in b.val_history])

@@ -305,7 +305,7 @@ def _sparse_lines(n_frames=400, seed=5):
 def test_every_block_is_a_square_of_at_most_block_entries(bound):
     seq = parse_sequence(_sparse_lines())
     with mock.patch.object(scoring, "BLOCK_ENTRIES", bound):
-        built = _blocks_built(lambda: run_sequence(seq, BaselineScorer(),
+        built = _blocks_built(lambda: run_sequence(seq.frames, BaselineScorer(),
                                                    TrackerConfig(t_birth=1, t_death=3)))
         built += _blocks_built(lambda: _frame_loop(BaselineScorer(), seq))
     sides = [len(block.terminal) for block in built]
@@ -321,7 +321,7 @@ def test_a_file_of_45_boxes_a_frame_builds_no_block():
     seq = parse_sequence([label_line(frame, slot, slot_box(slot, frame))
                           for frame in range(4) for slot in range(45)])
     with mock.patch.object(scoring, "baseline_scores", wraps=baseline_scores) as dense:
-        built = _blocks_built(lambda: run_sequence(seq, BaselineScorer(),
+        built = _blocks_built(lambda: run_sequence(seq.frames, BaselineScorer(),
                                                    TrackerConfig(t_birth=1, t_death=3)))
     assert built == []
     assert dense.call_count == 4

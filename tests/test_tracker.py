@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import IdentityScorer, label_line, make_detection, random_gt_sequence, slot_box
-from paretotrack.kitti_io import SequenceDetections, parse_sequence
+from paretotrack.kitti_io import parse_sequence
 from paretotrack.scoring import BaselineScorer, ScorerConfig, ScoreSet
 from paretotrack.tracker import (
     TrackerConfig,
@@ -46,7 +46,7 @@ def test_step_match_extends_tracklet():
     assert sol.f_link[0, 0] == 1
     assert len(track.detections) == 2
     assert track.id == 0
-    assert track.last_frame == 1  # no miss at frame 1
+    assert track.detections[-1][0] == 1  # no miss at frame 1
 
 
 def test_step_spawns_tentative_without_id():
@@ -62,7 +62,7 @@ def test_step_miss_increments():
     track = Tracklet(id=0, detections=[(0, _det(0, 0))])
     state.active = [track]
     step(state, 1, [], _matched_scores(1, 0, []))
-    assert track.last_frame == 0  # one miss at frame 1
+    assert track.detections[-1][0] == 0  # one miss at frame 1
     assert track in state.active
 
 
@@ -134,15 +134,9 @@ def test_match_resets_miss_counter():
     state.active = [track]
     state.next_id = 1
     step(state, 1, [], _matched_scores(1, 0, []))
-    assert 1 - track.last_frame == 1  # one miss at frame 1
+    assert 1 - track.detections[-1][0] == 1  # one miss at frame 1
     step(state, 2, [_det(2, 0)], _matched_scores(1, 1, [(0, 0)]))
-    assert 2 - track.last_frame == 0  # the match at frame 2 ends the misses
-
-
-def test_frame_monotonicity_enforced():
-    track = Tracklet(id=0, detections=[(3, _det(3, 0))])
-    with pytest.raises(ValueError):
-        track.append(3, _det(3, 0))
+    assert 2 - track.detections[-1][0] == 0  # the match at frame 2 ends the misses
 
 
 def test_backwards_step_raises():
@@ -206,30 +200,26 @@ def test_birth_death_twice_at_one_frame_changes_nothing():
     state = TrackerState(config=TrackerConfig(t_birth=2, t_death=2))
     step(state, 0, [_det(0, 0), _det(0, 1)], _matched_scores(0, 2, []))
     step(state, 1, [_det(1, 0)], _matched_scores(2, 1, [(0, 0)]))
-    before = [(t.id, t.last_frame) for t in state.active], state.next_id
+    before = [(t.id, t.detections[-1][0]) for t in state.active], state.next_id
     apply_birth_death(state, 1)
-    assert ([(t.id, t.last_frame) for t in state.active], state.next_id) == before
+    assert ([(t.id, t.detections[-1][0]) for t in state.active], state.next_id) == before
 
 
 def test_run_sequence_empty():
-    assert run_sequence(SequenceDetections(), IdentityScorer()) == []
+    assert run_sequence({}, IdentityScorer()) == []
 
 
 def test_run_sequence_two_objects_three_frames():
-    seq = SequenceDetections()
-    for f in range(3):
-        seq.frames[f] = [_det(f, 0), _det(f, 1)]
-    tracks = run_sequence(seq, IdentityScorer(), TrackerConfig(t_birth=1, t_death=1))
+    frames = {f: [_det(f, 0), _det(f, 1)] for f in range(3)}
+    tracks = run_sequence(frames, IdentityScorer(), TrackerConfig(t_birth=1, t_death=1))
     assert len(tracks) == 2
     assert all(len(t.detections) == 3 for t in tracks)
     assert [t.id for t in tracks] == [0, 1]
 
 
 def test_run_sequence_gap_counts_as_miss():
-    seq = SequenceDetections()
-    seq.frames[0] = [_det(0, 0)]
-    seq.frames[2] = [_det(2, 0)]  # frame 1 missing entirely
-    tracks = run_sequence(seq, IdentityScorer(), TrackerConfig(t_birth=1, t_death=1))
+    frames = {0: [_det(0, 0)], 2: [_det(2, 0)]}  # frame 1 missing entirely
+    tracks = run_sequence(frames, IdentityScorer(), TrackerConfig(t_birth=1, t_death=1))
     # the tracklet dies in the gap, a second identity is born at frame 2
     assert len(tracks) == 2
 
@@ -255,8 +245,8 @@ def test_run_sequence_conservation(rng):
 
 def test_run_sequence_deterministic(rng):
     seq, _ = random_gt_sequence(rng, max_objects=6, max_frames=15)
-    a = run_sequence(seq, IdentityScorer(), TrackerConfig(t_birth=2, t_death=2))
-    b = run_sequence(seq, IdentityScorer(), TrackerConfig(t_birth=2, t_death=2))
+    a = run_sequence(seq.frames, IdentityScorer(), TrackerConfig(t_birth=2, t_death=2))
+    b = run_sequence(seq.frames, IdentityScorer(), TrackerConfig(t_birth=2, t_death=2))
     assert [(t.id, [f for f, _ in t.detections]) for t in a] == [
         (t.id, [f for f, _ in t.detections]) for t in b
     ]
@@ -275,18 +265,18 @@ def test_dead_tracklets_never_revive():
     assert state.active[0].id == 1
 
 
-def _walk_every_frame(seq, scorer, cfg):
+def _walk_every_frame(frames, scorer, cfg):
     """Reference loop: step through every frame index, empty gaps included."""
     state = TrackerState(config=cfg)
-    for frame in range(min(seq.frames), max(seq.frames) + 1):
-        dets = seq.frames.get(frame, [])
+    for frame in range(min(frames), max(frames) + 1):
+        dets = frames.get(frame, [])
         step(state, frame, dets, scorer(state.active, dets))
     confirmed = state.retired + [t for t in state.active if t.id is not None]
     return sorted(confirmed, key=lambda t: t.id)
 
 
 def _summary(tracks):
-    return [(t.id, t.last_frame, [(f, d.track_id) for f, d in t.detections])
+    return [(t.id, [(f, d.track_id) for f, d in t.detections])
             for t in tracks]
 
 
@@ -319,21 +309,19 @@ def test_run_sequence_gap_skip_matches_frame_walk(t_death, data, t_birth, make_s
         frame += length - 1
     seq = parse_sequence(lines)  # one table, so the baseline scorer builds blocks
     cfg = TrackerConfig(t_birth=t_birth, t_death=t_death)
-    expected = _summary(_walk_every_frame(seq, make_scorer(), cfg))
-    assert _summary(run_sequence(seq, make_scorer(), cfg)) == expected
+    expected = _summary(_walk_every_frame(seq.frames, make_scorer(), cfg))
+    assert _summary(run_sequence(seq.frames, make_scorer(), cfg)) == expected
 
 
 def test_run_sequence_huge_frame_gap_finishes_quickly():
-    seq = SequenceDetections()
-    for f in (0, 1, 2, 10**9, 10**9 + 1):
-        seq.frames[f] = [_det(f, 0)]
+    frames = {f: [_det(f, 0)] for f in (0, 1, 2, 10**9, 10**9 + 1)}
     for t_death, identities in [
         (5, [[0, 1, 2], [10**9, 10**9 + 1]]),
         # the first identity is still alive, and confirmed, across the gap
         (2 * 10**9, [[0, 1, 2, 10**9, 10**9 + 1]]),
     ]:
         t0 = time.perf_counter()
-        tracks = run_sequence(seq, IdentityScorer(), TrackerConfig(t_birth=2, t_death=t_death))
+        tracks = run_sequence(frames, IdentityScorer(), TrackerConfig(t_birth=2, t_death=t_death))
         assert time.perf_counter() - t0 < 1.0
         assert [[f for f, _ in t.detections] for t in tracks] == identities
 
@@ -352,11 +340,10 @@ _frames = st.dictionaries(
 @given(frames=_frames, t_birth=st.integers(1, 4), t_death=st.integers(1, 4),
        scorer=st.sampled_from([IdentityScorer(), BaselineScorer(ScorerConfig())]))
 def test_run_sequence_invariants(frames, t_birth, t_death, scorer):
-    seq = SequenceDetections()
-    for f, slots in frames.items():
-        seq.frames[f] = [make_detection(f, slot, slot_box(slot, f), score=conf)
-                         for slot, conf in sorted(slots.items())]
-    tracks = run_sequence(seq, scorer, TrackerConfig(t_birth=t_birth, t_death=t_death))
+    dets = {f: [make_detection(f, slot, slot_box(slot, f), score=conf)
+                for slot, conf in sorted(slots.items())]
+            for f, slots in frames.items()}
+    tracks = run_sequence(dets, scorer, TrackerConfig(t_birth=t_birth, t_death=t_death))
 
     used = [id(det) for t in tracks for _, det in t.detections]
     assert len(used) == len(set(used))  # each detection in at most one tracklet
@@ -364,7 +351,7 @@ def test_run_sequence_invariants(frames, t_birth, t_death, scorer):
     for t in tracks:
         frames_of = [f for f, _ in t.detections]
         assert all(a < b for a, b in zip(frames_of, frames_of[1:]))
-        assert all(any(det is d for d in seq.frames[f]) for f, det in t.detections)
+        assert all(any(det is d for d in dets[f]) for f, det in t.detections)
         # confirmed only after t_birth hits in consecutive frames
         assert frames_of[:t_birth] == list(range(frames_of[0], frames_of[0] + t_birth))
         confirmed_at.append(frames_of[t_birth - 1])
@@ -432,11 +419,11 @@ _presence = st.integers(1, 16).flatmap(lambda n: st.lists(
 def test_lifecycle_matches_hit_and_miss_counters(t_birth, t_death, presence):
     # presence[obj][frame]: whether object obj is detected at that frame
     n_frames = len(presence[0])
-    seq = SequenceDetections()
+    frames = {}
     for f in range(n_frames):
         objs = [obj for obj, row in enumerate(presence) if row[f]]
         if objs:
-            seq.frames[f] = [make_detection(f, obj, slot_box(obj, f)) for obj in objs]
+            frames[f] = [make_detection(f, obj, slot_box(obj, f)) for obj in objs]
     cfg = TrackerConfig(t_birth=t_birth, t_death=t_death)
 
     reference = _CounterLifecycle(t_birth, t_death)
@@ -445,7 +432,7 @@ def test_lifecycle_matches_hit_and_miss_counters(t_birth, t_death, presence):
     for f in range(n_frames):
         reference.step(f, {obj for obj, row in enumerate(presence) if row[f]})
         after[f] = _ids_and_frames(reference.active)
-        dets = seq.frames.get(f, [])
+        dets = frames.get(f, [])
         step(state, f, dets, IdentityScorer()(state.active, dets))
         assert _ids_and_frames(state.active) == after[f]
         assert _ids_and_frames(state.retired) == _ids_and_frames(reference.retired)
@@ -458,8 +445,8 @@ def test_lifecycle_matches_hit_and_miss_counters(t_birth, t_death, presence):
         scored.append((detections[0].frame, _ids_and_frames(tracklets)))
         return IdentityScorer()(tracklets, detections)
 
-    tracks = run_sequence(seq, recording_scorer, cfg)
-    assert scored == [(f, after.get(f - 1, [])) for f in seq.frames]
+    tracks = run_sequence(frames, recording_scorer, cfg)
+    assert scored == [(f, after.get(f - 1, [])) for f in frames]
     # no tracklet is confirmed after the last detection
     confirmed = reference.retired + [t for t in reference.active if t.id is not None]
     assert _ids_and_frames(tracks) == _ids_and_frames(sorted(confirmed, key=lambda t: t.id))
