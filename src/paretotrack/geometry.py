@@ -29,21 +29,25 @@ def iou_2d(a: Sequence[float], b: Sequence[float]) -> float:
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU of two box arrays or lists of boxes, (N, 4) by (M, 4) -> (N, M).
 
-    Rows are (left, top, right, bottom).  Entry (i, j) equals iou_2d of box
-    a[i] and box b[j] bit for bit: both take min - max for the overlap
-    extents (equal but for the sign of a zero extent), zero the intersection
-    unless both extents are positive, form the union as (area_a + area_b) -
-    inter and return 0.0 where it is not positive.
+    Rows are (left, top, right, bottom); the inputs are only read.  Entry
+    (i, j) equals iou_2d of a[i] and b[j] bit for bit, from 14 in-place passes
+    over N x M arrays: inter = max(0, iw) * max(0, ih), union = (area_a +
+    area_b) - inter, and inter / max(union, 5e-324) + 0.0.  union is 0.0 only
+    where inter is 0.0, so the floor of the smallest positive double changes
+    no other quotient; and + 0.0 turns the -0.0 that numpy's maximum may give
+    for a -0.0 extent into iou_2d's 0.0.
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    if len(a) == 0 or len(b) == 0:
-        return np.zeros((len(a), len(b)))
     al, at, ar, ab = a.T[:, :, None]
     bl, bt, br, bb = b.T
-    iw = np.minimum(ar, br) - np.maximum(al, bl)
-    ih = np.minimum(ab, bb) - np.maximum(at, bt)
-    inter = np.where((iw <= 0) | (ih <= 0), 0.0, iw * ih)
-    union = ((ar - al) * (ab - at) + (br - bl) * (bb - bt)) - inter
-    return np.divide(inter, union, out=np.zeros_like(union), where=~(union <= 0))
-
+    inter = np.minimum(ar, br)
+    inter -= np.maximum(al, bl)
+    ih = np.minimum(ab, bb)
+    ih -= np.maximum(at, bt)
+    np.maximum(inter, 0.0, out=inter)
+    inter *= np.maximum(ih, 0.0, out=ih)
+    union = (ar - al) * (ab - at) + (br - bl) * (bb - bt)
+    union -= inter
+    inter /= np.maximum(union, 5e-324, out=union)
+    return np.add(inter, 0.0, out=inter)

@@ -50,8 +50,12 @@ class ScorerConfig:
 
     def link_score(self, a, b):
         """The link scores of rows a by rows b, in [-w_iou, w_iou], for
-        (left, top, right, bottom, ...) rows."""
-        return self.w_iou * (2.0 * iou_matrix(a[:, :4], b[:, :4]) - 1.0)
+        (left, top, right, bottom, ...) rows, computed in place."""
+        scores = iou_matrix(a[:, :4], b[:, :4])
+        scores *= 2.0
+        scores -= 1.0
+        scores *= self.w_iou
+        return scores
 
 
 class ScoreSet:
@@ -83,8 +87,8 @@ class ScoreSet:
 
     @classmethod
     def _checked(cls, s_in, s_out, s_det_prev, s_det_curr, s_link) -> "ScoreSet":
-        """A ScoreSet of float64 arrays of agreeing shapes whose values were
-        checked finite together, with no second check."""
+        """A ScoreSet of float64 arrays of agreeing shapes whose values the
+        caller checked finite, with no second check."""
         scores = cls.__new__(cls)
         scores.s_in, scores.s_out = s_in, s_out
         scores.s_det_prev, scores.s_det_curr, scores.s_link = s_det_prev, s_det_curr, s_link
@@ -118,7 +122,9 @@ def baseline_scores(
     rows = number_rows([track.detections[-1][1] for track in tracklets] + list(detections))
     s_link, s_det = cfg.link_score(rows[:n], rows[n:]), cfg.det_score(rows[:, 4])
     terminal = np.full(len(rows), cfg.terminal_score)
-    return ScoreSet(terminal[n:], terminal[:n], s_det[:n], s_det[n:], s_link)
+    finite = np.isfinite(s_link).all() and np.isfinite(s_det).all()  # terminal_score is finite
+    build = ScoreSet._checked if finite else ScoreSet  # ScoreSet names a non-finite family
+    return build(terminal[n:], terminal[:n], s_det[:n], s_det[n:], s_link)
 
 
 # The largest block a BaselineScorer keeps, in s_link entries (rows squared),
@@ -170,9 +176,9 @@ class _Block:
     def scores(self, places: list[int], n: int) -> ScoreSet:
         """The scores of a call whose first n places are its tracklets'."""
         prev, curr = places[:n], places[n:]
-        s_det = self.s_det[places]
+        s_det = self.s_det.take(places)
         return ScoreSet._checked(self.terminal[:len(curr)], self.terminal[:n],
-                                 s_det[:n], s_det[n:], self.s_link[prev][:, curr])
+                                 s_det[:n], s_det[n:], self.s_link.take(prev, 0).take(curr, 1))
 
 
 class BaselineScorer:
