@@ -130,11 +130,11 @@ def baseline_scores(
 # The largest block a BaselineScorer keeps, in s_link entries (rows squared),
 # so a block holds at most 64 rows.  Measured on a 2-core x86_64 host on the
 # sparse benchmark input (seed 2, 800 frames of about 2.2 detections): 30 of
-# the 800 frames (3.8 %) build a block, each in about 85 us, and a frame
-# answered from the block spends about 6 us in scoring against 34 us in
-# baseline_scores; the frame loop's 95th-percentile frame took 0.041 ms.  At
-# 2048 (45 rows) 43 frames (5.4 %) built one and that p95 rose to 0.14 ms, onto
-# the builds.  At 8192 (90 rows) 21 frames built one, at about 130 us each.
+# the 800 frames (3.8 %) build a block, each in about 85 us, and a call answered
+# from the block takes about 8 us against 60 us in baseline_scores (medians of
+# best-of-200 timings); the frame loop's p95 frame took 0.041 ms.  At 2048 (45
+# rows) 43 frames (5.4 %) built one and that p95 rose to 0.14 ms, onto the
+# builds.  At 8192 (90 rows) 21 frames built one, at about 130 us each.
 # A dense frame of about 45 detections and its next frame do not fit in 64
 # rows, so the dense input builds none.
 BLOCK_ENTRIES = 4096

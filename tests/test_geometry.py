@@ -37,6 +37,48 @@ def test_iou_matrix_bitwise_equals_iou_2d(a, b):
     assert got.tobytes() == want.reshape(len(a), len(b)).tobytes()
 
 
+# boxes that reach iou_matrix's two float facts: empty pairs (union 0), areas
+# that underflow to 0 or to a subnormal, and a -0.0 extent (-0.0 - 0.0 is a
+# -0.0 width) against a box of positive height
+_TINY = 2.0 ** -540  # its square underflows to 0.0
+_SMALL = 2.0 ** -530  # its square is the subnormal 2**-1060
+_FLOAT_FACTS = [
+    ((1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0)),
+    ((0.0, 0.0, 0.0, 0.0), (-0.0, -0.0, -0.0, -0.0)),
+    ((0.0, 0.0, _TINY, _TINY), (0.0, 0.0, _TINY, _TINY)),
+    ((0.0, 0.0, _TINY, _TINY), (0.0, 0.0, 2 * _TINY, _TINY)),
+    ((0.0, 0.0, _SMALL, _SMALL), (0.0, 0.0, _SMALL, _SMALL)),
+    ((0.0, 0.0, _SMALL, _SMALL), (_SMALL / 2, 0.0, 2 * _SMALL, _SMALL)),
+    ((0.0, 0.0, _SMALL, 3 * _SMALL), (0.0, _SMALL, _SMALL, 2 * _SMALL)),
+    ((0.0, 0.0, -0.0, 2.0), (0.0, 0.0, 1.0, 2.0)),
+    ((0.0, 0.0, -0.0, 2.0), (-0.0, 1.0, 3.0, 5.0)),
+    ((0.0, 0.0, 2.0, -0.0), (0.0, 0.0, 2.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("a, b", _FLOAT_FACTS)
+def test_iou_matrix_bitwise_equals_iou_2d_on_empty_underflowing_and_signed_zero_boxes(a, b):
+    for x, y in ((a, b), (b, a)):
+        want = np.array([[iou_2d(x, y)]], dtype=np.float64)
+        assert iou_matrix([x], [y]).tobytes() == want.tobytes()
+    # the same pairs inside one larger matrix give the same bits
+    boxes_ = [a, b, _SQUARE]
+    want = np.array([[iou_2d(x, y) for y in boxes_] for x in boxes_], dtype=np.float64)
+    assert iou_matrix(boxes_, boxes_).tobytes() == want.tobytes()
+
+
+def test_iou_matrix_leaves_its_inputs_untouched():
+    # the scorer passes rows[:n, :4] and rows[n:, :4], views of one table array
+    rows = np.array([[0.0, 0.0, 2.0, 2.0, 0.9], [1.0, 1.0, 3.0, 3.0, 0.5],
+                     [-0.0, 0.0, -0.0, 2.0, 0.1], [5.0, 5.0, 5.0, 5.0, 1.0],
+                     [0.0, 0.0, _SMALL, _SMALL, 0.0]])
+    a, b = rows[:2, :4], rows[2:, :4]
+    before = rows.tobytes(), a.tobytes(), b.tobytes()
+    for x, y in ((a, b), (b, a), (a, a), (rows[:, :4], rows[:, :4]), (a, rows[:0, :4])):
+        iou_matrix(x, y)
+        assert (rows.tobytes(), a.tobytes(), b.tobytes()) == before
+
+
 def test_iou_third_overlap():
     # oracle: rasterized pixel count on a fine grid
     a = (0, 0, 10, 10)

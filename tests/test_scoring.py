@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import boxes, label_line, make_detection, slot_box
 from paretotrack import scoring
-from paretotrack.geometry import iou_2d
+from paretotrack.geometry import iou_2d, iou_matrix
 from paretotrack.kitti_io import parse_sequence
 from paretotrack.scoring import (
     BaselineScorer,
@@ -162,6 +162,17 @@ def test_baseline_equals_scalar_recomputation(tracks, dets, w_iou, w_det, termin
     assert _bits(got.s_out) == [terminal.hex()] * len(tracks)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(boxes(), max_size=5), st.lists(boxes(), max_size=5), _bounded)
+def test_link_score_is_the_weighted_iou_matrix(a, b, w_iou):
+    # link_score scales the IoU matrix in place, by the same operations in the same order
+    rows_a = np.array([box + (0.5,) for box in a]).reshape(-1, 5)
+    rows_b = np.array([box + (0.5,) for box in b]).reshape(-1, 5)
+    got = ScorerConfig(w_iou=w_iou).link_score(rows_a, rows_b)
+    want = w_iou * (2.0 * iou_matrix(rows_a[:, :4], rows_b[:, :4]) - 1.0)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _families(scores: ScoreSet) -> list:
     return [(name, getattr(scores, name).dtype, getattr(scores, name).shape,
              _bits(getattr(scores, name).ravel())) for name in _FAMILIES]
@@ -291,6 +302,21 @@ def test_an_empty_call_between_two_frames_of_a_block_keeps_the_block():
 
     assert len(_blocks_built(run)) == 1
     assert all(_families(got) == _families(baseline_scores([], [])) for got in empty)
+
+
+def test_a_block_answers_a_call_with_no_detections_or_no_tracklets_as_baseline_scores():
+    seq = parse_sequence([label_line(frame, slot, slot_box(slot, frame), 0.3 + 0.2 * slot)
+                          for frame in range(4) for slot in range(3)])
+    scorer = BaselineScorer()
+    tracks = [Tracklet(id=None, detections=[(0, det)]) for det in seq.frames[0]]
+    scorer(tracks, seq.frames[1])
+    block = scorer._block
+    for tracklets, dets in ((tracks, []), ([], seq.frames[2]), ([], [])):
+        want = _families(baseline_scores(tracklets, dets))
+        places = block.places([t.detections[-1][1] for t in tracklets] + dets)
+        assert _families(block.scores(places, len(tracklets))) == want
+        assert _families(scorer(tracklets, dets)) == want
+    assert scorer._block is block
 
 
 def _sparse_lines(n_frames=400, seed=5):

@@ -225,22 +225,26 @@ def test_run_sequence_gap_counts_as_miss():
 
 
 def test_run_sequence_conservation(rng):
-    # every detection is linked, spawned tentative, or dropped, exactly once
+    # after each step every detection of the frame ends at most one active
+    # tracklet, and the linked and the born are exactly the ones that do; the
+    # rest were dropped.  run_sequence puts no record in two confirmed tracklets
     seq, _ = random_gt_sequence(rng, max_objects=5, max_frames=12)
-    state = TrackerState(config=TrackerConfig(t_birth=2, t_death=2))
-    scorer = IdentityScorer()
-    first, last = min(seq.frames), max(seq.frames)
-    for frame in range(first, last + 1):
-        dets = seq.frames.get(frame, [])
-        scores = scorer(state.active, dets)
-        n_before = len(state.active)
-        appended = sum(len(t.detections) for t in state.active)
-        _, sol = step(state, frame, dets, scores)
-        linked = int(sol.f_link.sum())
-        born = int((sol.f_in & (sol.f_link.sum(axis=0) == 0)).sum())
-        dropped = len(dets) - linked - born
-        assert linked + born + dropped == len(dets)
-        assert dropped >= 0
+    inputs = {det.lineno for dets in seq.frames.values() for det in dets}
+    cfg = TrackerConfig(t_birth=2, t_death=2)
+    for make_scorer in (IdentityScorer, BaselineScorer):
+        state, scorer = TrackerState(config=cfg), make_scorer()
+        for frame in sorted(seq.frames):
+            dets = seq.frames[frame]
+            _, sol = step(state, frame, dets, scorer(state.active, dets))
+            ends = [t.detections[-1][1] for t in state.active if t.detections[-1][0] == frame]
+            assert all(any(end is det for det in dets) for end in ends)
+            assert all(sum(end is det for end in ends) <= 1 for det in dets)
+            linked = int(sol.f_link.sum())
+            born = int((sol.f_in & (sol.f_link.sum(axis=0) == 0)).sum())
+            assert linked + born == len(ends)
+        held = [det.lineno for t in run_sequence(seq.frames, make_scorer(), cfg)
+                for _, det in t.detections]
+        assert held and len(set(held)) == len(held) and set(held) <= inputs
 
 
 def test_run_sequence_deterministic(rng):
